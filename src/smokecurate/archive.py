@@ -1,6 +1,12 @@
 """Curated chronological store: hourly level-0 frames, a 2x box-average
 resolution pyramid, per-timestep provenance, and progressive reads.
 
+The build reads each picked granule's header once and then only its picked
+frames, one granule open at a time. A non-finite or negative value, a
+truncation or a header fault in a picked frame aborts the build with a
+BuildError naming the timestep, the granule and the byte offset; a bad value
+in a frame nobody picked is never read and does not stop the build.
+
 On-disk layout:
     manifest.json          geometry, time range, levels, gaps, tool version
     provenance.csv         one row per stored timestep (original stamps)
@@ -13,17 +19,21 @@ from __future__ import annotations
 import csv
 import json
 import os
+from contextlib import closing
 from dataclasses import dataclass
 from datetime import datetime
+from itertools import groupby
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
 from . import __version__
-from .granule import GranuleError, GridGeometry, parse_granule
+from .granule import (FrameReader, GranuleError, GranuleHeader, GridGeometry,
+                      HeaderInfo)
 from .regrid import Frame, identity_or_resample
 from .sequencer import ISO_Z, SequencePlan
-from .timecal import HOUR, UTC, hour_range, julian_to_calendar
+from .timecal import HOUR, UTC, JulianStamp, hour_range, julian_to_calendar
 
 PROVENANCE_COLUMNS = ["tflag_date", "tflag_time", "cdate", "ctime", "wdate",
                       "wtime", "sdate", "stime", "forecast_id", "resampled",
@@ -35,7 +45,8 @@ class ArchiveError(Exception):
 
 
 class BuildError(ArchiveError):
-    """A picked granule failed full parse during materialization."""
+    """A picked granule's header or picked frame failed to parse during
+    materialization."""
 
 
 class GapError(ArchiveError):
@@ -99,6 +110,34 @@ def _chunk_name(index: int) -> str:
     return f"{index:08}.bin"
 
 
+def _picked_frames(plan: SequencePlan
+                   ) -> Iterator[tuple[datetime, GranuleHeader, JulianStamp,
+                                       np.ndarray]]:
+    """(timestep, header, tflag stamp, float32 frame) for every pick in time
+    order. Time-sorted picks of one granule mostly form one run, so one
+    granule is open at a time and each header is parsed once."""
+    headers: dict[Path, HeaderInfo] = {}
+    for path, run in groupby(sorted(plan.picks.items()),
+                             key=lambda item: Path(item[1].path)):
+        with open(path, "rb") as f:
+            reader = None
+            for t, pick in run:
+                try:
+                    if reader is None:
+                        reader = FrameReader(f, headers.get(path))
+                        headers[path] = reader.info
+                    values = reader.read_frame(pick.frame_index)
+                except (GranuleError, IndexError) as e:
+                    raise BuildError(f"timestep {t.strftime(ISO_Z)}: picked "
+                                     f"granule {path} failed to parse: {e}") from e
+                stamp = reader.info.tflag[pick.frame_index]
+                if julian_to_calendar(stamp) != t:
+                    raise BuildError(f"timestep {t.strftime(ISO_Z)}: frame "
+                                     f"{pick.frame_index} of {path} carries "
+                                     f"tflag {stamp}, not the planned timestep")
+                yield t, reader.info.header, stamp, values
+
+
 def build_archive(plan: SequencePlan, canonical: GridGeometry,
                   out: Path | str, levels: int = 1,
                   keep_originals: bool = True) -> "CuratedArchive":
@@ -112,54 +151,29 @@ def build_archive(plan: SequencePlan, canonical: GridGeometry,
     for lv in range(levels):
         (out / f"L{lv}").mkdir(exist_ok=True)
 
-    granule_cache: dict[Path, object] = {}
-
-    def load(path: Path):
-        if path not in granule_cache:
-            try:
-                with open(path, "rb") as f:
-                    granule_cache[path] = parse_granule(f)
-            except GranuleError as e:
-                raise BuildError(f"picked granule {path} failed to parse: {e}") from e
-            if len(granule_cache) > 8:  # keep memory flat on long plans
-                oldest = next(iter(granule_cache))
-                if oldest != path:
-                    del granule_cache[oldest]
-        return granule_cache[path]
-
     rows: list[ProvenanceRow] = []
     any_resampled = False
-    for t in sorted(plan.picks):
-        pick = plan.picks[t]
-        try:
-            g = load(Path(pick.path))
-        except BuildError as e:
-            raise BuildError(f"timestep {t.strftime(ISO_Z)}: {e}") from e
-        h = g.header
-        stamp = g.tflag[pick.frame_index]
-        if julian_to_calendar(stamp) != t:
-            raise BuildError(f"timestep {t.strftime(ISO_Z)}: frame "
-                             f"{pick.frame_index} of {pick.path} carries "
-                             f"tflag {stamp}, not the planned timestep")
-        src = Frame(h.geometry, g.pm25[pick.frame_index].astype(np.float64))
-        frame = identity_or_resample(src, canonical)
-        idx = int((t - plan.start) / HOUR)
-        if frame.resampled:
-            any_resampled = True
-            if keep_originals:
-                orig_dir = out / "originals"
-                orig_dir.mkdir(exist_ok=True)
-                _write_chunk(orig_dir / _chunk_name(idx), src.values)
-        level_values = np.asarray(frame.values, dtype=np.float32)
-        for lv in range(levels):
-            _write_chunk(out / f"L{lv}" / _chunk_name(idx), level_values)
-            if lv + 1 < levels:
-                level_values = box_downsample(level_values).astype(np.float32)
-        rows.append(ProvenanceRow(
-            stamp.date, stamp.time,
-            h.cdate.date, h.cdate.time, h.wdate.date, h.wdate.time,
-            h.sdate.date, h.sdate.time, h.forecast_id, frame.resampled,
-            h.weather_init.strftime(ISO_Z)))
+    with closing(_picked_frames(plan)) as picked:
+        for t, h, stamp, values in picked:
+            src = Frame(h.geometry, values.astype(np.float64))
+            frame = identity_or_resample(src, canonical)
+            idx = int((t - plan.start) / HOUR)
+            if frame.resampled:
+                any_resampled = True
+                if keep_originals:
+                    orig_dir = out / "originals"
+                    orig_dir.mkdir(exist_ok=True)
+                    _write_chunk(orig_dir / _chunk_name(idx), src.values)
+            level_values = np.asarray(frame.values, dtype=np.float32)
+            for lv in range(levels):
+                _write_chunk(out / f"L{lv}" / _chunk_name(idx), level_values)
+                if lv + 1 < levels:
+                    level_values = box_downsample(level_values).astype(np.float32)
+            rows.append(ProvenanceRow(
+                stamp.date, stamp.time,
+                h.cdate.date, h.cdate.time, h.wdate.date, h.wdate.time,
+                h.sdate.date, h.sdate.time, h.forecast_id, frame.resampled,
+                h.weather_init.strftime(ISO_Z)))
 
     _write_provenance(out / "provenance.csv", rows)
     manifest = {
@@ -184,6 +198,13 @@ def _write_chunk(path: Path, values: np.ndarray) -> None:
     tmp = path.with_suffix(".tmp")
     tmp.write_bytes(np.ascontiguousarray(values, dtype="<f4").tobytes())
     os.replace(tmp, path)
+
+
+def _read_bytes(path: Path) -> bytes:
+    try:
+        return path.read_bytes()
+    except OSError as e:
+        raise ArchiveError(f"chunk {path} unreadable: {e}") from e
 
 
 def _write_provenance(path: Path, rows: list[ProvenanceRow]) -> None:
@@ -242,8 +263,6 @@ class CuratedArchive:
                     int(row["sdate"]), int(row["stime"]),
                     row["forecast_id"], row["resampled"] == "true",
                     row["wrf_arw_init_time"])
-                from .granule import JulianStamp  # local to avoid cycle noise
-
                 t = julian_to_calendar(JulianStamp(pr.tflag_date, pr.tflag_time))
                 provenance[t] = pr
         return cls(root, geometry, start, end, manifest["levels"], gaps,
@@ -276,9 +295,12 @@ class CuratedArchive:
         if t in self.gaps:
             raise GapError(t, *self._neighbors(t))
         path = self.root / f"L{level}" / _chunk_name(idx)
-        data = path.read_bytes()
+        data = _read_bytes(path)
         self.bytes_read += len(data)
         rows, cols = level_shape(self.geometry, level)
+        if len(data) != rows * cols * 4:
+            raise ArchiveError(f"chunk {path} is {len(data)} bytes, "
+                               f"expected {rows * cols * 4}")
         return np.frombuffer(data, dtype="<f4").reshape(rows, cols).copy()
 
     def read_frame(self, t: datetime,
@@ -297,8 +319,13 @@ class CuratedArchive:
         path = self.root / "originals" / _chunk_name(self._index_of(t))
         if not path.is_file():
             return None
-        data = path.read_bytes()
+        data = _read_bytes(path)
         self.bytes_read += len(data)
+        # the pre-resample geometry is not recorded, so the size can only be
+        # checked to hold whole float32 values of at least a 2x2 grid
+        if len(data) % 4 or len(data) < 16:
+            raise ArchiveError(f"original chunk {path} is {len(data)} bytes, "
+                               f"expected a multiple of 4 of at least 16")
         return np.frombuffer(data, dtype="<f4").copy()
 
     def read_window(self, t0: datetime, t1: datetime,

@@ -148,10 +148,6 @@ def fetch_one(endpoint: SourceEndpoint, forecast_id: str, day: date,
         except NotFound:
             # absence is a documented steady state, not worth retrying
             return FetchRecord(forecast_id, day, url, "not_found", 0, attempts)
-        except OSError:
-            if attempt == retries:
-                return FetchRecord(forecast_id, day, url, "io_error", 0, attempts)
-            time.sleep(backoff * 2 ** (attempt - 1))
         except Exception:
             if attempt == retries:
                 return FetchRecord(forecast_id, day, url, "io_error", 0, attempts)

@@ -11,7 +11,8 @@ GRANULE v1 layout (little-endian):
     payload         ntimes*nrows*ncols f32, time-major then row-major
 
 Parsing must be safe on arbitrary bytes; every failure carries the byte
-offset of the first inconsistency.
+offset of the first inconsistency. `FrameReader` reads single frames after a
+header-only parse, so a reader that needs a few frames never loads the rest.
 """
 
 from __future__ import annotations
@@ -289,13 +290,50 @@ def parse_granule(source: BinaryIO) -> ForecastGranule:
     geom = info.header.geometry
     pm25 = np.frombuffer(raw, dtype="<f4").reshape(
         info.header.ntimes, geom.nrows, geom.ncols).copy()
-    if not np.isfinite(pm25).all() or (pm25 < 0).any():
-        bad = int(np.argmax(~(np.isfinite(pm25) & (pm25 >= 0))))
-        raise InvalidHeaderError("payload value non-finite or negative",
-                                 info.header_bytes + bad * 4)
+    _check_payload(pm25, info.header_bytes)
     g = ForecastGranule(info.header, list(info.tflag), pm25)
     g.validate()
     return g
+
+
+def _check_payload(values: np.ndarray, offset: int) -> None:
+    """Reject non-finite or negative values; `offset` is the byte position of
+    values' first element, so the error names the first bad value's byte."""
+    ok = np.isfinite(values) & (values >= 0)
+    if not ok.all():
+        raise InvalidHeaderError("payload value non-finite or negative",
+                                 offset + int(np.argmax(~ok)) * 4)
+
+
+class FrameReader:
+    """Frame-addressed reads from one open granule.
+
+    The header and tflag are parsed and validated once (or taken from an
+    earlier read of the same file), and the source must hold at least the
+    declared total bytes. Each `read_frame` then seeks to one frame and reads
+    only its payload, so bad values in other frames go unnoticed.
+    """
+
+    def __init__(self, source: BinaryIO, info: HeaderInfo | None = None):
+        self.info = info if info is not None else read_header(source)
+        size = source.seek(0, io.SEEK_END)
+        if size < self.info.expected_total_bytes:
+            raise TruncatedError("stream ended inside payload", size)
+        self._source = source
+
+    def read_frame(self, index: int) -> np.ndarray:
+        """Frame `index` as a read-only (nrows, ncols) float32 array."""
+        h = self.info.header
+        if not 0 <= index < h.ntimes:
+            raise IndexError(f"frame {index} outside 0..{h.ntimes - 1}")
+        frame_bytes = h.geometry.nrows * h.geometry.ncols * 4
+        offset = self.info.header_bytes + index * frame_bytes
+        self._source.seek(offset)
+        raw = _read_exact(self._source, frame_bytes, offset, "payload")
+        values = np.frombuffer(raw, dtype="<f4").reshape(h.geometry.nrows,
+                                                         h.geometry.ncols)
+        _check_payload(values, offset)
+        return values
 
 
 def parse_granule_bytes(data: bytes) -> ForecastGranule:

@@ -15,8 +15,8 @@ from datetime import date, datetime, timedelta, timezone
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .archive import CuratedArchive
-from .query import SamplingMode, sample_series
+from .archive import ArchiveError, CuratedArchive
+from .query import ExtentError, SamplingMode, sample_series
 from .timecal import UTC
 
 PEAK_START_HOUR = 10          # local, inclusive
@@ -144,7 +144,7 @@ def daily_aggregates(solar: Iterable[SolarRecord],
                       tzinfo=tz).astimezone(UTC)
         try:
             series = sample_series(archive, t0, t1, lat, lon, mode)
-        except Exception as e:
+        except (ArchiveError, ExtentError) as e:
             excluded.append(ExcludedDay(day, f"pm25_unavailable: {e}"))
             continue
         if series.gaps:

@@ -1,14 +1,17 @@
+import os
 from datetime import date, datetime, timedelta
 
 import numpy as np
 import pytest
 
-from smokecurate.archive import (PROVENANCE_COLUMNS, BuildError,
-                                 CuratedArchive, GapError, box_downsample,
-                                 build_archive, level_geometry, level_shape)
+from smokecurate.archive import (PROVENANCE_COLUMNS, ArchiveError,
+                                 BuildError, CuratedArchive, GapError,
+                                 box_downsample, build_archive,
+                                 level_geometry, level_shape)
 from smokecurate.corpusgen import (DESK_DRIFT_GEOMETRY, DESK_GEOMETRY,
                                    CorpusSpec, generate_corpus)
-from smokecurate.granule import GridGeometry, granule_to_bytes, make_granule
+from smokecurate.granule import (GridGeometry, granule_to_bytes, make_granule,
+                                 read_header_bytes)
 from smokecurate.indexer import build_coverage, scan_cache
 from smokecurate.sequencer import plan_sequence
 from smokecurate.timecal import UTC
@@ -225,3 +228,115 @@ def test_mismatched_frame_index_aborts_build(tmp_path):
     object.__setattr__(pick, "frame_index", 2)  # point at the wrong frame
     with pytest.raises(BuildError, match="tflag"):
         build_archive(plan, SMALL_GEOM, tmp_path / "arch_bad")
+
+
+def test_truncated_chunk_raises_archive_error(tmp_path):
+    arch = archive_from_frames(tmp_path, random_frames(3))
+    chunk = arch.root / "L0" / "00000001.bin"
+    chunk.write_bytes(chunk.read_bytes()[:100])
+    arch.read_frame(T0)  # neighbouring chunks are unaffected
+    with pytest.raises(ArchiveError) as err:
+        arch.read_frame(T0 + timedelta(hours=1))
+    assert str(chunk) in str(err.value)
+    assert "100 bytes" in str(err.value)
+    assert f"expected {6 * 8 * 4}" in str(err.value)
+    missing = arch.root / "L0" / "00000002.bin"
+    missing.unlink()
+    with pytest.raises(ArchiveError, match=str(missing)):
+        arch.read_frame(T0 + timedelta(hours=2))
+
+
+def test_wrong_size_original_raises_archive_error(tmp_path):
+    arch = archive_from_frames(tmp_path, random_frames(1))
+    original = arch.root / "originals" / "00000000.bin"
+    original.parent.mkdir()
+    original.write_bytes(b"\0" * 13)
+    with pytest.raises(ArchiveError, match="13 bytes"):
+        arch.read_original(T0)
+
+
+def cached_granule(tmp_path, frames, geometry=SMALL_GEOM):
+    """One granule in a fresh cache; returns its path."""
+    g = make_granule("BSC00CA12-01", created=T0 + timedelta(hours=1),
+                     weather_init=T0 - timedelta(hours=6), smoke_init=T0,
+                     geometry=geometry, frames=frames)
+    path = tmp_path / "BSC00CA12-01" / "dispersion_20220302.gran"
+    path.parent.mkdir(parents=True)
+    path.write_bytes(granule_to_bytes(g))
+    return path
+
+
+def poke_value(path, frame, cell, value):
+    """Overwrite one payload value in place; returns its byte offset."""
+    data = bytearray(path.read_bytes())
+    info = read_header_bytes(bytes(data))
+    geom = info.header.geometry
+    offset = info.header_bytes + 4 * (frame * geom.nrows * geom.ncols + cell)
+    data[offset:offset + 4] = np.array([value], dtype="<f4").tobytes()
+    path.write_bytes(bytes(data))
+    return offset
+
+
+def plan_hours(cache, hours):
+    return plan_sequence(build_coverage(scan_cache(cache)), T0,
+                         T0 + timedelta(hours=hours - 1))
+
+
+@pytest.mark.parametrize("bad", [np.nan, -2.0])
+def test_bad_value_in_picked_frame_aborts_build(tmp_path, bad):
+    path = cached_granule(tmp_path / "cache", random_frames(4, seed=5))
+    offset = poke_value(path, frame=1, cell=9, value=bad)
+    plan = plan_hours(tmp_path / "cache", 2)  # frames 0 and 1 are picked
+    with pytest.raises(BuildError) as err:
+        build_archive(plan, SMALL_GEOM, tmp_path / "arch")
+    message = str(err.value)
+    assert "timestep 2022-03-02T01:00:00Z" in message
+    assert str(path) in message
+    assert f"at byte {offset}" in message
+    assert not (tmp_path / "arch" / "manifest.json").exists()
+
+
+def test_bad_value_in_unpicked_frame_builds_identical_archive(tmp_path):
+    frames = random_frames(4, seed=5)
+    cached_granule(tmp_path / "clean", frames)
+    dirty = cached_granule(tmp_path / "dirty", frames)
+    poke_value(dirty, frame=3, cell=0, value=np.nan)
+    for name in ("clean", "dirty"):
+        build_archive(plan_hours(tmp_path / name, 3), SMALL_GEOM,
+                      tmp_path / f"arch_{name}", levels=2)
+
+    def contents(root):
+        return {p.relative_to(root): p.read_bytes()
+                for p in sorted(root.rglob("*")) if p.is_file()}
+
+    clean = contents(tmp_path / "arch_clean")
+    assert len(clean) == 1 + 1 + 2 * 3  # manifest, provenance, 2 levels x 3 h
+    assert contents(tmp_path / "arch_dirty") == clean
+
+
+def test_truncated_picked_granule_aborts_build(tmp_path):
+    path = cached_granule(tmp_path / "cache", random_frames(4, seed=5))
+    plan = plan_hours(tmp_path / "cache", 2)  # the scan reads headers only
+    path.write_bytes(path.read_bytes()[:-10])
+    with pytest.raises(BuildError) as err:
+        build_archive(plan, SMALL_GEOM, tmp_path / "arch")
+    assert "timestep 2022-03-02T00:00:00Z" in str(err.value)
+    assert str(path) in str(err.value)
+
+
+def read_chars():
+    with open("/proc/self/io") as f:
+        return int(next(line for line in f if line.startswith("rchar:"))
+                   .split()[1])
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/io"),
+                    reason="needs Linux /proc/self/io")
+def test_build_reads_only_picked_frames(tmp_path):
+    geom = GridGeometry(64, 64, 30.0, -120.0, 0.25, 0.25)
+    path = cached_granule(tmp_path / "cache", random_frames(40, geom), geom)
+    plan = plan_hours(tmp_path / "cache", 4)
+    assert len(plan.picks) / 40 < 0.25
+    before = read_chars()
+    build_archive(plan, geom, tmp_path / "arch")
+    assert read_chars() - before < path.stat().st_size / 2

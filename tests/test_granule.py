@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from smokecurate.granule import (HEADER_END, GranuleError, GridGeometry,
-                                 InvalidHeaderError, NotAGranuleError,
+from smokecurate.granule import (HEADER_END, FrameReader, GranuleError,
+                                 GridGeometry, InvalidHeaderError,
+                                 NotAGranuleError,
                                  TruncatedError, grid_coordinates,
                                  granule_to_bytes, parse_granule_bytes,
                                  read_header_bytes, write_granule)
@@ -157,3 +158,53 @@ def test_error_offsets_are_reported():
     with pytest.raises(NotAGranuleError) as err:
         parse_granule_bytes(b"SMOKGRAX" + b"\x00" * 100)
     assert err.value.offset == 7
+
+
+def test_frame_reader_matches_full_parse():
+    data = simple_granule_bytes(ntimes=5)
+    g = parse_granule_bytes(data)
+    stream = CountingStream(data)
+    reader = FrameReader(stream)
+    assert reader.info == read_header_bytes(data)
+    for i in range(5):
+        np.testing.assert_array_equal(reader.read_frame(i), g.pm25[i])
+    with pytest.raises(IndexError):
+        reader.read_frame(5)
+    with pytest.raises(IndexError):
+        reader.read_frame(-1)
+
+
+def test_frame_reader_reads_only_the_header_and_the_frame():
+    data = simple_granule_bytes(ntimes=40)
+    stream = CountingStream(data)
+    reader = FrameReader(stream)
+    header_bytes = reader.info.header_bytes
+    reader.read_frame(17)
+    assert stream.bytes_read == header_bytes + 6 * 8 * 4
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -0.5])
+def test_frame_reader_rejects_bad_value_at_its_offset(bad):
+    data = bytearray(simple_granule_bytes(ntimes=3))
+    header_bytes = read_header_bytes(bytes(data)).header_bytes
+    offset = header_bytes + (2 * 6 * 8 + 11) * 4  # frame 2, cell 11
+    data[offset:offset + 4] = np.array([bad], dtype="<f4").tobytes()
+    reader = FrameReader(io.BytesIO(bytes(data)))
+    reader.read_frame(0)  # other frames stay readable
+    with pytest.raises(InvalidHeaderError) as err:
+        reader.read_frame(2)
+    assert err.value.offset == offset
+    with pytest.raises(InvalidHeaderError) as err:
+        parse_granule_bytes(bytes(data))
+    assert err.value.offset == offset
+
+
+def test_frame_reader_rejects_truncated_source():
+    data = simple_granule_bytes(ntimes=3)
+    info = read_header_bytes(data)
+    with pytest.raises(TruncatedError) as err:
+        FrameReader(io.BytesIO(data[:-1]))
+    assert err.value.offset == len(data) - 1
+    with pytest.raises(TruncatedError):
+        FrameReader(io.BytesIO(data[:-1]), info)  # a known header is rechecked
+    FrameReader(io.BytesIO(data + b"\0" * 8)).read_frame(2)  # trailing bytes ok

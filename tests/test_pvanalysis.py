@@ -107,6 +107,20 @@ def test_pm25_gap_in_peak_window_drops_day(tmp_path):
         [(date(2022, 3, 2), "pm25_gap")]
 
 
+def test_truncated_chunk_excludes_day_naming_the_file(tmp_path):
+    frames = [np.full((6, 8), 10.0, dtype=np.float32) for _ in range(24)]
+    arch = archive_from_frames(tmp_path, frames)
+    chunk = arch.root / "L0" / "00000017.bin"   # 17 UTC == 11:00 local
+    chunk.write_bytes(chunk.read_bytes()[:-4])
+    aggs, excluded = daily_aggregates(flat_day(date(2022, 3, 2)),
+                                      {date(2022, 3, 2): 5.0}, arch, SITE)
+    assert not aggs
+    [day] = excluded
+    assert day.day == date(2022, 3, 2)
+    assert day.reason.startswith("pm25_unavailable: ")
+    assert str(chunk) in day.reason
+
+
 def make_agg(day, output=5.0, clear=True, smoky=False, pm=10.0):
     return DailyAggregate(day, output, pm, 5.0, clear, smoky, 0.0)
 
