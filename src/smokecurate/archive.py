@@ -92,18 +92,34 @@ def level_geometry(geom: GridGeometry, level: int) -> GridGeometry:
 
 
 def box_downsample(values: np.ndarray) -> np.ndarray:
-    """2x2 box average with edge-partial cells; accumulates in float64."""
-    v = np.asarray(values, dtype=np.float64)
+    """2x2 box average with edge-partial cells, in float64.
+
+    Each block [[a, b], [c, d]] sums as (a+b)+(c+d) and divides by 4; an
+    edge-partial pair sums as (a+b) and divides by 2; an odd corner is copied.
+    The order is fixed, so a block's result does not depend on the array's
+    size. Strided views of the input are summed into the output (plus one
+    output-sized temporary for (c+d)); the input is never copied or padded."""
+    v = np.asarray(values)
     rows, cols = v.shape
-    pr, pc = rows % 2, cols % 2
-    if pr or pc:
-        v = np.pad(v, ((0, pr), (0, pc)), mode="edge") * 1.0
-        counts = np.pad(np.ones((rows, cols)), ((0, pr), (0, pc)),
-                        mode="constant")
-        num = (v * counts).reshape(v.shape[0] // 2, 2, v.shape[1] // 2, 2).sum(axis=(1, 3))
-        den = counts.reshape(v.shape[0] // 2, 2, v.shape[1] // 2, 2).sum(axis=(1, 3))
-        return num / den
-    return v.reshape(rows // 2, 2, cols // 2, 2).mean(axis=(1, 3))
+    hr, hc = rows // 2, cols // 2
+    out = np.empty(((rows + 1) // 2, (cols + 1) // 2))
+    even, odd = slice(0, 2 * hc, 2), slice(1, 2 * hc, 2)
+    top, bottom = v[0:2 * hr:2], v[1:2 * hr:2]
+    full = out[:hr, :hc]
+    np.add(top[:, even], top[:, odd], out=full, dtype=np.float64)
+    full += np.add(bottom[:, even], bottom[:, odd], dtype=np.float64)
+    full /= 4
+    if cols % 2:
+        right = out[:hr, hc]
+        np.add(top[:, -1], bottom[:, -1], out=right, dtype=np.float64)
+        right /= 2
+    if rows % 2:
+        last = out[hr, :hc]
+        np.add(v[-1, even], v[-1, odd], out=last, dtype=np.float64)
+        last /= 2
+        if cols % 2:
+            out[hr, hc] = v[-1, -1]
+    return out
 
 
 def _chunk_name(index: int) -> str:
@@ -150,20 +166,21 @@ def build_archive(plan: SequencePlan, canonical: GridGeometry,
     out.mkdir(parents=True, exist_ok=True)
     for lv in range(levels):
         (out / f"L{lv}").mkdir(exist_ok=True)
+    orig_dir = out / "originals"
 
     rows: list[ProvenanceRow] = []
     any_resampled = False
     with closing(_picked_frames(plan)) as picked:
         for t, h, stamp, values in picked:
-            src = Frame(h.geometry, values.astype(np.float64))
+            src = Frame(h.geometry, values)
             frame = identity_or_resample(src, canonical)
             idx = int((t - plan.start) / HOUR)
             if frame.resampled:
-                any_resampled = True
                 if keep_originals:
-                    orig_dir = out / "originals"
-                    orig_dir.mkdir(exist_ok=True)
+                    if not any_resampled:
+                        orig_dir.mkdir(exist_ok=True)
                     _write_chunk(orig_dir / _chunk_name(idx), src.values)
+                any_resampled = True
             level_values = np.asarray(frame.values, dtype=np.float32)
             for lv in range(levels):
                 _write_chunk(out / f"L{lv}" / _chunk_name(idx), level_values)
@@ -196,7 +213,8 @@ def build_archive(plan: SequencePlan, canonical: GridGeometry,
 
 def _write_chunk(path: Path, values: np.ndarray) -> None:
     tmp = path.with_suffix(".tmp")
-    tmp.write_bytes(np.ascontiguousarray(values, dtype="<f4").tobytes())
+    with open(tmp, "wb") as f:
+        f.write(memoryview(np.ascontiguousarray(values, dtype="<f4")))
     os.replace(tmp, path)
 
 

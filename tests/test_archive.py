@@ -3,6 +3,7 @@ from datetime import date, datetime, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from smokecurate.archive import (PROVENANCE_COLUMNS, ArchiveError,
                                  BuildError, CuratedArchive, GapError,
@@ -11,8 +12,9 @@ from smokecurate.archive import (PROVENANCE_COLUMNS, ArchiveError,
 from smokecurate.corpusgen import (DESK_DRIFT_GEOMETRY, DESK_GEOMETRY,
                                    CorpusSpec, generate_corpus)
 from smokecurate.granule import (GridGeometry, granule_to_bytes, make_granule,
-                                 read_header_bytes)
+                                 parse_granule, read_header_bytes)
 from smokecurate.indexer import build_coverage, scan_cache
+from smokecurate.regrid import Frame, identity_or_resample
 from smokecurate.sequencer import plan_sequence
 from smokecurate.timecal import UTC
 
@@ -84,6 +86,123 @@ def test_box_downsample_edge_partial_cells():
     out = box_downsample(v)
     np.testing.assert_allclose(out, oracle_box_average(v), atol=1e-15)
     assert out[1, 1] == 9.0  # single corner cell averages only itself
+
+
+def pairwise_box_oracle(values):
+    """Per-block 2x2 average in Python floats: ((a+b)+(c+d))/4 for a whole
+    block [[a, b], [c, d]], (a+b)/2 for an edge pair, the corner copied."""
+    rows, cols = values.shape
+    out = np.empty(((rows + 1) // 2, (cols + 1) // 2))
+    for i in range(out.shape[0]):
+        for j in range(out.shape[1]):
+            block = [[float(x) for x in row]
+                     for row in values[2 * i: 2 * i + 2, 2 * j: 2 * j + 2]]
+            if len(block) == 2 and len(block[0]) == 2:
+                (a, b), (c, d) = block
+                out[i, j] = ((a + b) + (c + d)) / 4
+            elif len(block) == 2:
+                out[i, j] = (block[0][0] + block[1][0]) / 2
+            elif len(block[0]) == 2:
+                out[i, j] = (block[0][0] + block[0][1]) / 2
+            else:
+                out[i, j] = block[0][0]
+    return out
+
+
+def wide_range_frame(shape, seed, zero_fraction=0.1):
+    """float32 values log-uniform over 1e-30..1e3, with some exact zeros."""
+    rng = np.random.default_rng(seed)
+    values = (10.0 ** rng.uniform(-30, 3, size=shape)).astype(np.float32)
+    values[rng.random(shape) < zero_fraction] = 0
+    return values
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.integers(1, 40), cols=st.integers(1, 40),
+       seed=st.integers(0, 2**32 - 1), zero_fraction=st.sampled_from([0, 0.1, 1]))
+def test_box_downsample_matches_pairwise_oracle_bit_for_bit(rows, cols, seed,
+                                                            zero_fraction):
+    values = wide_range_frame((rows, cols), seed, zero_fraction)
+    out = box_downsample(values)
+    assert out.dtype == np.float64
+    assert out.tobytes() == pairwise_box_oracle(values).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (4, 4), (20, 40)])
+def test_box_downsample_order_is_independent_of_size(shape):
+    # sequential a+b+c+d rounds this block to exactly 0.25 in float32; the
+    # pairwise (a+b)+(c+d) order rounds it up by one ulp at every size
+    values = np.zeros(shape, dtype=np.float32)
+    values[:2, :2] = [[1, 2**-24], [3 * 2**-55, 3 * 2**-55]]
+    got = box_downsample(values).astype(np.float32)[0, 0]
+    assert got == np.nextafter(np.float32(0.25), np.float32(1))
+    assert str(got) == "0.25000003"
+
+
+def reshape_box_downsample(values):
+    """The earlier pad-and-reshape implementation, kept as a golden copy."""
+    v = np.asarray(values, dtype=np.float64)
+    rows, cols = v.shape
+    pr, pc = rows % 2, cols % 2
+    if pr or pc:
+        v = np.pad(v, ((0, pr), (0, pc)), mode="edge") * 1.0
+        counts = np.pad(np.ones((rows, cols)), ((0, pr), (0, pc)),
+                        mode="constant")
+        num = (v * counts).reshape(v.shape[0] // 2, 2, v.shape[1] // 2,
+                                   2).sum(axis=(1, 3))
+        den = counts.reshape(v.shape[0] // 2, 2, v.shape[1] // 2,
+                             2).sum(axis=(1, 3))
+        return num / den
+    return v.reshape(rows // 2, 2, cols // 2, 2).mean(axis=(1, 3))
+
+
+@pytest.mark.parametrize("shape", [(20, 40), (20, 36), (381, 1081),
+                                   (381, 1041), (10, 20), (10, 18),
+                                   (191, 541), (191, 521)])
+def test_box_downsample_equals_reshape_golden_copy(shape):
+    for seed in range(3):
+        values = wide_range_frame(shape, seed)
+        assert (box_downsample(values).tobytes()
+                == reshape_box_downsample(values).tobytes())
+
+
+def test_pyramid_chunks_equal_downsampled_level_below(tmp_path):
+    spec = CorpusSpec(start_date=date(2022, 3, 2), end_date=date(2022, 3, 3),
+                      forecast_ids=("BSC00CA12-01",), init_hours=(0,),
+                      horizon_hours=24, geometry=DESK_GEOMETRY,
+                      drift_geometry=DESK_DRIFT_GEOMETRY,
+                      drift_cutoff=date(2022, 3, 3), seed=9)
+    generate_corpus(spec, tmp_path / "c")
+    index = build_coverage(scan_cache(tmp_path / "c"))
+    times = index.timesteps()
+    plan = plan_sequence(index, times[0], times[-1])
+    arch = build_archive(plan, DESK_GEOMETRY, tmp_path / "a", levels=3)
+
+    def chunk(level, t):
+        name = f"{int((t - arch.start) / timedelta(hours=1)):08}.bin"
+        return (arch.root / level / name).read_bytes()
+
+    granules = {}
+    resampled = 0
+    for t, pick in plan.picks.items():
+        if pick.path not in granules:
+            with open(pick.path, "rb") as f:
+                granules[pick.path] = parse_granule(f)
+        granule = granules[pick.path]
+        source = granule.pm25[pick.frame_index]
+        if arch.provenance[t].resampled:
+            resampled += 1
+            assert chunk("originals", t) == source.astype("<f4").tobytes()
+            src = Frame(granule.header.geometry, source)
+            expect = identity_or_resample(src, DESK_GEOMETRY).values
+            assert chunk("L0", t) == expect.astype("<f4").tobytes()
+        else:
+            assert chunk("L0", t) == source.astype("<f4").tobytes()
+        for lv in (1, 2):
+            below, _ = arch.read_frame(t, level=lv - 1)
+            expect = box_downsample(below.values).astype("<f4")
+            assert chunk(f"L{lv}", t) == expect.tobytes()
+    assert 0 < resampled < len(plan.picks)
 
 
 def test_provenance_preserves_original_stamps(tmp_path):
