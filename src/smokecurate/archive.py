@@ -19,7 +19,7 @@ from __future__ import annotations
 import csv
 import json
 import os
-from contextlib import closing
+from contextlib import ExitStack, closing
 from dataclasses import dataclass
 from datetime import datetime
 from itertools import groupby
@@ -45,8 +45,8 @@ class ArchiveError(Exception):
 
 
 class BuildError(ArchiveError):
-    """A picked granule's header or picked frame failed to parse during
-    materialization."""
+    """A picked granule could not be opened, or its header or picked frame
+    failed to parse during materialization."""
 
 
 class GapError(ArchiveError):
@@ -135,19 +135,20 @@ def _picked_frames(plan: SequencePlan
     headers: dict[Path, HeaderInfo] = {}
     for path, run in groupby(sorted(plan.picks.items()),
                              key=lambda item: Path(item[1].path)):
-        with open(path, "rb") as f:
+        with ExitStack() as files:
             reader = None
             for t, pick in run:
                 try:
                     if reader is None:
+                        f = files.enter_context(open(path, "rb"))
                         reader = FrameReader(f, headers.get(path))
                         headers[path] = reader.info
                     values = reader.read_frame(pick.frame_index)
-                except (GranuleError, IndexError) as e:
+                except (OSError, GranuleError, IndexError) as e:
                     raise BuildError(f"timestep {t.strftime(ISO_Z)}: picked "
                                      f"granule {path} failed to parse: {e}") from e
                 stamp = reader.info.tflag[pick.frame_index]
-                if julian_to_calendar(stamp) != t:
+                if reader.info.first_frame + pick.frame_index * HOUR != t:
                     raise BuildError(f"timestep {t.strftime(ISO_Z)}: frame "
                                      f"{pick.frame_index} of {path} carries "
                                      f"tflag {stamp}, not the planned timestep")

@@ -17,7 +17,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .granule import GridGeometry, granule_to_bytes, make_granule
+from .fetcher import ConfigError, embedded_init_hour
+from .granule import (GridGeometry, granule_to_bytes, make_granule,
+                      read_header_bytes)
 from .timecal import UTC
 
 DEFAULT_FORECAST_IDS = ("BSC00CA12-01", "BSC06CA12-01",
@@ -211,8 +213,6 @@ def build_run_granule(spec: CorpusSpec, fid: str, init: datetime,
         frames.append(np.maximum(perturbed, 0.0))
     # The stream whose embedded hour matches the init publishes last, so the
     # creation stamp breaks same-init ties in favor of the native stream.
-    from .fetcher import ConfigError, embedded_init_hour
-
     try:
         native = embedded_init_hour(fid) == init.hour
     except ConfigError:
@@ -259,7 +259,6 @@ def generate_corpus(spec: CorpusSpec, root: Path | str) -> CorpusManifest:
             body = HTML_BODY
         elif outcome == "truncated":
             # cut inside the payload so the header region stays intact
-            from .granule import read_header_bytes
             info = read_header_bytes(body)
             cut = info.header_bytes + int(rng.integers(0, info.expected_payload_bytes))
             body = body[:cut]

@@ -17,7 +17,7 @@ from datetime import date, timedelta
 from pathlib import Path
 from urllib.parse import urlparse
 
-from .granule import GranuleError, read_header_bytes
+from .granule import GranuleError, TruncatedError, read_header_bytes
 
 DEFAULT_TEMPLATE = "{forecast_id}/{yyyymmdd}{init}/dispersion.{ext}"
 PLACEHOLDERS = ("{forecast_id}", "{yyyymmdd}", "{init}", "{ext}")
@@ -118,8 +118,6 @@ def _validate_body(body: bytes) -> None:
     """Raise GranuleError unless the body is a complete, well-formed granule."""
     info = read_header_bytes(body)
     if len(body) != info.expected_total_bytes:
-        from .granule import TruncatedError
-
         raise TruncatedError(
             f"body is {len(body)} bytes, header declares {info.expected_total_bytes}",
             min(len(body), info.expected_total_bytes))

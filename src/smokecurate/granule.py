@@ -21,11 +21,13 @@ import io
 import struct
 from dataclasses import dataclass
 from datetime import datetime, timedelta
+from functools import cached_property
 from typing import BinaryIO, Sequence
 
 import numpy as np
 
-from .timecal import HOUR, EncodingError, JulianStamp, julian_to_calendar
+from .timecal import (HOUR, EncodingError, JulianStamp, calendar_to_julian,
+                      julian_to_calendar)
 
 MAGIC = b"SMOKGRAN"
 VERSION = 1
@@ -111,15 +113,15 @@ class GranuleHeader:
     geometry: GridGeometry
     ntimes: int
 
-    @property
+    @cached_property
     def created(self) -> datetime:
         return julian_to_calendar(self.cdate)
 
-    @property
+    @cached_property
     def weather_init(self) -> datetime:
         return julian_to_calendar(self.wdate)
 
-    @property
+    @cached_property
     def smoke_init(self) -> datetime:
         return julian_to_calendar(self.sdate)
 
@@ -135,11 +137,11 @@ class ForecastGranule:
         h.geometry.validate()
         if h.ntimes < 1:
             raise ValueError("ntimes must be >= 1")
-        for stamp in (h.cdate, h.wdate, h.sdate, *self.tflag):
+        for stamp in (h.cdate, h.wdate, h.sdate):
             stamp.validate()
+        times = [julian_to_calendar(s) for s in self.tflag]
         if len(self.tflag) != h.ntimes:
             raise ValueError(f"tflag length {len(self.tflag)} != ntimes {h.ntimes}")
-        times = [julian_to_calendar(s) for s in self.tflag]
         for a, b in zip(times, times[1:]):
             if b - a != HOUR:
                 raise ValueError(f"tflag not hourly-contiguous at {a} -> {b}")
@@ -152,17 +154,15 @@ class ForecastGranule:
             raise ValueError("payload contains negative concentrations")
         return self
 
-    def frame_times(self) -> list[datetime]:
-        return [julian_to_calendar(s) for s in self.tflag]
-
 
 @dataclass(frozen=True)
 class HeaderInfo:
-    """Result of a metadata-only read: header, tflag, and the payload extent
-    declared by the header (unverified; the payload is never touched)."""
+    """Result of a metadata-only read: header, tflag, first frame time and the
+    declared payload extent (unverified; the payload is never touched)."""
 
     header: GranuleHeader
     tflag: tuple[JulianStamp, ...]
+    first_frame: datetime
     header_bytes: int
     expected_payload_bytes: int
 
@@ -207,7 +207,13 @@ def _read_exact(source: BinaryIO, n: int, offset: int, what: str) -> bytes:
     return data
 
 
-def _parse_header_region(source: BinaryIO) -> HeaderInfo:
+def read_header(source: BinaryIO) -> HeaderInfo:
+    """Read magic + header + tflag only; the payload region is never touched.
+
+    The one place a granule's stamps are checked: each tflag entry is decoded
+    once and proven hourly-contiguous. Payload truncation is not detectable
+    here; the expected payload length is recorded for later validation.
+    """
     head = source.read(_PREAMBLE.size)
     if len(head) < len(MAGIC) or head[: len(MAGIC)] != MAGIC:
         mismatch = next((i for i, (a, b) in enumerate(zip(head, MAGIC)) if a != b),
@@ -245,44 +251,34 @@ def _parse_header_region(source: BinaryIO) -> HeaderInfo:
         raise InvalidHeaderError("ntimes must be >= 1", _PREAMBLE.size + 48)
 
     tflag = []
-    prev = None
     for i in range(ntimes):
         off = HEADER_END + i * _TFLAG_ENTRY.size
         entry = _read_exact(source, _TFLAG_ENTRY.size, off, "tflag")
-        d, t = _TFLAG_ENTRY.unpack(entry)
+        stamp = JulianStamp(*_TFLAG_ENTRY.unpack(entry))
         try:
-            stamp = JulianStamp(d, t).validate()
+            instant = julian_to_calendar(stamp)
         except EncodingError as e:
             raise InvalidHeaderError(f"bad tflag[{i}]: {e}", off) from None
-        instant = julian_to_calendar(stamp)
-        if prev is not None and instant - prev != HOUR:
+        if i == 0:
+            first = instant
+        elif instant - first != i * HOUR:
             raise InvalidHeaderError(f"tflag[{i}] breaks hourly contiguity", off)
-        prev = instant
         tflag.append(stamp)
 
-    header = GranuleHeader(forecast_id, stamps[0], stamps[1], stamps[2],
-                           geometry, ntimes)
+    header = GranuleHeader(forecast_id, *stamps, geometry, ntimes)
     header_bytes = HEADER_END + ntimes * _TFLAG_ENTRY.size
     payload_bytes = ntimes * nrows * ncols * 4
-    return HeaderInfo(header, tuple(tflag), header_bytes, payload_bytes)
-
-
-def read_header(source: BinaryIO) -> HeaderInfo:
-    """Read magic + header + tflag only; the payload region is never touched.
-
-    Payload truncation is not detectable here; the expected payload length is
-    recorded in the result for later validation.
-    """
-    return _parse_header_region(source)
+    return HeaderInfo(header, tuple(tflag), first, header_bytes, payload_bytes)
 
 
 def parse_granule(source: BinaryIO) -> ForecastGranule:
     """Fully parse a granule, materializing the payload.
 
     Safe on arbitrary byte input: raises NotAGranuleError, TruncatedError or
-    InvalidHeaderError instead of crashing.
+    InvalidHeaderError instead of crashing. What it returns already holds
+    every invariant of ForecastGranule.validate.
     """
-    info = _parse_header_region(source)
+    info = read_header(source)
     raw = source.read(info.expected_payload_bytes)
     if len(raw) < info.expected_payload_bytes:
         raise TruncatedError("stream ended inside payload",
@@ -291,9 +287,7 @@ def parse_granule(source: BinaryIO) -> ForecastGranule:
     pm25 = np.frombuffer(raw, dtype="<f4").reshape(
         info.header.ntimes, geom.nrows, geom.ncols).copy()
     _check_payload(pm25, info.header_bytes)
-    g = ForecastGranule(info.header, list(info.tflag), pm25)
-    g.validate()
-    return g
+    return ForecastGranule(info.header, list(info.tflag), pm25)
 
 
 def _check_payload(values: np.ndarray, offset: int) -> None:
@@ -353,8 +347,6 @@ def make_granule(forecast_id: str,
                  first_frame_time: datetime | None = None) -> ForecastGranule:
     """Assemble a granule with hourly tflags starting at the smoke init
     (or an explicit first frame time)."""
-    from .timecal import calendar_to_julian
-
     t0 = first_frame_time if first_frame_time is not None else smoke_init
     tflag = [calendar_to_julian(t0 + timedelta(hours=i)) for i in range(len(frames))]
     pm25 = np.stack([np.asarray(f, dtype=np.float32) for f in frames])

@@ -15,7 +15,7 @@ from typing import Callable
 
 from .granule import (GridGeometry, HeaderInfo, InvalidHeaderError,
                       NotAGranuleError, TruncatedError, read_header)
-from .timecal import julian_to_calendar
+from .timecal import HOUR
 
 
 @dataclass(frozen=True)
@@ -33,13 +33,19 @@ class ScanRecord:
 
 
 @dataclass(frozen=True)
-class CandidateFrame:
-    """One (granule, frame) pair covering a timestep."""
+class PlannedFrame:
+    """The frame picked for a timestep, as a plan CSV row records it."""
 
     path: Path
     forecast_id: str
     frame_index: int
     smoke_init: datetime
+
+
+@dataclass(frozen=True)
+class CandidateFrame(PlannedFrame):
+    """One (granule, frame) pair covering a timestep."""
+
     created: datetime
     geometry: GridGeometry
 
@@ -178,9 +184,8 @@ def build_coverage(records: list[ScanRecord]) -> CoverageIndex:
         if not r.ok:
             continue
         h = r.info.header
-        for i, stamp in enumerate(r.info.tflag):
-            t = julian_to_calendar(stamp)
-            index.setdefault(t, []).append(
+        for i in range(h.ntimes):  # header stamps decode once, then cached
+            index.setdefault(r.info.first_frame + i * HOUR, []).append(
                 CandidateFrame(r.path, h.forecast_id, i, h.smoke_init,
                                h.created, h.geometry))
     for cands in index.values():

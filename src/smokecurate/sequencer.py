@@ -13,7 +13,7 @@ from datetime import datetime
 from pathlib import Path
 
 from .granule import GridGeometry
-from .indexer import CandidateFrame, CoverageIndex
+from .indexer import CandidateFrame, CoverageIndex, PlannedFrame
 from .timecal import UTC, hour_range
 
 ISO_Z = "%Y-%m-%dT%H:%M:%SZ"
@@ -23,9 +23,9 @@ ISO_Z = "%Y-%m-%dT%H:%M:%SZ"
 class SequencePlan:
     start: datetime
     end: datetime
-    picks: dict[datetime, CandidateFrame]
+    picks: dict[datetime, PlannedFrame]
     gaps: list[datetime]
-    index: CoverageIndex = field(repr=False, default_factory=CoverageIndex)
+    index: CoverageIndex | None = field(repr=False, default=None)
 
     def timesteps(self) -> list[datetime]:
         return hour_range(self.start, self.end)
@@ -58,6 +58,9 @@ class RankedCandidate:
 
 def explain_pick(plan: SequencePlan, t: datetime) -> list[RankedCandidate]:
     """All candidates for a timestep in recency order, the pick marked."""
+    if plan.index is None:
+        raise ValueError("plan has no candidate index (it was read from a "
+                         "plan CSV); explain picks on a plan from plan_sequence")
     if not plan.start <= t <= plan.end:
         raise ValueError(f"{t} outside plan range {plan.start}..{plan.end}")
     pick = plan.picks.get(t)
@@ -87,16 +90,15 @@ def write_gaps_csv(plan: SequencePlan, path: Path | str) -> None:
 
 
 def read_plan_csv(path: Path | str) -> SequencePlan:
-    """Rebuild a plan from its CSV; candidate metadata not present in the CSV
-    (creation stamp, geometry) is filled in lazily by the archive builder."""
-    picks: dict[datetime, CandidateFrame] = {}
+    """Rebuild a plan from its CSV: picks hold only the CSV's columns, and
+    the plan has no candidate index."""
+    picks: dict[datetime, PlannedFrame] = {}
     with open(path, newline="") as f:
         for row in csv.DictReader(f):
             t = datetime.strptime(row["timestep_utc"], ISO_Z).replace(tzinfo=UTC)
             init = datetime.strptime(row["smoke_init_utc"], ISO_Z).replace(tzinfo=UTC)
-            picks[t] = CandidateFrame(Path(row["path"]), row["forecast_id"],
-                                      int(row["frame_index"]), init,
-                                      created=init, geometry=None)
+            picks[t] = PlannedFrame(Path(row["path"]), row["forecast_id"],
+                                    int(row["frame_index"]), init)
     if not picks:
         raise ValueError(f"plan {path} contains no picks")
     times = sorted(picks)

@@ -1,4 +1,5 @@
 import os
+from collections import Counter
 from datetime import date, datetime, timedelta
 
 import numpy as np
@@ -16,7 +17,7 @@ from smokecurate.granule import (GridGeometry, granule_to_bytes, make_granule,
 from smokecurate.indexer import build_coverage, scan_cache
 from smokecurate.regrid import Frame, identity_or_resample
 from smokecurate.sequencer import plan_sequence
-from smokecurate.timecal import UTC
+from smokecurate.timecal import UTC, JulianStamp
 
 from conftest import SMALL_GEOM, T0, archive_from_frames
 
@@ -441,6 +442,42 @@ def test_truncated_picked_granule_aborts_build(tmp_path):
         build_archive(plan, SMALL_GEOM, tmp_path / "arch")
     assert "timestep 2022-03-02T00:00:00Z" in str(err.value)
     assert str(path) in str(err.value)
+
+
+def test_missing_picked_granule_aborts_build(tmp_path):
+    path = cached_granule(tmp_path / "cache", random_frames(4, seed=5))
+    plan = plan_hours(tmp_path / "cache", 2)
+    path.unlink()  # the granule left the cache after planning
+    with pytest.raises(BuildError) as err:
+        build_archive(plan, SMALL_GEOM, tmp_path / "arch")
+    assert "timestep 2022-03-02T00:00:00Z" in str(err.value)
+    assert str(path) in str(err.value)
+    assert isinstance(err.value.__cause__, FileNotFoundError)
+    assert not (tmp_path / "arch" / "manifest.json").exists()
+
+
+def test_frame_times_come_from_the_header_read(tmp_path, monkeypatch):
+    # frame times come from the header's first frame: coverage decodes only
+    # the smoke init and creation stamps of each granule, and the build
+    # decodes each tflag stamp once in its header read and once more when
+    # CuratedArchive.open reads the provenance rows back
+    cached_granule(tmp_path / "cache", random_frames(6, seed=5))
+    records = scan_cache(tmp_path / "cache")
+    header, tflag = records[0].info.header, records[0].info.tflag
+    calls = []
+    original = JulianStamp.validate
+    monkeypatch.setattr(JulianStamp, "validate",
+                        lambda self: calls.append(self) or original(self))
+    plan = plan_sequence(build_coverage(records), T0, T0 + timedelta(hours=5))
+    assert sorted(calls) == sorted([header.sdate, header.cdate])
+    calls.clear()
+    arch = build_archive(plan, SMALL_GEOM, tmp_path / "arch")
+    assert [JulianStamp(r.tflag_date, r.tflag_time)
+            for r in arch.provenance.values()] == list(tflag)
+    # tflag[0] and tflag[1] are also the smoke init and creation stamps,
+    # which the header read validates once more
+    counts = Counter(calls)
+    assert [counts[stamp] for stamp in tflag] == [3, 3] + [2] * 4
 
 
 def read_chars():

@@ -1,4 +1,5 @@
 import io
+from datetime import datetime
 
 import numpy as np
 import pytest
@@ -10,6 +11,9 @@ from smokecurate.granule import (HEADER_END, FrameReader, GranuleError,
                                  TruncatedError, grid_coordinates,
                                  granule_to_bytes, parse_granule_bytes,
                                  read_header_bytes, write_granule)
+
+from smokecurate.timecal import (HOUR, UTC, JulianStamp, calendar_to_julian,
+                                 julian_to_calendar)
 
 from conftest import SMALL_GEOM, simple_granule, simple_granule_bytes
 
@@ -149,9 +153,61 @@ def test_parse_never_crashes_on_mutated_granules(data):
         pos = data.draw(st.integers(0, len(base) - 1))
         base[pos] = data.draw(st.integers(0, 255))
     try:
-        parse_granule_bytes(bytes(base))
+        g = parse_granule_bytes(bytes(base))
     except GranuleError:
-        pass
+        return
+    # the parser is the single validator: what it accepts is a valid granule
+    # whose frame times are the decoded first frame plus whole hours
+    g.validate()
+    info = read_header_bytes(bytes(base))
+    for i, stamp in enumerate(info.tflag):
+        assert info.first_frame + i * HOUR == julian_to_calendar(stamp)
+
+
+_YEAR_END_OR_LEAP_DAY = st.one_of(
+    st.builds(lambda y, h: datetime(y, 12, 31, h, tzinfo=UTC),
+              st.integers(1990, 2100), st.integers(0, 23)),
+    st.builds(lambda y, h: datetime(y, 2, 29, h, tzinfo=UTC),
+              st.sampled_from([1996, 2000, 2020, 2024, 2096]),
+              st.integers(0, 23)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_YEAR_END_OR_LEAP_DAY, st.integers(1, 50))
+def test_first_frame_across_year_end_and_leap_day(first, ntimes):
+    g = simple_granule(ntimes=ntimes, init=first)
+    data = granule_to_bytes(g)
+    info = read_header_bytes(data)
+    assert info.first_frame == first
+    assert info.tflag[0] == calendar_to_julian(first)
+    for i, stamp in enumerate(info.tflag):
+        assert info.first_frame + i * HOUR == julian_to_calendar(stamp)
+    assert parse_granule_bytes(data).tflag == list(info.tflag)
+
+
+def test_parse_decodes_each_stamp_once(monkeypatch):
+    # three header stamps are validated, each tflag stamp is decoded once;
+    # the full parse does not re-validate the granule it has just proven
+    data = simple_granule_bytes(ntimes=5)
+    calls = []
+    original = JulianStamp.validate
+    monkeypatch.setattr(JulianStamp, "validate",
+                        lambda self: calls.append(self) or original(self))
+    read_header_bytes(data)
+    assert len(calls) == 3 + 5
+    calls.clear()
+    parse_granule_bytes(data)
+    assert len(calls) == 3 + 5
+
+
+def test_tflag_stamp_that_cannot_follow_rejected():
+    # the last representable hour followed by anything is not contiguous
+    data = bytearray(simple_granule_bytes(ntimes=2))
+    data[HEADER_END:HEADER_END + 8] = (9999365).to_bytes(4, "little") + \
+        (230000).to_bytes(4, "little")
+    with pytest.raises(InvalidHeaderError) as err:
+        read_header_bytes(bytes(data))
+    assert err.value.offset == HEADER_END + 8
 
 
 def test_error_offsets_are_reported():

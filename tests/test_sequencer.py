@@ -1,3 +1,4 @@
+import dataclasses
 import shutil
 from datetime import date, datetime, timedelta
 
@@ -6,8 +7,9 @@ import pytest
 from smokecurate.corpusgen import CorpusSpec, generate_corpus
 from smokecurate.granule import parse_granule_bytes
 from smokecurate.indexer import CoverageIndex, build_coverage, scan_cache
-from smokecurate.sequencer import (explain_pick, plan_sequence, read_plan_csv,
-                                   write_gaps_csv, write_plan_csv)
+from smokecurate.sequencer import (PlannedFrame, explain_pick, plan_sequence,
+                                   read_plan_csv, write_gaps_csv,
+                                   write_plan_csv)
 from smokecurate.timecal import HOUR, UTC, hour_range, julian_to_calendar
 
 from conftest import SMALL_GEOM, T0, simple_granule_bytes
@@ -152,3 +154,18 @@ def test_plan_csv_round_trip(tmp_path, faulty_corpus_spec):
         assert back.picks[t].path == plan.picks[t].path
         assert back.picks[t].frame_index == plan.picks[t].frame_index
         assert back.picks[t].smoke_init == plan.picks[t].smoke_init
+
+
+def test_plan_read_from_csv_holds_only_csv_columns(tmp_path, sched_corpus):
+    t = datetime(2022, 3, 4, 1, tzinfo=UTC)
+    plan = make_plan(sched_corpus, t, t + timedelta(hours=2))
+    write_plan_csv(plan, tmp_path / "plan.csv")
+    back = read_plan_csv(tmp_path / "plan.csv")
+    assert back.index is None
+    for s, pick in back.picks.items():
+        assert type(pick) is PlannedFrame
+        assert dataclasses.astuple(pick) == dataclasses.astuple(plan.picks[s])[:4]
+    # a CSV plan cannot tell which candidates there were, so it says so
+    # instead of reporting none
+    with pytest.raises(ValueError, match="no candidate index"):
+        explain_pick(back, t)
