@@ -18,8 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .fetcher import ConfigError, embedded_init_hour
-from .granule import (GridGeometry, granule_to_bytes, make_granule,
-                      read_header_bytes)
+from .granule import GridGeometry, _encode, make_granule
 from .timecal import UTC
 
 DEFAULT_FORECAST_IDS = ("BSC00CA12-01", "BSC06CA12-01",
@@ -253,18 +252,21 @@ def generate_corpus(spec: CorpusSpec, root: Path | str) -> CorpusManifest:
             entries.append(ManifestEntry(fid, init, "missing", ""))
             continue
         rel = f"{fid}/{init:%Y%m%d%H}/dispersion.gran"
-        g = build_run_granule(spec, fid, init, sources, wind)
-        body = granule_to_bytes(g)
+        # make_granule has validated the granule; write it without a second
+        # check and without copying the payload
+        head, payload = _encode(build_run_granule(spec, fid, init, sources, wind))
         if outcome == "html":
-            body = HTML_BODY
+            parts = (HTML_BODY,)
         elif outcome == "truncated":
             # cut inside the payload so the header region stays intact
-            info = read_header_bytes(body)
-            cut = info.header_bytes + int(rng.integers(0, info.expected_payload_bytes))
-            body = body[:cut]
+            parts = (head, payload[:int(rng.integers(0, len(payload)))])
+        else:
+            parts = (head, payload)
         target = root / rel
         target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_bytes(body)
+        with open(target, "wb") as f:
+            for part in parts:
+                f.write(part)
         entries.append(ManifestEntry(fid, init, outcome, rel))
 
     manifest = CorpusManifest(root, entries)

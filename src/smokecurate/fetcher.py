@@ -1,8 +1,10 @@
 """Portal URL construction, validated bulk download into the cache layout,
 and earliest-available-date probing.
 
-Bodies are content-validated before being committed to the cache (temp file +
-rename), so no HTML page or truncated body can ever land there.
+Bodies are streamed into a temp file through one bounded buffer and checked
+on the way (header, payload values, exact length); only a body that passes is
+renamed into the cache, so no HTML page, truncated body or NaN payload can
+ever land there. A body that fails is copied whole into `rejects/`.
 """
 
 from __future__ import annotations
@@ -10,14 +12,17 @@ from __future__ import annotations
 import csv
 import os
 import re
+import shutil
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import date, timedelta
 from pathlib import Path
+from typing import BinaryIO, Iterator
 from urllib.parse import urlparse
 
-from .granule import GranuleError, TruncatedError, read_header_bytes
+from .granule import GranuleError, validate_stream
 
 DEFAULT_TEMPLATE = "{forecast_id}/{yyyymmdd}{init}/dispersion.{ext}"
 PLACEHOLDERS = ("{forecast_id}", "{yyyymmdd}", "{init}", "{ext}")
@@ -60,6 +65,7 @@ class FetchRecord:
     outcome: str          # downloaded | not_found | invalid_content | io_error
     bytes: int
     attempts: int
+    error_offset: int | None = None   # invalid_content: byte of the first fault
 
 
 @dataclass
@@ -98,29 +104,52 @@ def build_url(endpoint: SourceEndpoint, forecast_id: str, day: date,
     return endpoint.base.rstrip("/") + "/" + rel
 
 
-def _get_body(endpoint: SourceEndpoint, url: str, timeout: float) -> bytes:
-    """Fetch raw bytes; raises NotFound for a missing object."""
+@contextmanager
+def _open_body(endpoint: SourceEndpoint, url: str,
+               timeout: float) -> Iterator[BinaryIO]:
+    """The body at `url` as a stream; raises NotFound for a missing object."""
     if endpoint.is_http:
         import requests
 
-        resp = requests.get(url, timeout=timeout)
-        if resp.status_code == 404:
-            raise NotFound(url)
-        resp.raise_for_status()
-        return resp.content
+        with requests.get(url, stream=True, timeout=timeout) as resp:
+            if resp.status_code == 404:
+                raise NotFound(url)
+            resp.raise_for_status()
+            resp.raw.decode_content = True
+            yield resp.raw
+        return
     path = Path(url)
     if not path.is_file():
         raise NotFound(url)
-    return path.read_bytes()
+    with open(path, "rb") as f:
+        yield f
 
 
-def _validate_body(body: bytes) -> None:
-    """Raise GranuleError unless the body is a complete, well-formed granule."""
-    info = read_header_bytes(body)
-    if len(body) != info.expected_total_bytes:
-        raise TruncatedError(
-            f"body is {len(body)} bytes, header declares {info.expected_total_bytes}",
-            min(len(body), info.expected_total_bytes))
+class _Tee:
+    """Reads from `source`; every byte read is also written to `sink` and
+    counted, so a body can be checked while it is copied."""
+
+    def __init__(self, source: BinaryIO, sink: BinaryIO):
+        self._source = source
+        self._sink = sink
+        self.count = 0
+
+    def read(self, n: int) -> bytes:
+        data = self._source.read(n)
+        self._sink.write(data)
+        self.count += len(data)
+        return data
+
+    def readinto(self, buf) -> int:
+        n = self._source.readinto(buf)
+        self._sink.write(memoryview(buf)[:n])
+        self.count += n
+        return n
+
+    def drain(self) -> None:
+        """Copy the rest of the source."""
+        while self.read(shutil.COPY_BUFSIZE):
+            pass
 
 
 def fetch_one(endpoint: SourceEndpoint, forecast_id: str, day: date,
@@ -128,43 +157,45 @@ def fetch_one(endpoint: SourceEndpoint, forecast_id: str, day: date,
               timeout: float = 30.0) -> FetchRecord:
     url = build_url(endpoint, forecast_id, day, embedded_init_hour(forecast_id))
     target = cache_root / forecast_id / f"dispersion_{day:%Y%m%d}.gran"
+    reject = cache_root / "rejects" / forecast_id / f"dispersion_{day:%Y%m%d}.bin"
 
     if target.is_file():
         try:
-            _validate_body(target.read_bytes())
+            with open(target, "rb") as f:
+                validate_stream(f)
             return FetchRecord(forecast_id, day, url, "downloaded", 0, 0)
         except GranuleError:
             target.unlink()  # stale junk; refetch
 
-    body = None
-    attempts = 0
+    tmp = target.with_suffix(".tmp")
     for attempt in range(1, retries + 1):
-        attempts = attempt
         try:
-            body = _get_body(endpoint, url, timeout)
-            break
+            with _open_body(endpoint, url, timeout) as body:
+                target.parent.mkdir(parents=True, exist_ok=True)
+                with open(tmp, "wb") as sink:
+                    tee = _Tee(body, sink)
+                    try:
+                        validate_stream(tee)
+                        error_offset = None
+                    except GranuleError as e:
+                        error_offset = e.offset
+                        tee.drain()  # rejects/ keeps the whole body
+            if error_offset is None:
+                os.replace(tmp, target)
+                return FetchRecord(forecast_id, day, url, "downloaded",
+                                   tee.count, attempt)
+            reject.parent.mkdir(parents=True, exist_ok=True)
+            os.replace(tmp, reject)
+            return FetchRecord(forecast_id, day, url, "invalid_content",
+                               tee.count, attempt, error_offset)
         except NotFound:
             # absence is a documented steady state, not worth retrying
-            return FetchRecord(forecast_id, day, url, "not_found", 0, attempts)
+            return FetchRecord(forecast_id, day, url, "not_found", 0, attempt)
         except Exception:
+            tmp.unlink(missing_ok=True)
             if attempt == retries:
-                return FetchRecord(forecast_id, day, url, "io_error", 0, attempts)
+                return FetchRecord(forecast_id, day, url, "io_error", 0, attempt)
             time.sleep(backoff * 2 ** (attempt - 1))
-
-    try:
-        _validate_body(body)
-    except GranuleError:
-        reject = cache_root / "rejects" / forecast_id / f"dispersion_{day:%Y%m%d}.bin"
-        reject.parent.mkdir(parents=True, exist_ok=True)
-        reject.write_bytes(body)
-        return FetchRecord(forecast_id, day, url, "invalid_content",
-                           len(body), attempts)
-
-    target.parent.mkdir(parents=True, exist_ok=True)
-    tmp = target.with_suffix(".tmp")
-    tmp.write_bytes(body)
-    os.replace(tmp, target)
-    return FetchRecord(forecast_id, day, url, "downloaded", len(body), attempts)
 
 
 def fetch_range(endpoint: SourceEndpoint, forecast_ids: list[str],
@@ -191,8 +222,8 @@ def fetch_range(endpoint: SourceEndpoint, forecast_ids: list[str],
 def _is_available(endpoint: SourceEndpoint, forecast_id: str, day: date) -> bool:
     url = build_url(endpoint, forecast_id, day, embedded_init_hour(forecast_id))
     try:
-        body = _get_body(endpoint, url, timeout=30.0)
-        _validate_body(body)
+        with _open_body(endpoint, url, timeout=30.0) as body:
+            validate_stream(body)
         return True
     except (NotFound, GranuleError, OSError):
         return False

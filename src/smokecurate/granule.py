@@ -12,12 +12,15 @@ GRANULE v1 layout (little-endian):
 
 Parsing must be safe on arbitrary bytes; every failure carries the byte
 offset of the first inconsistency. `FrameReader` reads single frames after a
-header-only parse, so a reader that needs a few frames never loads the rest.
+header-only parse, so a reader that needs a few frames never loads the rest;
+`validate_stream` checks a whole granule as it streams past, through one
+bounded buffer, so a writer never holds a whole body.
 """
 
 from __future__ import annotations
 
 import io
+import mmap
 import struct
 from dataclasses import dataclass
 from datetime import datetime, timedelta
@@ -36,6 +39,10 @@ _PREAMBLE = struct.Struct("<8sI")                 # magic + version
 _HEADER = struct.Struct("<16s6I3I4d")             # id, stamps, dims, geometry
 _TFLAG_ENTRY = struct.Struct("<II")
 HEADER_END = _PREAMBLE.size + _HEADER.size        # 96 bytes
+
+# Payload bytes `validate_stream` reads and checks at a time; a multiple of 4,
+# so each buffer holds whole float32 values.
+STREAM_BUFFER_BYTES = 8 << 20
 
 
 class GranuleError(Exception):
@@ -171,27 +178,35 @@ class HeaderInfo:
         return self.header_bytes + self.expected_payload_bytes
 
 
-def write_granule(g: ForecastGranule, dest: BinaryIO) -> int:
-    """Serialize a validated granule; returns the byte count written."""
-    g.validate()
+def _encode(g: ForecastGranule) -> tuple[bytes, memoryview]:
+    """Header and tflag bytes, and a byte view of the payload (no copy when it
+    is already little-endian float32). Does not validate the granule."""
     h = g.header
     ident = h.forecast_id.encode("ascii")
     if len(ident) > 16:
         raise ValueError(f"forecast_id longer than 16 bytes: {h.forecast_id!r}")
     geom = h.geometry
-    buf = bytearray()
-    buf += _PREAMBLE.pack(MAGIC, VERSION)
-    buf += _HEADER.pack(ident.ljust(16),
-                        h.cdate.date, h.cdate.time,
-                        h.wdate.date, h.wdate.time,
-                        h.sdate.date, h.sdate.time,
-                        geom.nrows, geom.ncols, h.ntimes,
-                        geom.lat0, geom.lon0, geom.dlat, geom.dlon)
+    head = bytearray()
+    head += _PREAMBLE.pack(MAGIC, VERSION)
+    head += _HEADER.pack(ident.ljust(16),
+                         h.cdate.date, h.cdate.time,
+                         h.wdate.date, h.wdate.time,
+                         h.sdate.date, h.sdate.time,
+                         geom.nrows, geom.ncols, h.ntimes,
+                         geom.lat0, geom.lon0, geom.dlat, geom.dlon)
     for stamp in g.tflag:
-        buf += _TFLAG_ENTRY.pack(stamp.date, stamp.time)
-    buf += np.ascontiguousarray(g.pm25, dtype="<f4").tobytes()
-    dest.write(bytes(buf))
-    return len(buf)
+        head += _TFLAG_ENTRY.pack(stamp.date, stamp.time)
+    payload = np.ascontiguousarray(g.pm25, dtype="<f4")
+    return bytes(head), memoryview(payload).cast("B")
+
+
+def write_granule(g: ForecastGranule, dest: BinaryIO) -> int:
+    """Serialize a validated granule; returns the byte count written."""
+    g.validate()
+    head, payload = _encode(g)
+    dest.write(head)
+    dest.write(payload)
+    return len(head) + len(payload)
 
 
 def granule_to_bytes(g: ForecastGranule) -> bytes:
@@ -292,11 +307,58 @@ def parse_granule(source: BinaryIO) -> ForecastGranule:
 
 def _check_payload(values: np.ndarray, offset: int) -> None:
     """Reject non-finite or negative values; `offset` is the byte position of
-    values' first element, so the error names the first bad value's byte."""
+    values' first element, so the error names the first bad value's byte.
+
+    min and max need no temporaries, and a NaN propagates through both, so a
+    clean array is passed by two reductions; the mask is built only to find
+    the first bad value of an array that fails them."""
+    if values.min() >= 0 and values.max() < np.inf:
+        return
     ok = np.isfinite(values) & (values >= 0)
-    if not ok.all():
-        raise InvalidHeaderError("payload value non-finite or negative",
-                                 offset + int(np.argmax(~ok)) * 4)
+    raise InvalidHeaderError("payload value non-finite or negative",
+                             offset + int(np.argmax(~ok)) * 4)
+
+
+def _read_into(source: BinaryIO, view: memoryview) -> int:
+    """Fill `view` from `source`; fewer bytes only at the end of the stream."""
+    got = 0
+    while got < len(view):
+        n = source.readinto(view[got:])
+        if not n:
+            break
+        got += n
+    return got
+
+
+def validate_stream(source: BinaryIO) -> HeaderInfo:
+    """Read one whole granule from `source` and prove it complete and sound.
+
+    The header and tflag go through `read_header`; the payload is read through
+    one buffer of at most STREAM_BUFFER_BYTES, each buffer checked for finite,
+    non-negative values; the stream must then end at the declared length (a
+    long body raises TruncatedError at that length). Accepts exactly what
+    `parse_granule` accepts, minus trailing bytes, and for a body with one
+    fault raises the same error at the same offset, while memory stays at one
+    buffer.
+
+    The buffer is an anonymous mapping, not a heap object, so its pages go
+    back to the system when its last reference goes (on return, or when the
+    caller drops the exception) instead of staying in a thread's malloc arena.
+    """
+    info = read_header(source)
+    buf = mmap.mmap(-1, min(STREAM_BUFFER_BYTES, info.expected_payload_bytes))
+    offset, end = info.header_bytes, info.expected_total_bytes
+    while offset < end:
+        want = min(len(buf), end - offset)
+        got = _read_into(source, memoryview(buf)[:want])
+        if got < want:
+            raise TruncatedError("stream ended inside payload", offset + got)
+        _check_payload(np.frombuffer(buf, dtype="<f4", count=want // 4), offset)
+        offset += want
+    if source.read(1):
+        raise TruncatedError(f"stream continues past the declared {end} bytes",
+                             end)
+    return info
 
 
 class FrameReader:

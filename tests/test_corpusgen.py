@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from smokecurate.corpusgen import (DESK_DRIFT_GEOMETRY, DESK_GEOMETRY,
-                                   CorpusSpec, FaultProfile, PuffSource,
-                                   build_run_granule, generate_corpus,
-                                   make_world, puff_field)
-from smokecurate.granule import (NotAGranuleError, TruncatedError,
-                                 parse_granule_bytes)
+                                   HTML_BODY, CorpusSpec, FaultProfile,
+                                   PuffSource, build_run_granule,
+                                   generate_corpus, make_world, puff_field)
+from smokecurate.granule import (ForecastGranule, NotAGranuleError,
+                                 TruncatedError, granule_to_bytes,
+                                 parse_granule_bytes, read_header_bytes)
 from smokecurate.timecal import UTC
 
 from conftest import SMALL_GEOM
@@ -187,3 +188,36 @@ def test_manifest_csv_written(tmp_path):
     text = (tmp_path / "c" / "manifest.csv").read_text()
     assert text.splitlines()[0] == "forecast_id,init_utc,outcome,path"
     assert "BSC00CA12-01,2022-03-02T00:00:00Z,ok" in text
+
+
+def test_bodies_equal_the_writer_and_each_granule_is_validated_once(
+        tmp_path, monkeypatch):
+    spec = CorpusSpec(start_date=date(2022, 3, 2), end_date=date(2022, 3, 7),
+                      forecast_ids=("BSC00CA12-01", "BSC06CA12-01"),
+                      init_hours=(0, 6), horizon_hours=12,
+                      geometry=DESK_GEOMETRY, drift_geometry=DESK_DRIFT_GEOMETRY,
+                      drift_cutoff=date(2022, 3, 4),
+                      fault_profile=FaultProfile(0.1, 0.15, 0.25), seed=19)
+    validated = []
+    original = ForecastGranule.validate
+    monkeypatch.setattr(ForecastGranule, "validate",
+                        lambda self: validated.append(self) or original(self))
+    manifest = generate_corpus(spec, tmp_path / "c")
+    written = [e for e in manifest.entries if e.outcome != "missing"]
+    assert len(validated) == len(written)
+    assert {e.outcome for e in written} == {"ok", "html", "truncated"}
+
+    monkeypatch.setattr(ForecastGranule, "validate", original)
+    sources, wind = make_world(spec)
+    for e in written:
+        body = (tmp_path / "c" / e.path).read_bytes()
+        if e.outcome == "html":
+            assert body == HTML_BODY
+            continue
+        full = granule_to_bytes(
+            build_run_granule(spec, e.forecast_id, e.init, sources, wind))
+        if e.outcome == "ok":
+            assert body == full
+        else:
+            assert read_header_bytes(full).header_bytes <= len(body) < len(full)
+            assert body == full[:len(body)]

@@ -1,16 +1,22 @@
 import io
+import struct
 from datetime import datetime
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from smokecurate import granule
+from smokecurate.corpusgen import HTML_BODY
 from smokecurate.granule import (HEADER_END, FrameReader, GranuleError,
                                  GridGeometry, InvalidHeaderError,
                                  NotAGranuleError,
-                                 TruncatedError, grid_coordinates,
+                                 TruncatedError, _check_payload,
+                                 grid_coordinates,
                                  granule_to_bytes, parse_granule_bytes,
-                                 read_header_bytes, write_granule)
+                                 read_header_bytes, validate_stream,
+                                 write_granule)
 
 from smokecurate.timecal import (HOUR, UTC, JulianStamp, calendar_to_julian,
                                  julian_to_calendar)
@@ -264,3 +270,120 @@ def test_frame_reader_rejects_truncated_source():
     with pytest.raises(TruncatedError):
         FrameReader(io.BytesIO(data[:-1]), info)  # a known header is rechecked
     FrameReader(io.BytesIO(data + b"\0" * 8)).read_frame(2)  # trailing bytes ok
+
+
+def _mask_rule(values, offset):
+    """The payload rule as a boolean mask: the reference for _check_payload."""
+    ok = np.isfinite(values) & (values >= 0)
+    if not ok.all():
+        raise InvalidHeaderError("payload value non-finite or negative",
+                                 offset + int(np.argmax(~ok)) * 4)
+
+
+def _f32(bits):
+    return struct.unpack("<f", struct.pack("<I", bits))[0]
+
+
+_SPECIAL_VALUES = [np.nan, np.inf, -np.inf, -1.0, -0.0, 0.0,
+                   _f32(0x00000001), _f32(0x80000001),   # +- smallest subnormal
+                   _f32(0x007fffff), _f32(0x00800000),   # largest subnormal, smallest normal
+                   _f32(0x7f7fffff), _f32(0xff7fffff),   # +- largest finite
+                   _f32(0x7f800001), _f32(0xffc00000)]   # signalling NaN, negative NaN
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_check_payload_agrees_with_the_mask_rule(data):
+    n = data.draw(st.integers(1, 64))
+    values = np.array(data.draw(st.lists(
+        st.floats(0, 1e6, width=32), min_size=n, max_size=n)), dtype="<f4")
+    for _ in range(data.draw(st.integers(0, 4))):
+        values[data.draw(st.integers(0, n - 1))] = \
+            data.draw(st.sampled_from(_SPECIAL_VALUES))
+    if n % 2 == 0 and data.draw(st.booleans()):
+        values = values.reshape(2, n // 2)  # frames and granules are 2-D and 3-D
+    offset = data.draw(st.integers(0, 1 << 20))
+    try:
+        _mask_rule(values, offset)
+        expected = None
+    except InvalidHeaderError as e:
+        expected = e.offset
+    try:
+        _check_payload(values, offset)
+        got = None
+    except InvalidHeaderError as e:
+        got = e.offset
+    assert got == expected
+
+
+class ShortReads(io.BytesIO):
+    """A stream whose readinto returns at most `step` bytes per call."""
+
+    def __init__(self, data, step):
+        super().__init__(data)
+        self._step = step
+
+    def readinto(self, buf):
+        return super().readinto(memoryview(buf)[:self._step])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_validate_stream_accepts_exactly_complete_parseable_bodies(data):
+    valid = simple_granule_bytes(ntimes=3)
+    info = read_header_bytes(valid)
+    kind = data.draw(st.sampled_from(
+        ["valid", "truncate", "append", "bad_cell", "html"]))
+    if kind == "valid":
+        body = valid
+    elif kind == "truncate":
+        body = valid[:data.draw(st.integers(0, len(valid) - 1))]
+    elif kind == "append":
+        body = valid + data.draw(st.binary(min_size=1, max_size=16))
+    elif kind == "bad_cell":
+        cell = data.draw(st.integers(0, info.expected_payload_bytes // 4 - 1))
+        bad = data.draw(st.sampled_from([np.nan, -1.0, np.inf, -np.inf,
+                                         _f32(0x80000001)]))
+        at = info.header_bytes + 4 * cell
+        body = valid[:at] + struct.pack("<f", bad) + valid[at + 4:]
+    else:
+        body = HTML_BODY
+    try:
+        parse_granule_bytes(body)
+        parse_error = None
+    except GranuleError as e:
+        parse_error = e
+
+    buffer_bytes = data.draw(st.sampled_from([4, 64, 100, 8 << 20]))
+    step = data.draw(st.integers(1, 1000))
+    with mock.patch.object(granule, "STREAM_BUFFER_BYTES", buffer_bytes):
+        try:
+            assert validate_stream(ShortReads(body, step)) == info
+            stream_error = None
+        except GranuleError as e:
+            stream_error = e
+
+    accept = parse_error is None and len(body) == info.expected_total_bytes
+    assert (stream_error is None) == accept
+    if parse_error is not None:  # every mutation here is a single fault
+        assert type(stream_error) is type(parse_error)
+        assert stream_error.offset == parse_error.offset
+    elif not accept:
+        assert isinstance(stream_error, TruncatedError)
+        assert stream_error.offset == info.expected_total_bytes
+
+
+def test_validate_stream_reads_the_payload_in_bounded_pieces():
+    data = simple_granule_bytes(ntimes=5)
+    info = read_header_bytes(data)
+    requests = []
+
+    class Recording(io.BytesIO):
+        def readinto(self, buf):
+            requests.append(len(buf))
+            return super().readinto(buf)
+
+    with mock.patch.object(granule, "STREAM_BUFFER_BYTES", 256):
+        validate_stream(Recording(data))
+    assert max(requests) == 256
+    assert sum(requests) == info.expected_payload_bytes
