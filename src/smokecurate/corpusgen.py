@@ -172,6 +172,7 @@ def puff_field(sources: Sequence[PuffSource], wind: tuple[float, float],
     lat = geom.latitudes()[:, None]
     lon = geom.longitudes()[None, :]
     out = np.zeros((geom.nrows, geom.ncols))
+    puff = np.empty_like(out)
     for s in sources:
         if s.strength < 0:
             raise ValueError("emission strength must be >= 0")
@@ -181,15 +182,15 @@ def puff_field(sources: Sequence[PuffSource], wind: tuple[float, float],
         clat = s.lat + v * dt_h
         clon = s.lon + u * dt_h
         sigma = SIGMA0_DEG + SIGMA_GROWTH_DEG_H * dt_h
-        out += s.strength * np.exp(-((lat - clat) ** 2 + (lon - clon) ** 2)
-                                   / (2.0 * sigma * sigma))
+        # strength * exp(-(dlat^2 + dlon^2) / (2 sigma^2)) in one buffer, step
+        # by step in that order: the same bits, no grid-sized temporaries
+        np.add((lat - clat) ** 2, (lon - clon) ** 2, out=puff)
+        np.negative(puff, out=puff)
+        puff /= 2.0 * sigma * sigma
+        np.exp(puff, out=puff)
+        puff *= s.strength
+        out += puff
     return out
-
-
-def true_field(spec: CorpusSpec, t: datetime,
-               geom: GridGeometry | None = None) -> np.ndarray:
-    sources, wind = make_world(spec)
-    return puff_field(sources, wind, t, geom or spec.geometry)
 
 
 def _run_geometry(spec: CorpusSpec, init: datetime) -> GridGeometry:

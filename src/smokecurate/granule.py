@@ -155,10 +155,12 @@ class ForecastGranule:
         expect = (h.ntimes, h.geometry.nrows, h.geometry.ncols)
         if self.pm25.shape != expect:
             raise ValueError(f"payload shape {self.pm25.shape} != {expect}")
-        if not np.isfinite(self.pm25).all():
-            raise ValueError("payload contains non-finite values")
-        if (self.pm25 < 0).any():
-            raise ValueError("payload contains negative concentrations")
+        try:
+            _check_payload(self.pm25, 0)
+        except InvalidHeaderError:
+            kind = ("non-finite values" if not np.isfinite(self.pm25).all()
+                    else "negative concentrations")
+            raise ValueError(f"payload contains {kind}") from None
         return self
 
 
@@ -215,8 +217,21 @@ def granule_to_bytes(g: ForecastGranule) -> bytes:
     return sink.getvalue()
 
 
+def _read_upto(source: BinaryIO, n: int) -> bytes:
+    """`n` bytes from `source`; fewer only at the end of the stream (a raw
+    stream's `read` may return fewer bytes before it)."""
+    chunks, got = [], 0
+    while got < n:
+        chunk = source.read(n - got)
+        if not chunk:
+            break
+        chunks.append(chunk)
+        got += len(chunk)
+    return b"".join(chunks)
+
+
 def _read_exact(source: BinaryIO, n: int, offset: int, what: str) -> bytes:
-    data = source.read(n)
+    data = _read_upto(source, n)
     if len(data) < n:
         raise TruncatedError(f"stream ended inside {what}", offset + len(data))
     return data
@@ -229,7 +244,7 @@ def read_header(source: BinaryIO) -> HeaderInfo:
     once and proven hourly-contiguous. Payload truncation is not detectable
     here; the expected payload length is recorded for later validation.
     """
-    head = source.read(_PREAMBLE.size)
+    head = _read_upto(source, _PREAMBLE.size)
     if len(head) < len(MAGIC) or head[: len(MAGIC)] != MAGIC:
         mismatch = next((i for i, (a, b) in enumerate(zip(head, MAGIC)) if a != b),
                         min(len(head), len(MAGIC)))
@@ -294,10 +309,8 @@ def parse_granule(source: BinaryIO) -> ForecastGranule:
     every invariant of ForecastGranule.validate.
     """
     info = read_header(source)
-    raw = source.read(info.expected_payload_bytes)
-    if len(raw) < info.expected_payload_bytes:
-        raise TruncatedError("stream ended inside payload",
-                             info.header_bytes + len(raw))
+    raw = _read_exact(source, info.expected_payload_bytes, info.header_bytes,
+                      "payload")
     geom = info.header.geometry
     pm25 = np.frombuffer(raw, dtype="<f4").reshape(
         info.header.ntimes, geom.nrows, geom.ncols).copy()

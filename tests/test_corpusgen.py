@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from smokecurate.corpusgen import (DESK_DRIFT_GEOMETRY, DESK_GEOMETRY,
-                                   HTML_BODY, CorpusSpec, FaultProfile,
+                                   HTML_BODY, SIGMA0_DEG, SIGMA_GROWTH_DEG_H,
+                                   CorpusSpec, FaultProfile,
                                    PuffSource, build_run_granule,
                                    generate_corpus, make_world, puff_field)
 from smokecurate.granule import (ForecastGranule, NotAGranuleError,
@@ -119,6 +120,30 @@ def test_puff_ignition_in_future_contributes_nothing():
                      ignition=t0 + timedelta(hours=5))
     field = puff_field([src], (0.0, 0.0), t0, SMALL_GEOM)
     np.testing.assert_array_equal(field, 0.0)
+
+
+def test_puff_field_equals_the_formula_bit_for_bit():
+    """The in-place evaluation gives the bits of the one-expression formula."""
+    spec = CorpusSpec(start_date=date(2022, 3, 2), end_date=date(2022, 3, 4),
+                      geometry=DESK_GEOMETRY, seed=11)
+    sources, (u, v) = make_world(spec)
+    lit = 0
+    for geom in (DESK_GEOMETRY, DESK_DRIFT_GEOMETRY):
+        lat, lon = geom.latitudes()[:, None], geom.longitudes()[None, :]
+        for hour in range(0, 72, 7):
+            t = datetime(2022, 3, 2, tzinfo=UTC) + timedelta(hours=hour)
+            expect = np.zeros((geom.nrows, geom.ncols))
+            for s in sources:
+                dt_h = (t - s.ignition).total_seconds() / 3600.0
+                if dt_h < 0:
+                    continue
+                sigma = SIGMA0_DEG + SIGMA_GROWTH_DEG_H * dt_h
+                expect += s.strength * np.exp(
+                    -((lat - (s.lat + v * dt_h)) ** 2
+                      + (lon - (s.lon + u * dt_h)) ** 2) / (2.0 * sigma * sigma))
+            assert puff_field(sources, (u, v), t, geom).tobytes() == expect.tobytes()
+            lit += bool(expect.any())
+    assert lit > 10
 
 
 def test_overlap_perturbation_bounded(tmp_path):

@@ -14,7 +14,8 @@ from smokecurate.granule import (HEADER_END, FrameReader, GranuleError,
                                  NotAGranuleError,
                                  TruncatedError, _check_payload,
                                  grid_coordinates,
-                                 granule_to_bytes, parse_granule_bytes,
+                                 granule_to_bytes, parse_granule,
+                                 parse_granule_bytes, read_header,
                                  read_header_bytes, validate_stream,
                                  write_granule)
 
@@ -314,6 +315,72 @@ def test_check_payload_agrees_with_the_mask_rule(data):
     except InvalidHeaderError as e:
         got = e.offset
     assert got == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_validate_rejects_exactly_what_check_payload_rejects(data):
+    g = simple_granule(ntimes=data.draw(st.integers(1, 2)))
+    flat = g.pm25.reshape(-1)
+    for _ in range(data.draw(st.integers(0, 4))):
+        flat[data.draw(st.integers(0, flat.size - 1))] = \
+            data.draw(st.sampled_from(_SPECIAL_VALUES))
+    try:
+        _check_payload(g.pm25, 0)
+        rejected = False
+    except InvalidHeaderError:
+        rejected = True
+    if not rejected:
+        g.validate()
+        return
+    kind = "non-finite" if not np.isfinite(g.pm25).all() else "negative"
+    with pytest.raises(ValueError, match=kind):
+        g.validate()
+
+
+class OneByteRaw(io.RawIOBase):
+    """An unbuffered stream whose every read returns at most one byte."""
+
+    def __init__(self, data):
+        self._data, self._pos = data, 0
+
+    def readable(self):
+        return True
+
+    def readinto(self, buf):
+        chunk = self._data[self._pos:self._pos + min(1, len(buf))]
+        buf[:len(chunk)] = chunk
+        self._pos += len(chunk)
+        return len(chunk)
+
+
+def _outcome(fn, data):
+    try:
+        return fn(data)
+    except GranuleError as e:
+        return type(e), e.offset
+
+
+def test_one_byte_reads_give_the_same_header_and_parse():
+    data = simple_granule_bytes(ntimes=2)
+    assert read_header(OneByteRaw(data)) == read_header_bytes(data)
+    g = parse_granule(OneByteRaw(data))
+    assert granule_to_bytes(g) == data
+    assert validate_stream(OneByteRaw(data)) == read_header_bytes(data)
+
+
+def test_one_byte_reads_of_a_short_stream_fail_at_the_same_offset():
+    data = simple_granule_bytes(ntimes=2)
+    for cut in range(len(data)):
+        body = data[:cut]
+        expected = _outcome(read_header_bytes, body)
+        assert _outcome(lambda b: read_header(OneByteRaw(b)), body) == expected
+        expected = _outcome(parse_granule_bytes, body)
+        assert expected[0] in (NotAGranuleError, TruncatedError)
+        assert _outcome(lambda b: parse_granule(OneByteRaw(b)), body) == expected
+    html = _outcome(lambda b: read_header(OneByteRaw(b)), HTML_BODY)
+    assert html == _outcome(read_header_bytes, HTML_BODY)
+    assert html[0] is NotAGranuleError
 
 
 class ShortReads(io.BytesIO):

@@ -99,3 +99,64 @@ def test_random_points_bounded_by_corners(seed):
     mask = np.ones(out.values.shape, dtype=bool)
     assert (out.values[mask] <= src.values.max() + 1e-9).all()
     assert (out.values[mask] >= 0).all()
+
+
+def _nudged_blend(src, target):
+    """The blend path on an aligned pair, forced by moving the source origin
+    one ulp east (far below the 1e-9 extent tolerance)."""
+    sg = src.geometry
+    nudged = GridGeometry(sg.nrows, sg.ncols, sg.lat0,
+                          float(np.nextafter(sg.lon0, np.inf)), sg.dlat, sg.dlon)
+    return bilinear_resample(Frame(nudged, src.values), target)
+
+
+_SPECIAL_F32 = [0.0, -0.0, float(np.float32(1e-45)), float(np.float32(1.1e-38)),
+                1e3]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_aligned_grids_copy_the_overlap(data):
+    lat0 = data.draw(st.floats(-60.0, 55.0))
+    lon0 = data.draw(st.floats(-179.0, 170.0))
+    dlat = data.draw(st.sampled_from([0.1, 0.12, 0.25, 0.5]))
+    dlon = data.draw(st.sampled_from([0.1, 0.12, 0.25, 0.5]))
+    sn, sm, tn, tm = (data.draw(st.integers(2, 60)) for _ in range(4))
+    src_geom = GridGeometry(sn, sm, lat0, lon0, dlat, dlon)
+    target = GridGeometry(tn, tm, lat0, lon0, dlat, dlon)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    values = rng.uniform(0, 1e3, size=(sn, sm)).astype(np.float32)
+    special = rng.uniform(size=(sn, sm)) < data.draw(st.sampled_from([0, 0.3, 1]))
+    values[special] = rng.choice(np.array(_SPECIAL_F32, dtype=np.float32),
+                                 size=np.count_nonzero(special))
+    src = Frame(src_geom, values)
+
+    out = bilinear_resample(src, target)
+    assert out.resampled and out.values.dtype == np.float64
+    rows, cols = min(sn, tn), min(sm, tm)
+    overlap = out.values[:rows, :cols]
+    np.testing.assert_array_equal(overlap, values[:rows, :cols])
+    assert not np.signbit(out.values).any()  # no -0.0 anywhere
+    outside = np.ones(out.values.shape, dtype=bool)
+    outside[:rows, :cols] = False
+    assert (out.values[outside] == 0.0).all()
+    assert out.out_of_extent == np.count_nonzero(outside)
+
+    blend = _nudged_blend(src, target)
+    assert blend.out_of_extent == out.out_of_extent
+    bound = 1e-12 * max(1.0, float(values.max()))
+    assert np.max(np.abs(out.values - blend.values)) <= bound
+
+
+def test_aligned_copy_does_not_leak_a_neighbour_into_a_zero_cell():
+    # dlon = 0.1: (lon - lon0)/dlon for column 1 is 1 - 5.7e-14, so the blend
+    # took 5.7e-14 of column 0 into column 1
+    src_geom = GridGeometry(2, 4, 32.0, -160.0, 0.1, 0.1)
+    target = GridGeometry(2, 5, 32.0, -160.0, 0.1, 0.1)
+    values = np.zeros((2, 4), dtype=np.float32)
+    values[:, 0] = 1e3
+    src = Frame(src_geom, values)
+    out = bilinear_resample(src, target)
+    np.testing.assert_array_equal(out.values[:, 1], 0.0)
+    blend = _nudged_blend(src, target)
+    assert (blend.values[:, 1].astype(np.float32) > 0).all()
