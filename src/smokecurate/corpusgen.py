@@ -3,7 +3,8 @@ deterministic fault injection (missing runs, HTML bodies, truncated files).
 
 Each run's field is the shared "true" puff field plus a perturbation whose
 amplitude grows linearly with lead time, so runs initialized closer to a
-timestep really are better estimates of it.
+timestep really are better estimates of it. Each hour's true field is computed
+once per corpus and shared by every run that covers the hour.
 """
 
 from __future__ import annotations
@@ -89,6 +90,8 @@ class CorpusSpec:
         self.geometry.validate()
         if (self.drift_geometry is None) != (self.drift_cutoff is None):
             raise ValueError("drift_geometry and drift_cutoff must be set together")
+        if self.drift_geometry is not None:
+            self.drift_geometry.validate()
         self.fault_profile.validate()
         return self
 
@@ -184,9 +187,9 @@ def puff_field(sources: Sequence[PuffSource], wind: tuple[float, float],
         sigma = SIGMA0_DEG + SIGMA_GROWTH_DEG_H * dt_h
         # strength * exp(-(dlat^2 + dlon^2) / (2 sigma^2)) in one buffer, step
         # by step in that order: the same bits, no grid-sized temporaries
+        # (x / -d is -(x / d) bit for bit: rounding is symmetric in sign)
         np.add((lat - clat) ** 2, (lon - clon) ** 2, out=puff)
-        np.negative(puff, out=puff)
-        puff /= 2.0 * sigma * sigma
+        puff /= -(2.0 * sigma * sigma)
         np.exp(puff, out=puff)
         puff *= s.strength
         out += puff
@@ -199,18 +202,71 @@ def _run_geometry(spec: CorpusSpec, init: datetime) -> GridGeometry:
     return spec.geometry
 
 
+def _is_window(geom: GridGeometry, of: GridGeometry) -> bool:
+    """True when `geom` is the top-left corner of `of`: the same origin and
+    spacing, no more rows or columns. Its coordinates are then a bitwise
+    prefix of `of`'s, and so is every field evaluated on it."""
+    return (geom.lat0 == of.lat0 and geom.lon0 == of.lon0
+            and geom.dlat == of.dlat and geom.dlon == of.dlon
+            and geom.nrows <= of.nrows and geom.ncols <= of.ncols)
+
+
+class TrueFields:
+    """The true field of each hour, computed once and shared by the runs of
+    one corpus that cover it. A run on an aligned window of the corpus grid
+    reads the top-left slice of the corpus-grid field; any other run grid gets
+    fields of its own.
+
+    Runs arrive init-major, so starting a run drops every field before its
+    init (and every field on another grid): at most `horizon_hours` fields
+    are held at once."""
+
+    def __init__(self, spec: CorpusSpec, sources: Sequence[PuffSource],
+                 wind: tuple[float, float]):
+        self._spec = spec
+        self._sources = sources
+        self._wind = wind
+        self._grid: GridGeometry | None = None
+        self._fields: dict[datetime, np.ndarray] = {}
+
+    def start_run(self, init: datetime, geom: GridGeometry) -> None:
+        grid = self._spec.geometry if _is_window(geom, self._spec.geometry) else geom
+        if grid != self._grid:
+            self._grid = grid
+            self._fields.clear()
+        for t in [t for t in self._fields if t < init]:
+            del self._fields[t]
+
+    def at(self, t: datetime, geom: GridGeometry) -> np.ndarray:
+        """The true field at `t` on `geom`, the grid of the current run."""
+        field = self._fields.get(t)
+        if field is None:
+            field = puff_field(self._sources, self._wind, t, self._grid)
+            self._fields[t] = field
+        return field[:geom.nrows, :geom.ncols]
+
+
 def build_run_granule(spec: CorpusSpec, fid: str, init: datetime,
                       sources: Sequence[PuffSource],
-                      wind: tuple[float, float]):
-    """Granule for one scheduled run: true field + lead-time perturbation."""
+                      wind: tuple[float, float],
+                      truths: TrueFields | None = None):
+    """Granule for one scheduled run: true field + lead-time perturbation.
+    `truths` shares true fields across the runs of one corpus; without it the
+    run computes its own."""
     geom = _run_geometry(spec, init)
+    if truths is None:
+        truths = TrueFields(spec, sources, wind)
+    truths.start_run(init, geom)
     rng = _run_rng(spec, fid, init)
-    frames = []
+    # each clipped, perturbed frame goes straight into the float32 payload
+    pm25 = np.empty((spec.horizon_hours, geom.nrows, geom.ncols), dtype=np.float32)
+    frame = np.empty((geom.nrows, geom.ncols))
     for lead in range(spec.horizon_hours):
-        truth = puff_field(sources, wind, init + timedelta(hours=lead), geom)
+        truth = truths.at(init + timedelta(hours=lead), geom)
         eta = float(rng.uniform(-1.0, 1.0))
-        perturbed = truth * (1.0 + PERTURB_PER_LEAD_HOUR * lead * eta)
-        frames.append(np.maximum(perturbed, 0.0))
+        np.multiply(truth, 1.0 + PERTURB_PER_LEAD_HOUR * lead * eta, out=frame)
+        np.maximum(frame, 0.0, out=frame)
+        pm25[lead] = frame
     # The stream whose embedded hour matches the init publishes last, so the
     # creation stamp breaks same-init ties in favor of the native stream.
     try:
@@ -220,7 +276,7 @@ def build_run_granule(spec: CorpusSpec, fid: str, init: datetime,
     created = init + timedelta(minutes=60 + (30 if native else 0)
                                + int(rng.integers(0, 30)))
     return make_granule(fid, created=created, weather_init=init - timedelta(hours=6),
-                        smoke_init=init, geometry=geom, frames=frames)
+                        smoke_init=init, geometry=geom, frames=pm25)
 
 
 def _run_outcome(spec: CorpusSpec, rng: np.random.Generator) -> str:
@@ -245,6 +301,7 @@ def generate_corpus(spec: CorpusSpec, root: Path | str) -> CorpusManifest:
     root.mkdir(parents=True, exist_ok=True)
 
     sources, wind = make_world(spec)
+    truths = TrueFields(spec, sources, wind)
     entries = []
     for fid, init in spec.scheduled_runs():
         rng = _run_rng(spec, fid, init)
@@ -255,7 +312,8 @@ def generate_corpus(spec: CorpusSpec, root: Path | str) -> CorpusManifest:
         rel = f"{fid}/{init:%Y%m%d%H}/dispersion.gran"
         # make_granule has validated the granule; write it without a second
         # check and without copying the payload
-        head, payload = _encode(build_run_granule(spec, fid, init, sources, wind))
+        head, payload = _encode(
+            build_run_granule(spec, fid, init, sources, wind, truths))
         if outcome == "html":
             parts = (HTML_BODY,)
         elif outcome == "truncated":

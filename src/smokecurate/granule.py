@@ -418,13 +418,14 @@ def make_granule(forecast_id: str,
                  weather_init: datetime,
                  smoke_init: datetime,
                  geometry: GridGeometry,
-                 frames: Sequence[np.ndarray],
+                 frames: np.ndarray | Sequence[np.ndarray],
                  first_frame_time: datetime | None = None) -> ForecastGranule:
     """Assemble a granule with hourly tflags starting at the smoke init
     (or an explicit first frame time)."""
     t0 = first_frame_time if first_frame_time is not None else smoke_init
     tflag = [calendar_to_julian(t0 + timedelta(hours=i)) for i in range(len(frames))]
-    pm25 = np.stack([np.asarray(f, dtype=np.float32) for f in frames])
+    # no copy for a float32 stack, one for a list of frames
+    pm25 = np.asarray(frames, dtype=np.float32)
     header = GranuleHeader(forecast_id,
                            calendar_to_julian(created),
                            calendar_to_julian(weather_init),

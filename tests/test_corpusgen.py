@@ -1,15 +1,17 @@
 import hashlib
+import weakref
 from datetime import date, datetime, timedelta
 
 import numpy as np
 import pytest
 
-from smokecurate.corpusgen import (DESK_DRIFT_GEOMETRY, DESK_GEOMETRY,
-                                   HTML_BODY, SIGMA0_DEG, SIGMA_GROWTH_DEG_H,
+from smokecurate import corpusgen
+from smokecurate.corpusgen import (DEFAULT_FORECAST_IDS, DESK_DRIFT_GEOMETRY,
+                                   DESK_GEOMETRY, HTML_BODY, SIGMA0_DEG, SIGMA_GROWTH_DEG_H,
                                    CorpusSpec, FaultProfile,
                                    PuffSource, build_run_granule,
                                    generate_corpus, make_world, puff_field)
-from smokecurate.granule import (ForecastGranule, NotAGranuleError,
+from smokecurate.granule import (ForecastGranule, GridGeometry, NotAGranuleError,
                                  TruncatedError, granule_to_bytes,
                                  parse_granule_bytes, read_header_bytes)
 from smokecurate.timecal import UTC
@@ -246,3 +248,85 @@ def test_bodies_equal_the_writer_and_each_granule_is_validated_once(
         else:
             assert read_header_bytes(full).header_bytes <= len(body) < len(full)
             assert body == full[:len(body)]
+
+
+def test_invalid_drift_geometry_rejected_before_the_root_is_made(tmp_path):
+    bad = GridGeometry(nrows=20, ncols=36, lat0=32.0, lon0=-160.0,
+                       dlat=-0.5, dlon=0.5)
+    spec = CorpusSpec(start_date=date(2022, 3, 2), end_date=date(2022, 3, 4),
+                      forecast_ids=("BSC00CA12-01",), init_hours=(0,),
+                      horizon_hours=4, geometry=DESK_GEOMETRY,
+                      drift_geometry=bad, drift_cutoff=date(2022, 3, 3))
+    with pytest.raises(ValueError, match="spacing"):
+        spec.validate()
+    with pytest.raises(ValueError, match="spacing"):
+        generate_corpus(spec, tmp_path / "c")
+    assert not (tmp_path / "c").exists()
+
+
+@pytest.mark.parametrize("drift", [
+    # one dlat off the corpus grid's origin: same shape, other coordinates
+    GridGeometry(nrows=20, ncols=36, lat0=32.5, lon0=-160.0,
+                 dlat=0.5, dlon=0.5),
+    # wider than the corpus grid, so not a window of it
+    GridGeometry(nrows=20, ncols=44, lat0=32.0, lon0=-160.0,
+                 dlat=0.5, dlon=0.5),
+], ids=["unaligned", "wider"])
+def test_bodies_equal_runs_built_without_shared_fields(tmp_path, drift):
+    spec = CorpusSpec(start_date=date(2022, 3, 2), end_date=date(2022, 3, 5),
+                      forecast_ids=("BSC00CA12-01", "BSC06CA12-01"),
+                      init_hours=(0, 6), horizon_hours=12,
+                      geometry=DESK_GEOMETRY, drift_geometry=drift,
+                      drift_cutoff=date(2022, 3, 4),
+                      fault_profile=FaultProfile(0.1, 0.1, 0.3), seed=29)
+    manifest = generate_corpus(spec, tmp_path / "c")
+    sources, wind = make_world(spec)
+    outcomes, grids = set(), set()
+    for e in manifest.entries:
+        outcomes.add(e.outcome)
+        if e.outcome in ("missing", "html"):
+            continue
+        body = (tmp_path / "c" / e.path).read_bytes()
+        g = build_run_granule(spec, e.forecast_id, e.init, sources, wind)
+        grids.add(g.header.geometry)
+        # and the fields are those of the run's own grid
+        for lead in range(0, spec.horizon_hours, 5):
+            truth = puff_field(sources, wind, e.init + timedelta(hours=lead),
+                               g.header.geometry)
+            assert (np.abs(g.pm25[lead] - truth)
+                    <= 0.02 * lead * truth + 1e-4).all()
+        full = granule_to_bytes(g)
+        if e.outcome == "ok":
+            assert body == full
+        else:
+            assert read_header_bytes(full).header_bytes <= len(body) < len(full)
+            assert body == full[:len(body)]
+    assert {"ok", "truncated"} <= outcomes
+    assert grids == {drift, DESK_GEOMETRY}
+
+
+def test_each_true_field_is_computed_once_and_a_horizon_at_most_is_held(
+        tmp_path, monkeypatch):
+    spec = CorpusSpec(start_date=date(2022, 3, 2), end_date=date(2022, 3, 4),
+                      forecast_ids=DEFAULT_FORECAST_IDS,
+                      init_hours=(0, 6, 12, 18), horizon_hours=12,
+                      geometry=DESK_GEOMETRY, drift_geometry=DESK_DRIFT_GEOMETRY,
+                      drift_cutoff=date(2022, 3, 3), seed=31)
+    calls, live = [], []
+    original = corpusgen.puff_field
+
+    def counted(sources, wind, t, geom):
+        field = original(sources, wind, t, geom)
+        calls.append((t, geom, weakref.ref(field)))
+        live.append(sum(ref() is not None for _, _, ref in calls))
+        return field
+
+    monkeypatch.setattr(corpusgen, "puff_field", counted)
+    manifest = generate_corpus(spec, tmp_path / "c")
+    hours = {e.init + timedelta(hours=lead) for e in manifest.entries
+             for lead in range(spec.horizon_hours)}
+    assert len(calls) == len(hours)
+    assert {t for t, _, _ in calls} == hours
+    # the drift runs read a window of the corpus-grid field
+    assert {geom for _, geom, _ in calls} == {DESK_GEOMETRY}
+    assert max(live) <= spec.horizon_hours
