@@ -156,8 +156,7 @@ def _picked_frames(plan: SequencePlan
 
 
 def build_archive(plan: SequencePlan, canonical: GridGeometry,
-                  out: Path | str, levels: int = 1,
-                  keep_originals: bool = True) -> "CuratedArchive":
+                  out: Path | str, levels: int = 1) -> "CuratedArchive":
     """Materialize a plan into the on-disk archive; the manifest is written
     last so an interrupted build leaves no readable archive behind."""
     if levels < 1:
@@ -177,10 +176,9 @@ def build_archive(plan: SequencePlan, canonical: GridGeometry,
             frame = identity_or_resample(src, canonical)
             idx = int((t - plan.start) / HOUR)
             if frame.resampled:
-                if keep_originals:
-                    if not any_resampled:
-                        orig_dir.mkdir(exist_ok=True)
-                    _write_chunk(orig_dir / _chunk_name(idx), src.values)
+                if not any_resampled:
+                    orig_dir.mkdir(exist_ok=True)
+                _write_chunk(orig_dir / _chunk_name(idx), src.values)
                 any_resampled = True
             level_values = np.asarray(frame.values, dtype=np.float32)
             for lv in range(levels):
@@ -204,7 +202,7 @@ def build_archive(plan: SequencePlan, canonical: GridGeometry,
         "end": plan.end.strftime(ISO_Z),
         "levels": levels,
         "gaps": [t.strftime(ISO_Z) for t in plan.gaps],
-        "originals": any_resampled and keep_originals,
+        "originals": any_resampled,
     }
     tmp = out / "manifest.json.tmp"
     tmp.write_text(json.dumps(manifest, indent=1))

@@ -1,14 +1,22 @@
 """Command-line entry point wiring the pipeline stages together:
 gen-corpus / fetch -> validate -> sequence -> build-archive -> query / analyze.
 
-Machine-readable outputs are CSV/JSON files written atomically; logs go to
-stderr and are never meant to be parsed.
+Machine-readable outputs are CSV/JSON files. Of these only the archive
+manifest, the archive chunks and the cached granules are written atomically
+(temp file, then rename). Logs go to stderr and are never meant to be parsed.
+
+`--config FILE` holds flat `key = value` lines. A key is an option's long name
+without its dashes, and its value becomes that option's default in every
+command that has the option; a flag on the command line still wins. A bad
+option value exits 2 with a usage error; a command that fails exits 1 with
+`Error: <command>: <message>`.
 """
 
 from __future__ import annotations
 
 import csv
 import sys
+from collections import Counter
 from datetime import date, datetime
 from pathlib import Path
 
@@ -16,7 +24,6 @@ import click
 
 from . import corpusgen, fetcher, indexer, pvanalysis, sequencer
 from .archive import CuratedArchive, build_archive
-from .granule import GridGeometry
 from .query import SamplingMode, sample_series
 from .timecal import UTC
 
@@ -24,10 +31,7 @@ SCALES = {
     "desk": (corpusgen.DESK_GEOMETRY, corpusgen.DESK_DRIFT_GEOMETRY),
     "full": (corpusgen.FULL_GEOMETRY, corpusgen.FULL_DRIFT_GEOMETRY),
 }
-
-
-def _parse_day(text: str) -> date:
-    return date.fromisoformat(text)
+SERIES_HEADER = ["timestep_utc", "pm25_ugm3"]
 
 
 def _parse_hour(text: str) -> datetime:
@@ -38,12 +42,63 @@ def _parse_hour(text: str) -> datetime:
     return t.astimezone(UTC)
 
 
-def load_config(path: str | None) -> dict[str, str]:
-    """Flat key = value config file; '#' starts a comment."""
-    if path is None:
-        return {}
+def _parse_site(text: str) -> tuple[float, float]:
+    parts = text.split(",")
+    if len(parts) != 2:
+        raise ValueError(f"expected LAT,LON, got {text!r}")
+    return float(parts[0]), float(parts[1])
+
+
+class Parsed(click.ParamType):
+    """Option type backed by a plain parser: its ValueError becomes a usage
+    error that names the option (exit 2)."""
+
+    def __init__(self, name: str, parse):
+        self.name = name
+        self.parse = parse
+
+    def convert(self, value, param, ctx):
+        try:
+            return self.parse(value)
+        except ValueError as e:
+            self.fail(str(e), param, ctx)
+
+
+DAY = Parsed("day", date.fromisoformat)
+HOUR = Parsed("hour", _parse_hour)
+MODE = Parsed("mode", SamplingMode.parse)
+SITE = Parsed("lat,lon", _parse_site)
+NAMES = Parsed("list", lambda text: tuple(text.split(",")))
+INTS = Parsed("ints", lambda text: tuple(int(x) for x in text.split(",")))
+
+
+class Pipeline(click.Group):
+    """Reports any exception a command raises as `Error: <command>: <message>`
+    with exit status 1; click's own exceptions keep their meaning."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (click.ClickException, click.exceptions.Exit, click.Abort):
+            raise
+        except Exception as e:
+            raise click.ClickException(f"{ctx.invoked_subcommand}: {e}") from e
+
+
+@click.group(cls=Pipeline)
+@click.option("--config", "config_path", default=None,
+              type=click.Path(exists=True, dir_okay=False),
+              help="Flat key = value file of option defaults.")
+@click.option("--verbose", is_flag=True)
+@click.option("--seed", type=int, default=None)
+@click.pass_context
+def main(ctx, config_path, verbose, seed):
+    """Smoke-forecast curation and PV-attenuation analysis pipeline."""
+    ctx.obj = seed
+    if config_path is None:
+        return
     config = {}
-    for line in Path(path).read_text().splitlines():
+    for line in Path(config_path).read_text().splitlines():
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -51,122 +106,80 @@ def load_config(path: str | None) -> dict[str, str]:
             raise click.ClickException(f"bad config line: {line!r}")
         key, value = line.split("=", 1)
         config[key.strip()] = value.strip()
-    return config
+    ctx.default_map = {
+        name: {p.name: config[opt.lstrip("-")] for p in command.params
+               for opt in p.opts if opt.lstrip("-") in config}
+        for name, command in ctx.command.commands.items()}
 
 
-class Ctx:
-    def __init__(self):
-        self.config: dict[str, str] = {}
-        self.verbose = False
-        self.seed: int | None = None
-
-    def get(self, key: str, value, fallback=None):
-        """CLI flag wins, then config file, then fallback."""
-        if value is not None:
-            return value
-        if key in self.config:
-            return self.config[key]
-        return fallback
+def _histogram(outcomes) -> str:
+    return ", ".join(f"{k}={v}" for k, v in sorted(Counter(outcomes).items()))
 
 
-@click.group()
-@click.option("--config", "config_path", type=click.Path(exists=True),
-              default=None, help="Flat key=value config file.")
-@click.option("--verbose", is_flag=True)
-@click.option("--seed", type=int, default=None)
-@click.pass_context
-def main(ctx, config_path, verbose, seed):
-    """Smoke-forecast curation and PV-attenuation analysis pipeline."""
-    obj = Ctx()
-    obj.config = load_config(config_path)
-    obj.verbose = verbose
-    obj.seed = seed
-    ctx.obj = obj
+def _write_csv(path, header: list[str], rows) -> None:
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(header)
+        w.writerows(rows)
 
 
-def _log(ctx_obj: Ctx, message: str) -> None:
-    if ctx_obj.verbose:
-        click.echo(message, err=True)
+def _series_rows(series) -> list[tuple[str, str]]:
+    return [(t.strftime(sequencer.ISO_Z), f"{v:.6g}") for t, v in series.entries]
 
 
 @main.command("gen-corpus")
 @click.option("--root", required=True, type=click.Path())
-@click.option("--from", "start", required=True, help="YYYY-MM-DD")
-@click.option("--to", "end", required=True, help="YYYY-MM-DD")
-@click.option("--ids", default=",".join(corpusgen.DEFAULT_FORECAST_IDS))
-@click.option("--init-hours", default="0,6,12,18")
+@click.option("--from", "start", required=True, type=DAY, help="YYYY-MM-DD")
+@click.option("--to", "end", required=True, type=DAY, help="YYYY-MM-DD")
+@click.option("--ids", type=NAMES, default=",".join(corpusgen.DEFAULT_FORECAST_IDS))
+@click.option("--init-hours", type=INTS, default="0,6,12,18")
 @click.option("--horizon", type=int, default=84)
 @click.option("--scale", type=click.Choice(list(SCALES)), default="desk")
 @click.option("--missing-rate", type=float, default=0.0)
 @click.option("--html-rate", type=float, default=0.0)
 @click.option("--truncation-rate", type=float, default=0.0)
-@click.option("--drift-cutoff", default=None,
+@click.option("--drift-cutoff", type=DAY, default=None,
               help="Runs before this date use the drift grid.")
 @click.pass_obj
-def gen_corpus(obj, root, start, end, ids, init_hours, horizon, scale,
+def gen_corpus(seed, root, start, end, ids, init_hours, horizon, scale,
                missing_rate, html_rate, truncation_rate, drift_cutoff):
     """Generate a synthetic forecast corpus with optional fault injection."""
     geometry, drift_geometry = SCALES[scale]
-    cutoff = _parse_day(drift_cutoff) if drift_cutoff else None
     spec = corpusgen.CorpusSpec(
-        start_date=_parse_day(start), end_date=_parse_day(end),
-        forecast_ids=tuple(ids.split(",")),
-        init_hours=tuple(int(h) for h in init_hours.split(",")),
+        start_date=start, end_date=end, forecast_ids=ids, init_hours=init_hours,
         horizon_hours=horizon, geometry=geometry,
-        drift_geometry=drift_geometry if cutoff else None,
-        drift_cutoff=cutoff,
+        drift_geometry=drift_geometry if drift_cutoff else None,
+        drift_cutoff=drift_cutoff,
         fault_profile=corpusgen.FaultProfile(missing_rate, html_rate,
                                              truncation_rate),
-        seed=obj.seed or 0)
-    try:
-        manifest = corpusgen.generate_corpus(spec, root)
-    except (ValueError, OSError) as e:
-        raise click.ClickException(f"gen-corpus: {e}")
-    counts = {}
-    for e in manifest.entries:
-        counts[e.outcome] = counts.get(e.outcome, 0) + 1
+        seed=seed or 0)
+    manifest = corpusgen.generate_corpus(spec, root)
     click.echo(f"{len(manifest.entries)} scheduled runs: " +
-               ", ".join(f"{k}={v}" for k, v in sorted(counts.items())))
+               _histogram(e.outcome for e in manifest.entries))
 
 
 @main.command()
-@click.option("--base", default=None, help="HTTP prefix or local corpus root.")
-@click.option("--ids", default=None)
-@click.option("--from", "start", default=None)
-@click.option("--to", "end", default=None)
-@click.option("--cache", default=None, type=click.Path())
+@click.option("--base", required=True, help="HTTP prefix or local corpus root.")
+@click.option("--ids", required=True, type=NAMES)
+@click.option("--from", "start", required=True, type=DAY)
+@click.option("--to", "end", required=True, type=DAY)
+@click.option("--cache", required=True, type=click.Path())
 @click.option("--parallel", type=int, default=8)
-@click.option("--report", default=None, type=click.Path(),
-              help="Fetch report CSV (default: fetch_report.csv in cwd).")
-@click.pass_obj
-def fetch(obj, base, ids, start, end, cache, parallel, report):
+@click.option("--report", default="fetch_report.csv", type=click.Path(),
+              help="Fetch report CSV.")
+def fetch(base, ids, start, end, cache, parallel, report):
     """Download and validate granules into the cache layout."""
-    base = obj.get("base", base)
-    ids = obj.get("ids", ids)
-    start = obj.get("from", start)
-    end = obj.get("to", end)
-    cache = obj.get("cache", cache)
-    if not all([base, ids, start, end, cache]):
-        raise click.UsageError("fetch requires --base, --ids, --from, --to, --cache")
-    endpoint = fetcher.SourceEndpoint(base)
-    try:
-        rep = fetcher.fetch_range(endpoint, ids.split(","), _parse_day(start),
-                                  _parse_day(end), cache, parallel=parallel)
-    except (ValueError, OSError) as e:
-        raise click.ClickException(f"fetch: {e}")
-    rep.write_csv(report or "fetch_report.csv")
-    counts = {}
-    for r in rep.records:
-        counts[r.outcome] = counts.get(r.outcome, 0) + 1
-    click.echo(", ".join(f"{k}={v}" for k, v in sorted(counts.items())))
+    rep = fetcher.fetch_range(fetcher.SourceEndpoint(base), list(ids), start,
+                              end, cache, parallel=parallel)
+    rep.write_csv(report)
+    click.echo(_histogram(r.outcome for r in rep.records))
 
 
 @main.command()
 @click.option("--cache", required=True, type=click.Path(exists=True))
 @click.option("--scale", type=click.Choice(list(SCALES)), default="desk")
 @click.option("--dump-index", default=None, type=click.Path())
-@click.pass_obj
-def validate(obj, cache, scale, dump_index):
+def validate(cache, scale, dump_index):
     """Scan the cache and print the geometry consistency report."""
     canonical, drift = SCALES[scale]
     records = indexer.scan_cache(cache, canonical, drift)
@@ -182,20 +195,19 @@ def validate(obj, cache, scale, dump_index):
 
 @main.command()
 @click.option("--cache", required=True, type=click.Path(exists=True))
-@click.option("--from", "start", required=True, help="ISO hour, e.g. 2021-03-03T00:00:00Z")
-@click.option("--to", "end", required=True)
+@click.option("--from", "start", required=True, type=HOUR,
+              help="ISO hour, e.g. 2021-03-03T00:00:00Z")
+@click.option("--to", "end", required=True, type=HOUR)
 @click.option("--out", default="plan.csv", type=click.Path())
 @click.option("--gaps", default="gaps.csv", type=click.Path())
 @click.option("--scale", type=click.Choice(list(SCALES)), default="desk")
-@click.pass_obj
-def sequence(obj, cache, start, end, out, gaps, scale):
+def sequence(cache, start, end, out, gaps, scale):
     """Select the latest forecast frame for every timestep in the range."""
     canonical, drift = SCALES[scale]
     records = indexer.scan_cache(cache, canonical, drift)
     if not any(r.ok for r in records):
         raise click.ClickException("empty cache: no parseable granules to sequence")
-    index = indexer.build_coverage(records)
-    plan = sequencer.plan_sequence(index, _parse_hour(start), _parse_hour(end))
+    plan = sequencer.plan_sequence(indexer.build_coverage(records), start, end)
     sequencer.write_plan_csv(plan, out, canonical)
     sequencer.write_gaps_csv(plan, gaps)
     click.echo(f"{len(plan.picks)} picks, {len(plan.gaps)} gaps")
@@ -206,15 +218,11 @@ def sequence(obj, cache, start, end, out, gaps, scale):
 @click.option("--out", required=True, type=click.Path())
 @click.option("--levels", type=int, default=3)
 @click.option("--scale", type=click.Choice(list(SCALES)), default="desk")
-@click.pass_obj
-def build_archive_cmd(obj, plan_path, out, levels, scale):
+def build_archive_cmd(plan_path, out, levels, scale):
     """Materialize a sequence plan into the curated archive."""
     canonical, _ = SCALES[scale]
-    plan = sequencer.read_plan_csv(plan_path)
-    try:
-        archive = build_archive(plan, canonical, out, levels)
-    except Exception as e:
-        raise click.ClickException(f"build-archive: {e}")
+    archive = build_archive(sequencer.read_plan_csv(plan_path), canonical, out,
+                            levels)
     click.echo(f"archive {archive.start:%Y-%m-%dT%H:%MZ}.."
                f"{archive.end:%Y-%m-%dT%H:%MZ}, {levels} levels, "
                f"{len(archive.gaps)} gaps")
@@ -225,25 +233,17 @@ def build_archive_cmd(obj, plan_path, out, levels, scale):
               type=click.Path(exists=True))
 @click.option("--lat", type=float, required=True)
 @click.option("--lon", type=float, required=True)
-@click.option("--from", "start", required=True)
-@click.option("--to", "end", required=True)
-@click.option("--mode", default="bilinear")
+@click.option("--from", "start", required=True, type=HOUR)
+@click.option("--to", "end", required=True, type=HOUR)
+@click.option("--mode", type=MODE, default="bilinear")
 @click.option("--csv", "csv_out", default=None, type=click.Path())
-@click.pass_obj
-def query(obj, archive_dir, lat, lon, start, end, mode, csv_out):
+def query(archive_dir, lat, lon, start, end, mode, csv_out):
     """Sample a PM2.5 time series at a point."""
-    archive = CuratedArchive.open(archive_dir)
-    try:
-        series = sample_series(archive, _parse_hour(start), _parse_hour(end),
-                               lat, lon, SamplingMode.parse(mode))
-    except Exception as e:
-        raise click.ClickException(f"query: {e}")
-    rows = [(t.strftime(sequencer.ISO_Z), f"{v:.6g}") for t, v in series.entries]
+    series = sample_series(CuratedArchive.open(archive_dir), start, end,
+                           lat, lon, mode)
+    rows = _series_rows(series)
     if csv_out:
-        with open(csv_out, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["timestep_utc", "pm25_ugm3"])
-            w.writerows(rows)
+        _write_csv(csv_out, SERIES_HEADER, rows)
     else:
         for ts, v in rows:
             click.echo(f"{ts},{v}")
@@ -251,35 +251,38 @@ def query(obj, archive_dir, lat, lon, start, end, mode, csv_out):
         click.echo(f"{len(series.gaps)} gap hours omitted", err=True)
 
 
-def _load_analysis_inputs(archive_dir, solar, cloud, flags, site):
+def _analysis_options(command):
+    """The inputs `analyze` and `plot` share."""
+    for option in reversed([
+            click.option("--archive", "archive_dir", required=True,
+                         type=click.Path(exists=True)),
+            click.option("--solar", required=True, type=click.Path(exists=True)),
+            click.option("--cloud", required=True, type=click.Path(exists=True)),
+            click.option("--flags", default=None, type=click.Path(exists=True)),
+            click.option("--site", required=True, type=SITE),
+            click.option("--mode", type=MODE, default="bilinear")]):
+        command = option(command)
+    return command
+
+
+def _run_analysis(archive_dir, solar, cloud, flags, site, mode,
+             cloud_max=pvanalysis.DEFAULT_CLOUD_MAX_PCT):
     archive = CuratedArchive.open(archive_dir)
-    records = pvanalysis.read_solar_csv(solar)
-    clouds = pvanalysis.read_cloud_csv(cloud)
-    smoky = pvanalysis.read_flags_csv(flags) if flags else {}
-    lat, lon = (float(x) for x in site.split(","))
-    return archive, records, clouds, smoky, (lat, lon)
+    report = pvanalysis.run_analysis(
+        archive, pvanalysis.read_solar_csv(solar),
+        pvanalysis.read_cloud_csv(cloud),
+        pvanalysis.read_flags_csv(flags) if flags else {}, site, mode, cloud_max)
+    return archive, report
 
 
 @main.command()
-@click.option("--archive", "archive_dir", required=True,
-              type=click.Path(exists=True))
-@click.option("--solar", required=True, type=click.Path(exists=True))
-@click.option("--cloud", required=True, type=click.Path(exists=True))
-@click.option("--flags", default=None, type=click.Path(exists=True))
-@click.option("--site", required=True, help="LAT,LON")
-@click.option("--mode", default="bilinear")
-@click.option("--cloud-max", type=float, default=20.0)
+@_analysis_options
+@click.option("--cloud-max", type=float, default=pvanalysis.DEFAULT_CLOUD_MAX_PCT)
 @click.option("--out", default="report.csv", type=click.Path())
-@click.pass_obj
-def analyze(obj, archive_dir, solar, cloud, flags, site, mode, cloud_max, out):
+def analyze(archive_dir, solar, cloud, flags, site, mode, cloud_max, out):
     """Join PV, cloud and PM2.5 data; fit the attenuation trend."""
-    archive, records, clouds, smoky, point = _load_analysis_inputs(
-        archive_dir, solar, cloud, flags, site)
-    try:
-        report = pvanalysis.run_analysis(archive, records, clouds, smoky, point,
-                                         SamplingMode.parse(mode), cloud_max)
-    except Exception as e:
-        raise click.ClickException(f"analyze: {e}")
+    _, report = _run_analysis(archive_dir, solar, cloud, flags, site, mode,
+                              cloud_max)
     report.write_csv(out)
     if report.fit:
         f = report.fit
@@ -290,35 +293,16 @@ def analyze(obj, archive_dir, solar, cloud, flags, site, mode, cloud_max, out):
 
 
 @main.command()
-@click.option("--archive", "archive_dir", required=True,
-              type=click.Path(exists=True))
-@click.option("--solar", required=True, type=click.Path(exists=True))
-@click.option("--cloud", required=True, type=click.Path(exists=True))
-@click.option("--flags", default=None, type=click.Path(exists=True))
-@click.option("--site", required=True, help="LAT,LON")
-@click.option("--mode", default="bilinear")
+@_analysis_options
 @click.option("--out-prefix", default="plot")
-@click.pass_obj
-def plot(obj, archive_dir, solar, cloud, flags, site, mode, out_prefix):
+def plot(archive_dir, solar, cloud, flags, site, mode, out_prefix):
     """Emit series and scatter CSVs for external plotting."""
-    archive, records, clouds, smoky, point = _load_analysis_inputs(
-        archive_dir, solar, cloud, flags, site)
-    sampling = SamplingMode.parse(mode)
-    series = sample_series(archive, archive.start, archive.end,
-                           point[0], point[1], sampling)
-    with open(f"{out_prefix}_series.csv", "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["timestep_utc", "pm25_ugm3"])
-        for t, v in series.entries:
-            w.writerow([t.strftime(sequencer.ISO_Z), f"{v:.6g}"])
-    report = pvanalysis.run_analysis(archive, records, clouds, smoky, point,
-                                     sampling)
-    with open(f"{out_prefix}_scatter.csv", "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["avg_pm25", "ratio"])
-        for r in report.rows:
-            if r.ratio is not None:
-                w.writerow([f"{r.avg_pm25:.6g}", f"{r.ratio:.6g}"])
+    archive, report = _run_analysis(archive_dir, solar, cloud, flags, site, mode)
+    series = sample_series(archive, archive.start, archive.end, *site, mode)
+    _write_csv(f"{out_prefix}_series.csv", SERIES_HEADER, _series_rows(series))
+    _write_csv(f"{out_prefix}_scatter.csv", ["avg_pm25", "ratio"],
+               [(f"{r.avg_pm25:.6g}", f"{r.ratio:.6g}")
+                for r in report.rows if r.ratio is not None])
     click.echo(f"wrote {out_prefix}_series.csv and {out_prefix}_scatter.csv")
 
 

@@ -78,10 +78,12 @@ class FetchReport:
     def write_csv(self, path: Path | str) -> None:
         with open(path, "w", newline="") as f:
             w = csv.writer(f)
-            w.writerow(["forecast_id", "date", "outcome", "bytes", "attempts"])
+            w.writerow(["forecast_id", "date", "outcome", "bytes", "attempts",
+                        "error_offset"])
             for r in self.records:
                 w.writerow([r.forecast_id, r.date.isoformat(), r.outcome,
-                            r.bytes, r.attempts])
+                            r.bytes, r.attempts,
+                            "" if r.error_offset is None else r.error_offset])
 
 
 def embedded_init_hour(forecast_id: str) -> int:

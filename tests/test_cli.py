@@ -212,3 +212,122 @@ def test_bad_config_line_rejected(tmp_path, runner):
     result = runner.invoke(main, ["--config", str(cfg), "fetch"])
     assert result.exit_code != 0
     assert "bad config line" in result.output
+
+
+def write_analysis_inputs(path):
+    """Solar, cloud and flags CSVs over the pipeline's three days."""
+    days = [date(2022, 3, 2), date(2022, 3, 3), date(2022, 3, 4)]
+    write_solar_csv(path / "solar.csv", days, [1.0, 0.9, 0.8])
+    (path / "cloud.csv").write_text(
+        "date,avg_cloud_pct\n" +
+        "".join(f"{d.isoformat()},5.0\n" for d in days))
+    (path / "flags.csv").write_text(
+        "date,smoky\n2022-03-02,0\n2022-03-03,1\n2022-03-04,1\n")
+    return ["--archive", str(path / "arch"), "--solar", str(path / "solar.csv"),
+            "--cloud", str(path / "cloud.csv"), "--flags", str(path / "flags.csv")]
+
+
+@pytest.mark.parametrize("args, exit_code, message", [
+    (["plot", "--site", "10,0"], 1, "Error: plot: (10.0, 0.0) outside archive extent"),
+    (["plot", "--site", "36.0,-145.0", "--mode", "bogus"], 2,
+     "Error: Invalid value for '--mode': unknown sampling mode 'bogus'"),
+    (["analyze", "--site", "36.0"], 2, "Error: Invalid value for '--site'"),
+], ids=["plot-site", "plot-mode", "analyze-site"])
+def test_bad_analysis_input_is_one_error_line(pipeline, runner, args,
+                                              exit_code, message):
+    inputs = write_analysis_inputs(pipeline)
+    result = runner.invoke(main, args[:1] + inputs + args[1:],
+                           catch_exceptions=False)
+    assert result.exit_code == exit_code
+    errors = [l for l in result.output.splitlines() if l.startswith("Error:")]
+    assert len(errors) == 1 and errors[0].startswith(message), result.output
+    assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("args, option", [
+    (["sequence", "--cache", "{tmp}", "--from", "2022-03-02T00:00:00Z",
+      "--to", "garbage", "--out", "{tmp}/c"], "--to"),
+    (["gen-corpus", "--root", "{tmp}/c", "--from", "2022-13-02",
+      "--to", "2022-03-02"], "--from"),
+], ids=["sequence-to", "gen-corpus-from"])
+def test_bad_option_value_is_a_usage_error(tmp_path, runner, args, option):
+    args = [a.format(tmp=tmp_path) for a in args]
+    result = runner.invoke(main, args, catch_exceptions=False)
+    assert result.exit_code == 2
+    errors = [l for l in result.output.splitlines() if l.startswith("Error:")]
+    assert len(errors) == 1
+    assert errors[0].startswith(f"Error: Invalid value for '{option}': ")
+    assert not (tmp_path / "c").exists()
+
+
+def test_config_sets_defaults_in_every_command(pipeline, runner):
+    cfg = pipeline / "run.cfg"
+    cfg.write_text(f"cache = {pipeline / 'cache'}\n"
+                   "from = 2022-03-02T00:00:00Z   # sequence and query\n"
+                   "to = 2022-03-02T05:00:00Z\n"
+                   f"plan = {pipeline / 'plan6.csv'}\n"
+                   f"archive = {pipeline / 'arch'}\n"
+                   "lat = 36.0\nlon = -145.0\nmode = sw\nlevels = 1\n")
+    config = ["--config", str(cfg)]
+    result = run_ok(runner, config + ["validate"])
+    assert "6 ok, 0 rejected" in result.output
+    result = run_ok(runner, config + ["sequence", "--out", str(pipeline / "plan6.csv"),
+                                      "--gaps", str(pipeline / "gaps6.csv")])
+    assert result.output == "6 picks, 0 gaps\n"
+    run_ok(runner, config + ["build-archive", "--out", str(pipeline / "arch6")])
+    manifest = json.loads((pipeline / "arch6" / "manifest.json").read_text())
+    assert manifest["levels"] == 1
+    assert manifest["end"] == "2022-03-02T05:00:00Z"
+    by_config = run_ok(runner, config + ["query"]).output
+    by_flags = run_ok(runner, [
+        "query", "--archive", str(pipeline / "arch"), "--lat", "36.0",
+        "--lon", "-145.0", "--from", "2022-03-02T00:00:00Z",
+        "--to", "2022-03-02T05:00:00Z", "--mode", "sw"]).output
+    assert by_config == by_flags
+    assert len(by_config.splitlines()) == 6
+
+
+def test_flag_overrides_its_config_key(pipeline, runner):
+    cfg = pipeline / "run.cfg"
+    cfg.write_text(f"plan = {pipeline / 'plan.csv'}\nlevels = 1\n"
+                   f"archive = {pipeline / 'arch'}\nlat = 36.0\nlon = -145.0\n"
+                   "from = 2022-03-02T00:00:00Z\nto = 2022-03-02T05:00:00Z\n")
+    config = ["--config", str(cfg)]
+    run_ok(runner, config + ["build-archive", "--out", str(pipeline / "a2"),
+                             "--levels", "2"])
+    manifest = json.loads((pipeline / "a2" / "manifest.json").read_text())
+    assert manifest["levels"] == 2
+    result = run_ok(runner, config + ["query", "--to", "2022-03-02T01:00:00Z"])
+    assert [l.split(",")[0] for l in result.output.splitlines()] == \
+        ["2022-03-02T00:00:00Z", "2022-03-02T01:00:00Z"]
+
+
+@pytest.mark.parametrize("command", sorted(main.commands))
+def test_every_command_has_help(runner, command):
+    result = runner.invoke(main, [command, "--help"], catch_exceptions=False)
+    assert result.exit_code == 0
+    assert result.output.startswith("Usage: ")
+
+
+def test_plot_shares_query_and_analyze_outputs(pipeline, runner):
+    inputs = write_analysis_inputs(pipeline)
+    site = ["--site", "36.1,-145.2", "--mode", "sw"]
+    run_ok(runner, ["plot"] + inputs + site +
+           ["--out-prefix", str(pipeline / "p")])
+    run_ok(runner, ["analyze"] + inputs + site +
+           ["--out", str(pipeline / "report.csv")])
+    run_ok(runner, ["query", "--archive", str(pipeline / "arch"),
+                    "--lat", "36.1", "--lon", "-145.2", "--mode", "sw",
+                    "--from", "2022-03-02T00:00:00Z",
+                    "--to", "2022-03-04T23:00:00Z",
+                    "--csv", str(pipeline / "q.csv")])
+    assert (pipeline / "p_series.csv").read_bytes() == \
+        (pipeline / "q.csv").read_bytes()
+    report = [r.split(",") for r in
+              (pipeline / "report.csv").read_text().splitlines()[1:]
+              if not r.startswith("#fit")]
+    with_ratio = [f"{avg_pm25},{ratio}"
+                  for _, avg_pm25, _, ratio, *_ in report if ratio]
+    scatter = (pipeline / "p_scatter.csv").read_text().splitlines()
+    assert scatter[1:] == with_ratio
+    assert len(with_ratio) == 2

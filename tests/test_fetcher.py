@@ -1,3 +1,4 @@
+import csv
 import gc
 import io
 import struct
@@ -152,7 +153,7 @@ def test_fetch_report_csv(tmp_path):
     out = tmp_path / "fetch_report.csv"
     report.write_csv(out)
     lines = out.read_text().splitlines()
-    assert lines[0] == "forecast_id,date,outcome,bytes,attempts"
+    assert lines[0] == "forecast_id,date,outcome,bytes,attempts,error_offset"
     assert len(lines) == 1 + len(report.records)
 
 
@@ -212,10 +213,10 @@ FID = "BSC00CA12-01"
 DAY = date(2022, 3, 2)
 
 
-def publish(root, body):
-    """Put `body` where the fetcher looks for (FID, DAY) under root."""
-    path = Path(build_url(SourceEndpoint(str(root)), FID, DAY,
-                          embedded_init_hour(FID)))
+def publish(root, body, forecast_id=FID):
+    """Put `body` where the fetcher looks for (forecast_id, DAY) under root."""
+    path = Path(build_url(SourceEndpoint(str(root)), forecast_id, DAY,
+                          embedded_init_hour(forecast_id)))
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_bytes(body)
     return path
@@ -309,6 +310,24 @@ def test_nan_payload_rejected_over_http(tmp_path):
     assert rec.error_offset == offset
     assert cache_files(cache) == []
     assert reject_path(cache).read_bytes() == body
+
+
+def test_fetch_report_csv_gives_the_fault_offset(tmp_path):
+    valid = simple_granule_bytes(ntimes=3)
+    offset = read_header_bytes(valid).header_bytes + 4 * 50
+    publish(tmp_path / "corpus", with_value(valid, offset, np.nan))
+    other = "BSC06CA12-01"
+    publish(tmp_path / "corpus", simple_granule_bytes(forecast_id=other), other)
+    report = fetch_range(SourceEndpoint(str(tmp_path / "corpus")), [FID, other],
+                         DAY, DAY, tmp_path / "cache", backoff=0.0)
+    out = tmp_path / "fetch_report.csv"
+    report.write_csv(out)
+    with open(out, newline="") as f:
+        rows = {r["forecast_id"]: r for r in csv.DictReader(f)}
+    assert rows[FID]["outcome"] == "invalid_content"
+    assert rows[FID]["error_offset"] == str(offset)
+    assert rows[other]["outcome"] == "downloaded"
+    assert rows[other]["error_offset"] == ""
 
 
 def test_fetch_holds_one_buffer_not_the_body(tmp_path):
