@@ -7,8 +7,9 @@ manifest, the archive chunks and the cached granules are written atomically
 
 `--config FILE` holds flat `key = value` lines. A key is an option's long name
 without its dashes, and its value becomes that option's default in every
-command that has the option; a flag on the command line still wins. A bad
-option value exits 2 with a usage error; a command that fails exits 1 with
+command that has the option; a flag on the command line still wins. A key
+that no command's option takes fails before any command runs. A bad option
+value exits 2 with a usage error; a command that fails exits 1 with
 `Error: <command>: <message>`.
 """
 
@@ -106,6 +107,11 @@ def main(ctx, config_path, verbose, seed):
             raise click.ClickException(f"bad config line: {line!r}")
         key, value = line.split("=", 1)
         config[key.strip()] = value.strip()
+    names = {opt.lstrip("-") for command in ctx.command.commands.values()
+             for p in command.params for opt in p.opts}
+    unknown = sorted(config.keys() - names)
+    if unknown:
+        raise click.ClickException(f"bad config key {unknown[0]!r}")
     ctx.default_map = {
         name: {p.name: config[opt.lstrip("-")] for p in command.params
                for opt in p.opts if opt.lstrip("-") in config}

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .fetcher import ConfigError, embedded_init_hour
-from .granule import GridGeometry, _encode, make_granule
+from .granule import GridGeometry, encode_granule, make_granule
 from .timecal import UTC
 
 DEFAULT_FORECAST_IDS = ("BSC00CA12-01", "BSC06CA12-01",
@@ -310,9 +310,7 @@ def generate_corpus(spec: CorpusSpec, root: Path | str) -> CorpusManifest:
             entries.append(ManifestEntry(fid, init, "missing", ""))
             continue
         rel = f"{fid}/{init:%Y%m%d%H}/dispersion.gran"
-        # make_granule has validated the granule; write it without a second
-        # check and without copying the payload
-        head, payload = _encode(
+        head, payload = encode_granule(
             build_run_granule(spec, fid, init, sources, wind, truths))
         if outcome == "html":
             parts = (HTML_BODY,)

@@ -20,6 +20,7 @@ bounded buffer, so a writer never holds a whole body.
 from __future__ import annotations
 
 import io
+import math
 import mmap
 import struct
 from dataclasses import dataclass
@@ -77,10 +78,14 @@ class GridGeometry:
     dlon: float
 
     def validate(self) -> "GridGeometry":
+        if not all(map(math.isfinite, (self.lat0, self.lon0, self.dlat, self.dlon))):
+            raise ValueError("grid origin and spacing must be finite")
         if self.nrows < 2 or self.ncols < 2:
             raise ValueError(f"grid must be at least 2x2, got {self.nrows}x{self.ncols}")
         if self.dlat <= 0 or self.dlon <= 0:
             raise ValueError("grid spacing must be positive")
+        if self.lat0 < -90.0:
+            raise ValueError(f"origin latitude {self.lat0} below -90 degrees")
         if self.lat0 + (self.nrows - 1) * self.dlat > 90.0:
             raise ValueError("grid extends past 90 degrees latitude")
         if not -180.0 <= self.lon0 < 180.0:
@@ -140,18 +145,18 @@ class ForecastGranule:
     pm25: np.ndarray  # (ntimes, nrows, ncols) float32
 
     def validate(self) -> "ForecastGranule":
+        """Read the packed header and tflag back through `read_header`, which
+        must return this header and consume the whole tflag; then check the
+        payload's shape and values."""
         h = self.header
-        h.geometry.validate()
-        if h.ntimes < 1:
-            raise ValueError("ntimes must be >= 1")
-        for stamp in (h.cdate, h.wdate, h.sdate):
-            stamp.validate()
-        times = [julian_to_calendar(s) for s in self.tflag]
-        if len(self.tflag) != h.ntimes:
-            raise ValueError(f"tflag length {len(self.tflag)} != ntimes {h.ntimes}")
-        for a, b in zip(times, times[1:]):
-            if b - a != HOUR:
-                raise ValueError(f"tflag not hourly-contiguous at {a} -> {b}")
+        try:
+            head = _pack_head(self)
+            info = read_header_bytes(head)
+        except (struct.error, GranuleError) as e:
+            raise ValueError(f"bad granule header: {e}") from None
+        if info.header != h or info.header_bytes != len(head):
+            raise ValueError(f"{h} with {len(self.tflag)} tflag entries reads "
+                             f"back as {info.header}")
         expect = (h.ntimes, h.geometry.nrows, h.geometry.ncols)
         if self.pm25.shape != expect:
             raise ValueError(f"payload shape {self.pm25.shape} != {expect}")
@@ -180,41 +185,39 @@ class HeaderInfo:
         return self.header_bytes + self.expected_payload_bytes
 
 
-def _encode(g: ForecastGranule) -> tuple[bytes, memoryview]:
-    """Header and tflag bytes, and a byte view of the payload (no copy when it
-    is already little-endian float32). Does not validate the granule."""
-    h = g.header
-    ident = h.forecast_id.encode("ascii")
-    if len(ident) > 16:
-        raise ValueError(f"forecast_id longer than 16 bytes: {h.forecast_id!r}")
-    geom = h.geometry
-    head = bytearray()
-    head += _PREAMBLE.pack(MAGIC, VERSION)
-    head += _HEADER.pack(ident.ljust(16),
-                         h.cdate.date, h.cdate.time,
-                         h.wdate.date, h.wdate.time,
-                         h.sdate.date, h.sdate.time,
-                         geom.nrows, geom.ncols, h.ntimes,
-                         geom.lat0, geom.lon0, geom.dlat, geom.dlon)
-    for stamp in g.tflag:
-        head += _TFLAG_ENTRY.pack(stamp.date, stamp.time)
+def _pack_head(g: ForecastGranule) -> bytes:
+    """Header and tflag bytes, unchecked. The id is packed as UTF-8, so an id
+    `read_header` would not return as given is caught by reading it back."""
+    h, geom = g.header, g.header.geometry
+    return b"".join([
+        _PREAMBLE.pack(MAGIC, VERSION),
+        _HEADER.pack(h.forecast_id.encode("utf-8").ljust(16),
+                     h.cdate.date, h.cdate.time,
+                     h.wdate.date, h.wdate.time,
+                     h.sdate.date, h.sdate.time,
+                     geom.nrows, geom.ncols, h.ntimes,
+                     geom.lat0, geom.lon0, geom.dlat, geom.dlon),
+        *(_TFLAG_ENTRY.pack(s.date, s.time) for s in g.tflag)])
+
+
+def encode_granule(g: ForecastGranule) -> tuple[bytes, memoryview]:
+    """Validate `g` once and return its header and tflag bytes and a byte
+    view of its payload (no copy when it is already little-endian float32)."""
+    g.validate()
     payload = np.ascontiguousarray(g.pm25, dtype="<f4")
-    return bytes(head), memoryview(payload).cast("B")
+    return _pack_head(g), memoryview(payload).cast("B")
 
 
 def write_granule(g: ForecastGranule, dest: BinaryIO) -> int:
-    """Serialize a validated granule; returns the byte count written."""
-    g.validate()
-    head, payload = _encode(g)
+    """Serialize a granule after one validation; returns the byte count."""
+    head, payload = encode_granule(g)
     dest.write(head)
     dest.write(payload)
     return len(head) + len(payload)
 
 
 def granule_to_bytes(g: ForecastGranule) -> bytes:
-    sink = io.BytesIO()
-    write_granule(g, sink)
-    return sink.getvalue()
+    return b"".join(encode_granule(g))
 
 
 def _read_upto(source: BinaryIO, n: int) -> bytes:
@@ -419,7 +422,9 @@ def make_granule(forecast_id: str,
                  smoke_init: datetime,
                  geometry: GridGeometry,
                  frames: np.ndarray | Sequence[np.ndarray]) -> ForecastGranule:
-    """Assemble a granule with hourly tflags starting at the smoke init."""
+    """Assemble a granule with hourly tflags starting at the smoke init.
+    Nothing is checked here: a granule is validated once, when it is
+    encoded."""
     tflag = [calendar_to_julian(smoke_init + timedelta(hours=i))
              for i in range(len(frames))]
     # no copy for a float32 stack, one for a list of frames
@@ -429,4 +434,4 @@ def make_granule(forecast_id: str,
                            calendar_to_julian(weather_init),
                            calendar_to_julian(smoke_init),
                            geometry, len(frames))
-    return ForecastGranule(header, tflag, pm25).validate()
+    return ForecastGranule(header, tflag, pm25)

@@ -292,6 +292,16 @@ def run_analysis(archive: CuratedArchive,
     return AnalysisReport(rows, fit, excluded)
 
 
+def _read_rows(path: Path | str, *columns: str) -> list[dict[str, str]]:
+    """The rows of a CSV whose header must name every one of `columns`."""
+    with open(path, newline="") as f:
+        reader = csv.DictReader(f)
+        missing = [c for c in columns if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"{path}: missing column {', '.join(missing)}")
+        return list(reader)
+
+
 def read_solar_csv(path: Path | str,
                    utc_offset_hours: int = DEFAULT_UTC_OFFSET_HOURS
                    ) -> list[SolarRecord]:
@@ -299,22 +309,19 @@ def read_solar_csv(path: Path | str,
     as local time at the configured offset."""
     tz = timezone(timedelta(hours=utc_offset_hours))
     records = []
-    with open(path, newline="") as f:
-        for row in csv.DictReader(f):
-            ts = datetime.fromisoformat(row["timestamp_iso"])
-            if ts.tzinfo is None:
-                ts = ts.replace(tzinfo=tz)
-            records.append(SolarRecord(ts, float(row["energy_kwh"])))
+    for row in _read_rows(path, "timestamp_iso", "energy_kwh"):
+        ts = datetime.fromisoformat(row["timestamp_iso"])
+        if ts.tzinfo is None:
+            ts = ts.replace(tzinfo=tz)
+        records.append(SolarRecord(ts, float(row["energy_kwh"])))
     return records
 
 
 def read_cloud_csv(path: Path | str) -> dict[date, float]:
-    with open(path, newline="") as f:
-        return {date.fromisoformat(r["date"]): float(r["avg_cloud_pct"])
-                for r in csv.DictReader(f)}
+    return {date.fromisoformat(r["date"]): float(r["avg_cloud_pct"])
+            for r in _read_rows(path, "date", "avg_cloud_pct")}
 
 
 def read_flags_csv(path: Path | str) -> dict[date, bool]:
-    with open(path, newline="") as f:
-        return {date.fromisoformat(r["date"]): r["smoky"].strip() in ("1", "true")
-                for r in csv.DictReader(f)}
+    return {date.fromisoformat(r["date"]): r["smoky"].strip() in ("1", "true")
+            for r in _read_rows(path, "date", "smoky")}

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import struct
 from datetime import date, datetime, timedelta
 
 import numpy as np
@@ -9,7 +10,8 @@ import pytest
 
 from smokecurate.archive import build_archive
 from smokecurate.corpusgen import CorpusSpec, FaultProfile
-from smokecurate.granule import GridGeometry, granule_to_bytes, make_granule
+from smokecurate.granule import (HEADER_END, GridGeometry, granule_to_bytes,
+                                 make_granule)
 from smokecurate.indexer import build_coverage, scan_cache
 from smokecurate.sequencer import plan_sequence
 from smokecurate.timecal import UTC
@@ -38,6 +40,19 @@ def simple_granule(ntimes=4, geometry=SMALL_GEOM, forecast_id="BSC00CA12-01",
 
 def simple_granule_bytes(**kwargs) -> bytes:
     return granule_to_bytes(simple_granule(**kwargs))
+
+
+# three of the four f64 geometry fields that end the fixed header; read_header
+# reports any bad geometry at the first grid dimension, byte 52
+GEOMETRY_AT = {"lat0": HEADER_END - 32, "dlat": HEADER_END - 16,
+               "dlon": HEADER_END - 8}
+BAD_GEOMETRY_OFFSET = 52
+
+
+def with_geometry_field(data: bytes, field: str, value: float) -> bytes:
+    """`data` with one geometry field's bytes replaced by `value`."""
+    at = GEOMETRY_AT[field]
+    return data[:at] + struct.pack("<d", value) + data[at + 8:]
 
 
 def archive_from_frames(tmp_path, frames, geometry=SMALL_GEOM, start=T0,

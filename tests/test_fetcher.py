@@ -20,10 +20,12 @@ from smokecurate.fetcher import (ConfigError, SourceEndpoint, build_url,
                                  embedded_init_hour, fetch_one, fetch_range,
                                  probe_earliest)
 from smokecurate.granule import (STREAM_BUFFER_BYTES, GranuleError,
-                                 GridGeometry, parse_granule_bytes,
-                                 read_header_bytes, write_granule)
+                                 GridGeometry, InvalidHeaderError,
+                                 parse_granule_bytes, read_header_bytes,
+                                 write_granule)
 
-from conftest import SMALL_GEOM, simple_granule, simple_granule_bytes
+from conftest import (BAD_GEOMETRY_OFFSET, SMALL_GEOM, simple_granule,
+                      simple_granule_bytes, with_geometry_field)
 
 IDS = ("BSC00CA12-01", "BSC06CA12-01")
 
@@ -276,6 +278,20 @@ def test_body_longer_than_declared_is_rejected(tmp_path):
     assert rec.outcome == "invalid_content"
     assert rec.bytes == len(body)
     assert rec.error_offset == len(valid)
+    assert cache_files(cache) == []
+    assert reject_path(cache).read_bytes() == body
+
+
+def test_non_finite_origin_is_rejected_at_the_geometry_offset(tmp_path):
+    body = with_geometry_field(simple_granule_bytes(), "lat0", float("nan"))
+    publish(tmp_path / "corpus", body)
+    cache = tmp_path / "cache"
+    rec = fetch_one(SourceEndpoint(str(tmp_path / "corpus")), FID, DAY, cache,
+                    backoff=0.0)
+    assert rec.outcome == "invalid_content"
+    with pytest.raises(InvalidHeaderError, match="bad geometry") as err:
+        read_header_bytes(body)
+    assert rec.error_offset == err.value.offset == BAD_GEOMETRY_OFFSET
     assert cache_files(cache) == []
     assert reject_path(cache).read_bytes() == body
 

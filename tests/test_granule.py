@@ -1,4 +1,7 @@
+import dataclasses
 import io
+import math
+import re
 import struct
 from datetime import datetime
 from unittest import mock
@@ -9,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from smokecurate import granule
 from smokecurate.corpusgen import HTML_BODY
-from smokecurate.granule import (HEADER_END, FrameReader, GranuleError,
+from smokecurate.granule import (HEADER_END, ForecastGranule, FrameReader,
+                                 GranuleError, GranuleHeader,
                                  GridGeometry, InvalidHeaderError,
                                  NotAGranuleError,
                                  TruncatedError, _check_payload,
@@ -22,7 +26,8 @@ from smokecurate.granule import (HEADER_END, FrameReader, GranuleError,
 from smokecurate.timecal import (HOUR, UTC, JulianStamp, calendar_to_julian,
                                  julian_to_calendar)
 
-from conftest import SMALL_GEOM, simple_granule, simple_granule_bytes
+from conftest import (BAD_GEOMETRY_OFFSET, SMALL_GEOM, simple_granule,
+                      simple_granule_bytes, with_geometry_field)
 
 
 class CountingStream(io.BytesIO):
@@ -454,3 +459,142 @@ def test_validate_stream_reads_the_payload_in_bounded_pieces():
         validate_stream(Recording(data))
     assert max(requests) == 256
     assert sum(requests) == info.expected_payload_bytes
+
+
+@pytest.mark.parametrize("forecast_id, message", [
+    ("", "forecast_id empty or unprintable (at byte 12)"),
+    ("AB\x01", "forecast_id empty or unprintable (at byte 12)"),
+    ("ABC  ", "reads back as GranuleHeader(forecast_id='ABC',"),
+], ids=["empty", "unprintable", "trailing-space"])
+def test_writer_refuses_an_id_the_reader_would_not_return(forecast_id, message):
+    g = simple_granule(forecast_id=forecast_id)
+    for check in (g.validate, lambda: granule_to_bytes(g)):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            check()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("lat0", math.nan), ("lat0", -math.inf), ("lat0", -91.0),
+    ("dlat", math.nan), ("dlon", math.nan), ("dlon", math.inf)])
+def test_geometry_rule_is_the_same_for_writer_and_reader(field, value):
+    geom = dataclasses.replace(SMALL_GEOM, **{field: value})
+    with pytest.raises(ValueError):
+        geom.validate()
+    with pytest.raises(ValueError, match="bad geometry") as err:
+        simple_granule(geometry=geom).validate()
+    assert f"(at byte {BAD_GEOMETRY_OFFSET})" in str(err.value)
+    body = with_geometry_field(simple_granule_bytes(), field, value)
+    with pytest.raises(InvalidHeaderError, match="bad geometry") as err:
+        read_header_bytes(body)
+    assert err.value.offset == BAD_GEOMETRY_OFFSET
+
+
+def _replace_header(g, **changes):
+    return dataclasses.replace(g, header=dataclasses.replace(g.header, **changes))
+
+
+def _replace_geometry(g, **changes):
+    return _replace_header(
+        g, geometry=dataclasses.replace(g.header.geometry, **changes))
+
+
+@pytest.mark.parametrize("unpackable", [
+    lambda g: dataclasses.replace(g, tflag=[JulianStamp(-1, 0)]),
+    lambda g: _replace_header(g, cdate=JulianStamp(2 ** 32, 0)),
+    lambda g: _replace_geometry(g, ncols=2 ** 32),
+    lambda g: _replace_geometry(g, lat0="40"),
+], ids=["negative-tflag-stamp", "stamp-above-u32", "dimension-above-u32",
+        "text-latitude"])
+def test_unpackable_field_is_a_named_value_error(unpackable):
+    g = unpackable(simple_granule(ntimes=1))
+    with pytest.raises(ValueError, match="bad granule header"):
+        g.validate()
+
+
+def _packed_as_laid_out(g):
+    """The granule's bytes packed field by field as the module docstring
+    lays them out, with no check: the oracle for what a writer produces."""
+    h, geom = g.header, g.header.geometry
+    head = struct.pack("<8sI16s6I3I4d", b"SMOKGRAN", 1,
+                       h.forecast_id.encode("utf-8").ljust(16),
+                       h.cdate.date, h.cdate.time, h.wdate.date, h.wdate.time,
+                       h.sdate.date, h.sdate.time,
+                       geom.nrows, geom.ncols, h.ntimes,
+                       geom.lat0, geom.lon0, geom.dlat, geom.dlon)
+    tflag = b"".join(struct.pack("<II", s.date, s.time) for s in g.tflag)
+    return head + tflag + np.ascontiguousarray(g.pm25, dtype="<f4").tobytes()
+
+
+_INTS = st.one_of(st.integers(-2, 2 ** 32 + 2),
+                  st.sampled_from([-1, 0, 1, 2 ** 32 - 1, 2 ** 32, 2022060,
+                                   2021366, 2024366, 240000, 236000, 235960]))
+_FLOATS = st.one_of(st.floats(), st.sampled_from(
+    [math.nan, math.inf, -math.inf, -91.0, -90.0, 0.0, -0.0, 180.0, -180.0]))
+_IDS = st.one_of(st.sampled_from(["", "AB\x01", "ABC  ", " ABC", "\xe9",
+                                  "A" * 16, "A" * 17]), st.text(max_size=18))
+_FIELDS = ("forecast_id", "cdate", "wdate", "sdate", "nrows", "ncols",
+           "ntimes", "lat0", "lon0", "dlat", "dlon", "tflag", "payload")
+
+
+@st.composite
+def _granules_with_faults(draw):
+    """A small granule with at most two header, tflag or payload fields
+    replaced by values drawn to break it (some of which do not)."""
+    broken = set(draw(st.lists(st.sampled_from(_FIELDS), max_size=2)))
+
+    def field(name, good, bad):
+        return draw(bad) if name in broken else good
+
+    first = draw(st.datetimes(datetime(1990, 1, 1), datetime(2100, 1, 1),
+                              timezones=st.just(UTC)))
+    n = draw(st.integers(1, 3))
+    tflag = [calendar_to_julian(first + i * HOUR) for i in range(n)]
+    if "tflag" in broken:
+        i = draw(st.integers(0, n - 1))
+        tflag[i] = draw(st.one_of(
+            st.builds(JulianStamp, _INTS, _INTS),
+            st.sampled_from([-1, 1, 2]).map(
+                lambda k: calendar_to_julian(first + (i + k) * HOUR))))
+    stamp = st.builds(JulianStamp, _INTS, _INTS)
+    geometry = GridGeometry(field("nrows", 2, _INTS), field("ncols", 3, _INTS),
+                            field("lat0", 40.0, _FLOATS),
+                            field("lon0", -120.0, _FLOATS),
+                            field("dlat", 0.5, _FLOATS),
+                            field("dlon", 0.5, _FLOATS))
+    header = GranuleHeader(field("forecast_id", "BSC00CA12-01", _IDS),
+                           field("cdate", calendar_to_julian(first), stamp),
+                           field("wdate", calendar_to_julian(first), stamp),
+                           field("sdate", calendar_to_julian(first), stamp),
+                           geometry, field("ntimes", n, _INTS))
+
+    def small(k, default):
+        return k if 0 <= k <= 4 else default
+
+    shape = (small(header.ntimes, n), small(geometry.nrows, 2),
+             small(geometry.ncols, 3))
+    pm25 = (1.0 + np.arange(math.prod(shape))).reshape(shape).astype(np.float32)
+    if "payload" in broken and pm25.size:
+        pm25.reshape(-1)[draw(st.integers(0, pm25.size - 1))] = \
+            draw(st.sampled_from([np.nan, np.inf, -1.0]))
+    return ForecastGranule(header, tflag, pm25)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_granules_with_faults())
+def test_validate_accepts_exactly_what_reads_back_unchanged(g):
+    try:
+        data = _packed_as_laid_out(g)
+        back = parse_granule_bytes(data)
+        reads_back = (back.header == g.header and back.tflag == g.tflag
+                      and back.pm25.shape == g.pm25.shape
+                      and np.array_equal(back.pm25, g.pm25))
+    except (struct.error, GranuleError):
+        reads_back = False
+    if reads_back:
+        g.validate()
+        assert granule_to_bytes(g) == data
+    else:
+        with pytest.raises(ValueError):
+            g.validate()
+        with pytest.raises(ValueError):
+            granule_to_bytes(g)

@@ -9,7 +9,8 @@ from smokecurate.granule import granule_to_bytes
 from smokecurate.indexer import build_coverage, consistency_report, scan_cache
 from smokecurate.timecal import UTC
 
-from conftest import SMALL_GEOM, simple_granule
+from conftest import (BAD_GEOMETRY_OFFSET, SMALL_GEOM, simple_granule,
+                      simple_granule_bytes, with_geometry_field)
 
 
 class PayloadCountingFile:
@@ -78,6 +79,17 @@ def test_scan_flags_payload_truncation_via_size(tmp_path):
         data[:-40])  # header intact, payload short
     [record] = scan_cache(cache)
     assert record.status == "truncated"
+
+
+def test_scan_flags_non_finite_origin(tmp_path):
+    cache = tmp_path / "cache"
+    (cache / "BSC00CA12-01").mkdir(parents=True)
+    (cache / "BSC00CA12-01" / "dispersion_20220302.gran").write_bytes(
+        with_geometry_field(simple_granule_bytes(), "lat0", float("nan")))
+    [record] = scan_cache(cache)
+    assert record.status == "invalid_header"
+    assert "bad geometry" in record.detail
+    assert f"(at byte {BAD_GEOMETRY_OFFSET})" in record.detail
 
 
 def test_scan_reads_zero_payload_bytes(tmp_path):
