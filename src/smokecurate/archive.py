@@ -9,7 +9,8 @@ in a frame nobody picked is never read and does not stop the build.
 
 On-disk layout:
     manifest.json          geometry, time range, levels, gaps, tool version
-    provenance.csv         one row per stored timestep (original stamps)
+    provenance.csv         one row per stored timestep: the picked granule's
+                           stamps, encoded back from its header's times
     L{level}/{index:08}.bin row-major little-endian float32 chunks
     originals/{index:08}.bin  pre-resample frames, when resampling occurred
 """
@@ -29,11 +30,11 @@ from typing import Iterator
 import numpy as np
 
 from . import __version__
-from .granule import (FrameReader, GranuleError, GranuleHeader, GridGeometry,
-                      HeaderInfo)
+from .granule import FrameReader, GranuleError, GranuleHeader, GridGeometry
 from .regrid import Frame, identity_or_resample
 from .sequencer import ISO_Z, SequencePlan
-from .timecal import HOUR, UTC, JulianStamp, hour_range, julian_to_calendar
+from .timecal import (HOUR, UTC, JulianStamp, calendar_to_julian, hour_range,
+                      julian_to_calendar)
 
 PROVENANCE_COLUMNS = ["tflag_date", "tflag_time", "cdate", "ctime", "wdate",
                       "wtime", "sdate", "stime", "forecast_id", "resampled",
@@ -127,12 +128,11 @@ def _chunk_name(index: int) -> str:
 
 
 def _picked_frames(plan: SequencePlan
-                   ) -> Iterator[tuple[datetime, GranuleHeader, JulianStamp,
-                                       np.ndarray]]:
-    """(timestep, header, tflag stamp, float32 frame) for every pick in time
-    order. Time-sorted picks of one granule mostly form one run, so one
-    granule is open at a time and each header is parsed once."""
-    headers: dict[Path, HeaderInfo] = {}
+                   ) -> Iterator[tuple[datetime, GranuleHeader, np.ndarray]]:
+    """(timestep, header, float32 frame) for every pick in time order.
+    Time-sorted picks of one granule mostly form one run, so one granule is
+    open at a time and each header is parsed once."""
+    headers: dict[Path, GranuleHeader] = {}
     for path, run in groupby(sorted(plan.picks.items()),
                              key=lambda item: Path(item[1].path)):
         with ExitStack() as files:
@@ -142,17 +142,18 @@ def _picked_frames(plan: SequencePlan
                     if reader is None:
                         f = files.enter_context(open(path, "rb"))
                         reader = FrameReader(f, headers.get(path))
-                        headers[path] = reader.info
+                        headers[path] = reader.header
                     values = reader.read_frame(pick.frame_index)
                 except (OSError, GranuleError, IndexError) as e:
                     raise BuildError(f"timestep {t.strftime(ISO_Z)}: picked "
                                      f"granule {path} failed to parse: {e}") from e
-                stamp = reader.info.tflag[pick.frame_index]
-                if reader.info.first_frame + pick.frame_index * HOUR != t:
+                at = reader.header.first_frame + pick.frame_index * HOUR
+                if at != t:
                     raise BuildError(f"timestep {t.strftime(ISO_Z)}: frame "
                                      f"{pick.frame_index} of {path} carries "
-                                     f"tflag {stamp}, not the planned timestep")
-                yield t, reader.info.header, stamp, values
+                                     f"tflag {at.strftime(ISO_Z)}, not the "
+                                     f"planned timestep")
+                yield t, reader.header, values
 
 
 def build_archive(plan: SequencePlan, canonical: GridGeometry,
@@ -171,7 +172,7 @@ def build_archive(plan: SequencePlan, canonical: GridGeometry,
     rows: list[ProvenanceRow] = []
     any_resampled = False
     with closing(_picked_frames(plan)) as picked:
-        for t, h, stamp, values in picked:
+        for t, h, values in picked:
             src = Frame(h.geometry, values)
             frame = identity_or_resample(src, canonical)
             idx = int((t - plan.start) / HOUR)
@@ -185,10 +186,11 @@ def build_archive(plan: SequencePlan, canonical: GridGeometry,
                 _write_chunk(out / f"L{lv}" / _chunk_name(idx), level_values)
                 if lv + 1 < levels:
                     level_values = box_downsample(level_values).astype(np.float32)
+            tf, cd, wd, sd = map(calendar_to_julian,
+                                 (t, h.created, h.weather_init, h.smoke_init))
             rows.append(ProvenanceRow(
-                stamp.date, stamp.time,
-                h.cdate.date, h.cdate.time, h.wdate.date, h.wdate.time,
-                h.sdate.date, h.sdate.time, h.forecast_id, frame.resampled,
+                tf.date, tf.time, cd.date, cd.time, wd.date, wd.time,
+                sd.date, sd.time, h.forecast_id, frame.resampled,
                 h.weather_init.strftime(ISO_Z)))
 
     _write_provenance(out / "provenance.csv", rows)

@@ -310,14 +310,16 @@ def generate_corpus(spec: CorpusSpec, root: Path | str) -> CorpusManifest:
             entries.append(ManifestEntry(fid, init, "missing", ""))
             continue
         rel = f"{fid}/{init:%Y%m%d%H}/dispersion.gran"
-        head, payload = encode_granule(
-            build_run_granule(spec, fid, init, sources, wind, truths))
         if outcome == "html":
             parts = (HTML_BODY,)
-        elif outcome == "truncated":
-            # cut inside the payload so the header region stays intact
-            parts = (head, payload[:int(rng.integers(0, len(payload)))])
         else:
+            # the granule draws from its own RNG, so skipping html runs
+            # changes no other run's bytes
+            head, payload = encode_granule(
+                build_run_granule(spec, fid, init, sources, wind, truths))
+            if outcome == "truncated":
+                # cut inside the payload so the header region stays intact
+                payload = payload[:int(rng.integers(0, len(payload)))]
             parts = (head, payload)
         target = root / rel
         target.parent.mkdir(parents=True, exist_ok=True)

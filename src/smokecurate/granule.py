@@ -10,6 +10,11 @@ GRANULE v1 layout (little-endian):
     tflag           ntimes x (u32 date, u32 time)
     payload         ntimes*nrows*ncols f32, time-major then row-major
 
+In memory a granule's times are aware UTC datetimes in one `GranuleHeader`;
+the YYYYDDD/HHMMSS stamps exist only in the bytes, decoded once by
+`read_header` and encoded once by the writer. The tflag is proven hourly
+from its first entry, so frame i is at `first_frame + i*HOUR`.
+
 Parsing must be safe on arbitrary bytes; every failure carries the byte
 offset of the first inconsistency. `FrameReader` reads single frames after a
 header-only parse, so a reader that needs a few frames never loads the rest;
@@ -24,8 +29,7 @@ import math
 import mmap
 import struct
 from dataclasses import dataclass
-from datetime import datetime, timedelta
-from functools import cached_property
+from datetime import datetime
 from typing import BinaryIO, Sequence
 
 import numpy as np
@@ -118,94 +122,91 @@ def grid_coordinates(geom: GridGeometry, row: int, col: int) -> tuple[float, flo
 
 @dataclass(frozen=True)
 class GranuleHeader:
+    """A granule's metadata; frame i is at `first_frame + i*HOUR`."""
+
     forecast_id: str
-    cdate: JulianStamp   # file creation
-    wdate: JulianStamp   # weather-forecast initialization
-    sdate: JulianStamp   # smoke-forecast initialization
+    created: datetime        # file creation
+    weather_init: datetime   # weather-forecast initialization
+    smoke_init: datetime     # smoke-forecast initialization
+    first_frame: datetime    # tflag[0]
     geometry: GridGeometry
     ntimes: int
 
-    @cached_property
-    def created(self) -> datetime:
-        return julian_to_calendar(self.cdate)
+    @property
+    def header_bytes(self) -> int:
+        return HEADER_END + self.ntimes * _TFLAG_ENTRY.size
 
-    @cached_property
-    def weather_init(self) -> datetime:
-        return julian_to_calendar(self.wdate)
-
-    @cached_property
-    def smoke_init(self) -> datetime:
-        return julian_to_calendar(self.sdate)
-
-
-@dataclass
-class ForecastGranule:
-    header: GranuleHeader
-    tflag: list[JulianStamp]
-    pm25: np.ndarray  # (ntimes, nrows, ncols) float32
-
-    def validate(self) -> "ForecastGranule":
-        """Read the packed header and tflag back through `read_header`, which
-        must return this header and consume the whole tflag; then check the
-        payload's shape and values."""
-        h = self.header
-        try:
-            head = _pack_head(self)
-            info = read_header_bytes(head)
-        except (struct.error, GranuleError) as e:
-            raise ValueError(f"bad granule header: {e}") from None
-        if info.header != h or info.header_bytes != len(head):
-            raise ValueError(f"{h} with {len(self.tflag)} tflag entries reads "
-                             f"back as {info.header}")
-        expect = (h.ntimes, h.geometry.nrows, h.geometry.ncols)
-        if self.pm25.shape != expect:
-            raise ValueError(f"payload shape {self.pm25.shape} != {expect}")
-        try:
-            _check_payload(self.pm25, 0)
-        except InvalidHeaderError:
-            kind = ("non-finite values" if not np.isfinite(self.pm25).all()
-                    else "negative concentrations")
-            raise ValueError(f"payload contains {kind}") from None
-        return self
-
-
-@dataclass(frozen=True)
-class HeaderInfo:
-    """Result of a metadata-only read: header, tflag, first frame time and the
-    declared payload extent (unverified; the payload is never touched)."""
-
-    header: GranuleHeader
-    tflag: tuple[JulianStamp, ...]
-    first_frame: datetime
-    header_bytes: int
-    expected_payload_bytes: int
+    @property
+    def expected_payload_bytes(self) -> int:
+        return self.ntimes * self.geometry.nrows * self.geometry.ncols * 4
 
     @property
     def expected_total_bytes(self) -> int:
         return self.header_bytes + self.expected_payload_bytes
 
 
-def _pack_head(g: ForecastGranule) -> bytes:
-    """Header and tflag bytes, unchecked. The id is packed as UTF-8, so an id
-    `read_header` would not return as given is caught by reading it back."""
-    h, geom = g.header, g.header.geometry
+@dataclass
+class ForecastGranule:
+    header: GranuleHeader
+    pm25: np.ndarray  # (ntimes, nrows, ncols) float32
+
+    @property
+    def tflag(self) -> list[JulianStamp]:
+        """The per-frame stamps, as `_pack_head` writes them."""
+        h = self.header
+        return [calendar_to_julian(h.first_frame + i * HOUR) for i in range(h.ntimes)]
+
+    def validate(self) -> tuple[bytes, np.ndarray]:
+        """Check the granule as written and return the checked header and
+        tflag bytes and `<f4` payload. The shape comes first, so a huge
+        `ntimes` packs no tflag; the packed header must read back through
+        `read_header` unchanged; the values checked are the float32 ones."""
+        h = self.header
+        expect = (h.ntimes, h.geometry.nrows, h.geometry.ncols)
+        if self.pm25.shape != expect:
+            raise ValueError(f"payload shape {self.pm25.shape} != {expect}")
+        try:
+            head = _pack_head(h)
+            back = read_header_bytes(head)
+        except (struct.error, OverflowError, ValueError, GranuleError) as e:
+            raise ValueError(f"bad granule header: {e}") from None
+        if back != h:
+            raise ValueError(f"{h} reads back as {back}")
+        with np.errstate(over="ignore"):
+            payload = np.ascontiguousarray(self.pm25, dtype="<f4")
+        try:
+            _check_payload(payload, 0)
+        except InvalidHeaderError:
+            kind = ("non-finite values" if not np.isfinite(payload).all()
+                    else "negative concentrations")
+            raise ValueError(f"payload contains {kind}") from None
+        return head, payload
+
+
+def _pack_head(h: GranuleHeader) -> bytes:
+    """Header and tflag bytes, unchecked: the one place stamps are encoded.
+    The id is packed as UTF-8, so an id `read_header` would not return as
+    given is caught by reading it back."""
+    geom = h.geometry
+    created, weather, smoke = (calendar_to_julian(t) for t in
+                               (h.created, h.weather_init, h.smoke_init))
+    tflag = (calendar_to_julian(h.first_frame + i * HOUR) for i in range(h.ntimes))
     return b"".join([
         _PREAMBLE.pack(MAGIC, VERSION),
         _HEADER.pack(h.forecast_id.encode("utf-8").ljust(16),
-                     h.cdate.date, h.cdate.time,
-                     h.wdate.date, h.wdate.time,
-                     h.sdate.date, h.sdate.time,
+                     created.date, created.time,
+                     weather.date, weather.time,
+                     smoke.date, smoke.time,
                      geom.nrows, geom.ncols, h.ntimes,
                      geom.lat0, geom.lon0, geom.dlat, geom.dlon),
-        *(_TFLAG_ENTRY.pack(s.date, s.time) for s in g.tflag)])
+        *(_TFLAG_ENTRY.pack(s.date, s.time) for s in tflag)])
 
 
 def encode_granule(g: ForecastGranule) -> tuple[bytes, memoryview]:
     """Validate `g` once and return its header and tflag bytes and a byte
-    view of its payload (no copy when it is already little-endian float32)."""
-    g.validate()
-    payload = np.ascontiguousarray(g.pm25, dtype="<f4")
-    return _pack_head(g), memoryview(payload).cast("B")
+    view of its payload."""
+    head, payload = g.validate()
+    return head, memoryview(payload).cast("B")
 
 
 def write_granule(g: ForecastGranule, dest: BinaryIO) -> int:
@@ -240,12 +241,13 @@ def _read_exact(source: BinaryIO, n: int, offset: int, what: str) -> bytes:
     return data
 
 
-def read_header(source: BinaryIO) -> HeaderInfo:
+def read_header(source: BinaryIO) -> GranuleHeader:
     """Read magic + header + tflag only; the payload region is never touched.
 
-    The one place a granule's stamps are checked: each tflag entry is decoded
-    once and proven hourly-contiguous. Payload truncation is not detectable
-    here; the expected payload length is recorded for later validation.
+    The one place a granule's stamps are decoded: each header stamp and tflag
+    entry is decoded once, and the tflag is proven hourly-contiguous, so the
+    header keeps only its first frame. Payload truncation is not detectable
+    here; the header's expected sizes are for later validation.
     """
     head = _read_upto(source, _PREAMBLE.size)
     if len(head) < len(MAGIC) or head[: len(MAGIC)] != MAGIC:
@@ -269,9 +271,9 @@ def read_header(source: BinaryIO) -> HeaderInfo:
         raise InvalidHeaderError("forecast_id empty or unprintable", _PREAMBLE.size)
 
     try:
-        stamps = [JulianStamp(cd, ct).validate(),
-                  JulianStamp(wd, wt).validate(),
-                  JulianStamp(sd, st).validate()]
+        times = [julian_to_calendar(JulianStamp(cd, ct)),
+                 julian_to_calendar(JulianStamp(wd, wt)),
+                 julian_to_calendar(JulianStamp(sd, st))]
     except EncodingError as e:
         raise InvalidHeaderError(f"bad header stamp: {e}", _PREAMBLE.size + 16) from None
 
@@ -283,25 +285,19 @@ def read_header(source: BinaryIO) -> HeaderInfo:
     if ntimes < 1:
         raise InvalidHeaderError("ntimes must be >= 1", _PREAMBLE.size + 48)
 
-    tflag = []
     for i in range(ntimes):
         off = HEADER_END + i * _TFLAG_ENTRY.size
         entry = _read_exact(source, _TFLAG_ENTRY.size, off, "tflag")
-        stamp = JulianStamp(*_TFLAG_ENTRY.unpack(entry))
         try:
-            instant = julian_to_calendar(stamp)
+            instant = julian_to_calendar(JulianStamp(*_TFLAG_ENTRY.unpack(entry)))
         except EncodingError as e:
             raise InvalidHeaderError(f"bad tflag[{i}]: {e}", off) from None
         if i == 0:
             first = instant
         elif instant - first != i * HOUR:
             raise InvalidHeaderError(f"tflag[{i}] breaks hourly contiguity", off)
-        tflag.append(stamp)
 
-    header = GranuleHeader(forecast_id, *stamps, geometry, ntimes)
-    header_bytes = HEADER_END + ntimes * _TFLAG_ENTRY.size
-    payload_bytes = ntimes * nrows * ncols * 4
-    return HeaderInfo(header, tuple(tflag), first, header_bytes, payload_bytes)
+    return GranuleHeader(forecast_id, *times, first, geometry, ntimes)
 
 
 def parse_granule(source: BinaryIO) -> ForecastGranule:
@@ -311,14 +307,12 @@ def parse_granule(source: BinaryIO) -> ForecastGranule:
     InvalidHeaderError instead of crashing. What it returns already holds
     every invariant of ForecastGranule.validate.
     """
-    info = read_header(source)
-    raw = _read_exact(source, info.expected_payload_bytes, info.header_bytes,
-                      "payload")
-    geom = info.header.geometry
+    h = read_header(source)
+    raw = _read_exact(source, h.expected_payload_bytes, h.header_bytes, "payload")
     pm25 = np.frombuffer(raw, dtype="<f4").reshape(
-        info.header.ntimes, geom.nrows, geom.ncols).copy()
-    _check_payload(pm25, info.header_bytes)
-    return ForecastGranule(info.header, list(info.tflag), pm25)
+        h.ntimes, h.geometry.nrows, h.geometry.ncols).copy()
+    _check_payload(pm25, h.header_bytes)
+    return ForecastGranule(h, pm25)
 
 
 def _check_payload(values: np.ndarray, offset: int) -> None:
@@ -346,7 +340,7 @@ def _read_into(source: BinaryIO, view: memoryview) -> int:
     return got
 
 
-def validate_stream(source: BinaryIO) -> HeaderInfo:
+def validate_stream(source: BinaryIO) -> GranuleHeader:
     """Read one whole granule from `source` and prove it complete and sound.
 
     The header and tflag go through `read_header`; the payload is read through
@@ -361,9 +355,9 @@ def validate_stream(source: BinaryIO) -> HeaderInfo:
     back to the system when its last reference goes (on return, or when the
     caller drops the exception) instead of staying in a thread's malloc arena.
     """
-    info = read_header(source)
-    buf = mmap.mmap(-1, min(STREAM_BUFFER_BYTES, info.expected_payload_bytes))
-    offset, end = info.header_bytes, info.expected_total_bytes
+    h = read_header(source)
+    buf = mmap.mmap(-1, min(STREAM_BUFFER_BYTES, h.expected_payload_bytes))
+    offset, end = h.header_bytes, h.expected_total_bytes
     while offset < end:
         want = min(len(buf), end - offset)
         got = _read_into(source, memoryview(buf)[:want])
@@ -374,7 +368,7 @@ def validate_stream(source: BinaryIO) -> HeaderInfo:
     if source.read(1):
         raise TruncatedError(f"stream continues past the declared {end} bytes",
                              end)
-    return info
+    return h
 
 
 class FrameReader:
@@ -386,20 +380,20 @@ class FrameReader:
     only its payload, so bad values in other frames go unnoticed.
     """
 
-    def __init__(self, source: BinaryIO, info: HeaderInfo | None = None):
-        self.info = info if info is not None else read_header(source)
+    def __init__(self, source: BinaryIO, header: GranuleHeader | None = None):
+        self.header = header if header is not None else read_header(source)
         size = source.seek(0, io.SEEK_END)
-        if size < self.info.expected_total_bytes:
+        if size < self.header.expected_total_bytes:
             raise TruncatedError("stream ended inside payload", size)
         self._source = source
 
     def read_frame(self, index: int) -> np.ndarray:
         """Frame `index` as a read-only (nrows, ncols) float32 array."""
-        h = self.info.header
+        h = self.header
         if not 0 <= index < h.ntimes:
             raise IndexError(f"frame {index} outside 0..{h.ntimes - 1}")
         frame_bytes = h.geometry.nrows * h.geometry.ncols * 4
-        offset = self.info.header_bytes + index * frame_bytes
+        offset = h.header_bytes + index * frame_bytes
         self._source.seek(offset)
         raw = _read_exact(self._source, frame_bytes, offset, "payload")
         values = np.frombuffer(raw, dtype="<f4").reshape(h.geometry.nrows,
@@ -412,7 +406,7 @@ def parse_granule_bytes(data: bytes) -> ForecastGranule:
     return parse_granule(io.BytesIO(data))
 
 
-def read_header_bytes(data: bytes) -> HeaderInfo:
+def read_header_bytes(data: bytes) -> GranuleHeader:
     return read_header(io.BytesIO(data))
 
 
@@ -422,16 +416,11 @@ def make_granule(forecast_id: str,
                  smoke_init: datetime,
                  geometry: GridGeometry,
                  frames: np.ndarray | Sequence[np.ndarray]) -> ForecastGranule:
-    """Assemble a granule with hourly tflags starting at the smoke init.
-    Nothing is checked here: a granule is validated once, when it is
+    """Assemble a granule whose first frame is at the smoke init. Nothing is
+    checked or encoded here: a granule is validated once, when it is
     encoded."""
-    tflag = [calendar_to_julian(smoke_init + timedelta(hours=i))
-             for i in range(len(frames))]
     # no copy for a float32 stack, one for a list of frames
     pm25 = np.asarray(frames, dtype=np.float32)
-    header = GranuleHeader(forecast_id,
-                           calendar_to_julian(created),
-                           calendar_to_julian(weather_init),
-                           calendar_to_julian(smoke_init),
-                           geometry, len(frames))
-    return ForecastGranule(header, tflag, pm25)
+    header = GranuleHeader(forecast_id, created, weather_init, smoke_init,
+                           smoke_init, geometry, len(frames))
+    return ForecastGranule(header, pm25)

@@ -2,7 +2,9 @@
 timestep coverage index.
 
 scan_cache never touches payload bytes: only the magic/header/tflag region of
-each file is read, which is what makes indexing a large cache cheap.
+each file is read, which is what makes indexing a large cache cheap. Each ok
+record keeps the `GranuleHeader` that read returned, whose times are already
+datetimes, so coverage and the consistency report decode no stamp.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from datetime import datetime
 from pathlib import Path
 from typing import Callable
 
-from .granule import (GridGeometry, HeaderInfo, InvalidHeaderError,
+from .granule import (GranuleHeader, GridGeometry, InvalidHeaderError,
                       NotAGranuleError, TruncatedError, read_header)
 from .timecal import HOUR
 
@@ -23,7 +25,7 @@ class ScanRecord:
     path: Path
     forecast_id: str
     status: str                    # ok | not_a_granule | truncated | invalid_header
-    info: HeaderInfo | None = None
+    header: GranuleHeader | None = None
     geometry_class: str = "other"  # canonical | drift | other
     detail: str = ""
 
@@ -102,7 +104,7 @@ def _scan_one(path: Path, canonical, drift, opener) -> ScanRecord:
     fallback_id = path.parent.name
     try:
         with opener(path, "rb") as f:
-            info = read_header(f)
+            header = read_header(f)
     except NotAGranuleError as e:
         return ScanRecord(path, fallback_id, "not_a_granule", detail=str(e))
     except TruncatedError as e:
@@ -114,19 +116,19 @@ def _scan_one(path: Path, canonical, drift, opener) -> ScanRecord:
 
     # payload truncation is visible from the file size alone
     size = path.stat().st_size
-    if size < info.expected_total_bytes:
+    if size < header.expected_total_bytes:
         return ScanRecord(path, fallback_id, "truncated",
                           detail=f"file is {size} bytes, expected "
-                                 f"{info.expected_total_bytes}")
+                                 f"{header.expected_total_bytes}")
 
-    geom = info.header.geometry
+    geom = header.geometry
     if canonical is not None and geom == canonical:
         klass = "canonical"
     elif drift is not None and geom == drift:
         klass = "drift"
     else:
         klass = "other" if canonical is not None else "canonical"
-    return ScanRecord(path, info.header.forecast_id, "ok", info, klass)
+    return ScanRecord(path, header.forecast_id, "ok", header, klass)
 
 
 @dataclass(frozen=True)
@@ -166,10 +168,10 @@ def consistency_report(records: list[ScanRecord],
     buckets: dict[GridGeometry, list[ScanRecord]] = {}
     for r in records:
         if r.ok:
-            buckets.setdefault(r.info.header.geometry, []).append(r)
+            buckets.setdefault(r.header.geometry, []).append(r)
     groups = []
     for geom, recs in buckets.items():
-        created = [r.info.header.created for r in recs]
+        created = [r.header.created for r in recs]
         groups.append(GeometryGroup(geom, len(recs), min(created), max(created),
                                     flagged=canonical is not None and geom != canonical))
     groups.sort(key=lambda g: g.first_created)
@@ -177,15 +179,16 @@ def consistency_report(records: list[ScanRecord],
 
 
 def build_coverage(records: list[ScanRecord]) -> CoverageIndex:
-    """Index every frame of every ok record by its tflag timestep; candidate
-    lists are sorted newest-first by (smoke_init, created, forecast_id)."""
+    """Index every frame of every ok record by its time, `first_frame + i*HOUR`;
+    candidate lists are sorted newest-first by (smoke_init, created,
+    forecast_id)."""
     index: dict[datetime, list[CandidateFrame]] = {}
     for r in records:
         if not r.ok:
             continue
-        h = r.info.header
-        for i in range(h.ntimes):  # header stamps decode once, then cached
-            index.setdefault(r.info.first_frame + i * HOUR, []).append(
+        h = r.header
+        for i in range(h.ntimes):
+            index.setdefault(h.first_frame + i * HOUR, []).append(
                 CandidateFrame(r.path, h.forecast_id, i, h.smoke_init,
                                h.created, h.geometry))
     for cands in index.values():

@@ -1,3 +1,4 @@
+import hashlib
 import os
 from collections import Counter
 from datetime import date, datetime, timedelta
@@ -11,13 +12,13 @@ from smokecurate.archive import (PROVENANCE_COLUMNS, ArchiveError,
                                  box_downsample, build_archive,
                                  level_geometry, level_shape)
 from smokecurate.corpusgen import (DESK_DRIFT_GEOMETRY, DESK_GEOMETRY,
-                                   CorpusSpec, generate_corpus)
+                                   CorpusSpec, FaultProfile, generate_corpus)
 from smokecurate.granule import (GridGeometry, granule_to_bytes, make_granule,
                                  parse_granule, read_header_bytes)
 from smokecurate.indexer import build_coverage, scan_cache
 from smokecurate.regrid import Frame, identity_or_resample
 from smokecurate.sequencer import plan_sequence
-from smokecurate.timecal import UTC, JulianStamp
+from smokecurate.timecal import HOUR, UTC, JulianStamp, calendar_to_julian
 
 from conftest import SMALL_GEOM, T0, archive_from_frames
 
@@ -246,6 +247,34 @@ def test_drift_frames_marked_and_originals_kept(tmp_path):
             assert original is None
 
 
+def test_provenance_and_manifest_bytes_are_pinned(tmp_path):
+    # a faulty, drifting desk corpus: html, missing and truncated runs, gaps
+    # and resampled frames; neither file holds a computed float, so the
+    # digests do not depend on the platform
+    spec = CorpusSpec(start_date=date(2022, 3, 2), end_date=date(2022, 3, 5),
+                      forecast_ids=("BSC00CA12-01", "BSC06CA12-01"),
+                      init_hours=(0, 6), horizon_hours=12, geometry=DESK_GEOMETRY,
+                      drift_geometry=DESK_DRIFT_GEOMETRY,
+                      drift_cutoff=date(2022, 3, 4),
+                      fault_profile=FaultProfile(0.1, 0.15, 0.25), seed=23)
+    manifest = generate_corpus(spec, tmp_path / "c")
+    assert {e.outcome for e in manifest.entries} == \
+        {"ok", "missing", "html", "truncated"}
+    index = build_coverage(scan_cache(tmp_path / "c"))
+    times = index.timesteps()
+    plan = plan_sequence(index, times[0], times[-1])
+    assert (len(plan.picks), len(plan.gaps)) == (60, 30)
+    arch = build_archive(plan, DESK_GEOMETRY, tmp_path / "a", levels=2)
+    assert sum(r.resampled for r in arch.provenance.values()) == 30
+    digest = {name: hashlib.sha256((tmp_path / "a" / name).read_bytes()).hexdigest()
+              for name in ("provenance.csv", "manifest.json")}
+    assert digest == {
+        "provenance.csv":
+            "f92fda61590c33393501793ef3305167e76d183dbc3fe22e678c13de06eb6a93",
+        "manifest.json":
+            "533318df3e4e463102890273c8c55a168ccc5eeec65670e23b7727ba541391c2"}
+
+
 def gapped_archive(tmp_path, levels=1):
     cache = tmp_path / "cache_gap"
     (cache / "BSC00CA12-01").mkdir(parents=True)
@@ -389,9 +418,9 @@ def cached_granule(tmp_path, frames, geometry=SMALL_GEOM):
 def poke_value(path, frame, cell, value):
     """Overwrite one payload value in place; returns its byte offset."""
     data = bytearray(path.read_bytes())
-    info = read_header_bytes(bytes(data))
-    geom = info.header.geometry
-    offset = info.header_bytes + 4 * (frame * geom.nrows * geom.ncols + cell)
+    h = read_header_bytes(bytes(data))
+    geom = h.geometry
+    offset = h.header_bytes + 4 * (frame * geom.nrows * geom.ncols + cell)
     data[offset:offset + 4] = np.array([value], dtype="<f4").tobytes()
     path.write_bytes(bytes(data))
     return offset
@@ -457,23 +486,21 @@ def test_missing_picked_granule_aborts_build(tmp_path):
 
 
 def test_frame_times_come_from_the_header_read(tmp_path, monkeypatch):
-    # frame times come from the header's first frame: coverage decodes only
-    # the smoke init and creation stamps of each granule, and the build
-    # decodes each tflag stamp once in its header read and once more when
-    # CuratedArchive.open reads the provenance rows back
+    # frame times come from the header's first frame: coverage decodes no
+    # stamp, and the build decodes each tflag stamp once in its header read
+    # and once more when CuratedArchive.open reads the provenance rows back
     cached_granule(tmp_path / "cache", random_frames(6, seed=5))
     records = scan_cache(tmp_path / "cache")
-    header, tflag = records[0].info.header, records[0].info.tflag
+    tflag = [calendar_to_julian(T0 + i * HOUR) for i in range(6)]
     calls = []
     original = JulianStamp.validate
     monkeypatch.setattr(JulianStamp, "validate",
                         lambda self: calls.append(self) or original(self))
     plan = plan_sequence(build_coverage(records), T0, T0 + timedelta(hours=5))
-    assert sorted(calls) == sorted([header.sdate, header.cdate])
-    calls.clear()
+    assert calls == []
     arch = build_archive(plan, SMALL_GEOM, tmp_path / "arch")
     assert [JulianStamp(r.tflag_date, r.tflag_time)
-            for r in arch.provenance.values()] == list(tflag)
+            for r in arch.provenance.values()] == tflag
     # tflag[0] and tflag[1] are also the smoke init and creation stamps,
     # which the header read validates once more
     counts = Counter(calls)

@@ -231,7 +231,7 @@ def test_bodies_equal_the_writer_and_each_granule_is_validated_once(
                         lambda self: validated.append(self) or original(self))
     manifest = generate_corpus(spec, tmp_path / "c")
     written = [e for e in manifest.entries if e.outcome != "missing"]
-    assert len(validated) == len(written)
+    assert len(validated) == sum(e.outcome != "html" for e in written)
     assert {e.outcome for e in written} == {"ok", "html", "truncated"}
 
     monkeypatch.setattr(ForecastGranule, "validate", original)

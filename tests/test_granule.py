@@ -3,7 +3,7 @@ import io
 import math
 import re
 import struct
-from datetime import datetime
+from datetime import datetime, timedelta, timezone
 from unittest import mock
 
 import numpy as np
@@ -28,6 +28,13 @@ from smokecurate.timecal import (HOUR, UTC, JulianStamp, calendar_to_julian,
 
 from conftest import (BAD_GEOMETRY_OFFSET, SMALL_GEOM, simple_granule,
                       simple_granule_bytes, with_geometry_field)
+
+
+def _tflag_in(data):
+    """The tflag stamps as the bytes hold them."""
+    h = read_header_bytes(data)
+    return [JulianStamp(*struct.unpack_from("<II", data, HEADER_END + 8 * i))
+            for i in range(h.ntimes)]
 
 
 class CountingStream(io.BytesIO):
@@ -100,17 +107,16 @@ def test_truncation_in_header_region():
 
 def test_header_only_read_skips_payload():
     data = simple_granule_bytes(ntimes=84)
-    info = read_header_bytes(data[: 96 + 84 * 8])  # payload removed entirely
-    assert info.header.ntimes == 84
-    assert info.expected_payload_bytes == 84 * 6 * 8 * 4
+    h = read_header_bytes(data[: 96 + 84 * 8])  # payload removed entirely
+    assert h.ntimes == 84
+    assert h.header_bytes == 96 + 84 * 8
+    assert h.expected_payload_bytes == 84 * 6 * 8 * 4
+    assert h.expected_total_bytes == len(data)
 
 
 def test_read_header_agrees_with_full_parse():
     data = simple_granule_bytes(ntimes=5)
-    info = read_header_bytes(data)
-    g = parse_granule_bytes(data)
-    assert info.header == g.header
-    assert list(info.tflag) == g.tflag
+    assert read_header_bytes(data) == parse_granule_bytes(data).header
 
 
 def test_header_read_cost_under_one_percent_of_large_file():
@@ -171,9 +177,9 @@ def test_parse_never_crashes_on_mutated_granules(data):
     # the parser is the single validator: what it accepts is a valid granule
     # whose frame times are the decoded first frame plus whole hours
     g.validate()
-    info = read_header_bytes(bytes(base))
-    for i, stamp in enumerate(info.tflag):
-        assert info.first_frame + i * HOUR == julian_to_calendar(stamp)
+    h = read_header_bytes(bytes(base))
+    for i, stamp in enumerate(_tflag_in(bytes(base))):
+        assert h.first_frame + i * HOUR == julian_to_calendar(stamp)
 
 
 _YEAR_END_OR_LEAP_DAY = st.one_of(
@@ -189,12 +195,13 @@ _YEAR_END_OR_LEAP_DAY = st.one_of(
 def test_first_frame_across_year_end_and_leap_day(first, ntimes):
     g = simple_granule(ntimes=ntimes, init=first)
     data = granule_to_bytes(g)
-    info = read_header_bytes(data)
-    assert info.first_frame == first
-    assert info.tflag[0] == calendar_to_julian(first)
-    for i, stamp in enumerate(info.tflag):
-        assert info.first_frame + i * HOUR == julian_to_calendar(stamp)
-    assert parse_granule_bytes(data).tflag == list(info.tflag)
+    h = read_header_bytes(data)
+    assert h.first_frame == first
+    tflag = _tflag_in(data)
+    assert tflag[0] == calendar_to_julian(first)
+    for i, stamp in enumerate(tflag):
+        assert h.first_frame + i * HOUR == julian_to_calendar(stamp)
+    assert parse_granule_bytes(data).tflag == tflag
 
 
 def test_parse_decodes_each_stamp_once(monkeypatch):
@@ -233,7 +240,7 @@ def test_frame_reader_matches_full_parse():
     g = parse_granule_bytes(data)
     stream = CountingStream(data)
     reader = FrameReader(stream)
-    assert reader.info == read_header_bytes(data)
+    assert reader.header == read_header_bytes(data)
     for i in range(5):
         np.testing.assert_array_equal(reader.read_frame(i), g.pm25[i])
     with pytest.raises(IndexError):
@@ -246,7 +253,7 @@ def test_frame_reader_reads_only_the_header_and_the_frame():
     data = simple_granule_bytes(ntimes=40)
     stream = CountingStream(data)
     reader = FrameReader(stream)
-    header_bytes = reader.info.header_bytes
+    header_bytes = reader.header.header_bytes
     reader.read_frame(17)
     assert stream.bytes_read == header_bytes + 6 * 8 * 4
 
@@ -499,72 +506,118 @@ def _replace_geometry(g, **changes):
 
 
 @pytest.mark.parametrize("unpackable", [
-    lambda g: dataclasses.replace(g, tflag=[JulianStamp(-1, 0)]),
-    lambda g: _replace_header(g, cdate=JulianStamp(2 ** 32, 0)),
-    lambda g: _replace_geometry(g, ncols=2 ** 32),
+    lambda g: _replace_header(g, first_frame=datetime(9999, 12, 31, 23, tzinfo=UTC)),
+    lambda g: _replace_header(g, created=datetime(2022, 3, 2)),
+    # an empty payload of the declared shape, so the packer meets the field
+    lambda g: dataclasses.replace(_replace_geometry(g, nrows=0, ncols=2 ** 32),
+                                  pm25=np.zeros((2, 0, 2 ** 32), np.float32)),
     lambda g: _replace_geometry(g, lat0="40"),
-], ids=["negative-tflag-stamp", "stamp-above-u32", "dimension-above-u32",
+], ids=["frame-past-year-9999", "naive-created", "dimension-above-u32",
         "text-latitude"])
 def test_unpackable_field_is_a_named_value_error(unpackable):
-    g = unpackable(simple_granule(ntimes=1))
+    g = unpackable(simple_granule(ntimes=2))
     with pytest.raises(ValueError, match="bad granule header"):
         g.validate()
 
 
+def test_sub_second_time_is_caught_by_the_read_back():
+    g = simple_granule(ntimes=1)
+    g = _replace_header(g, weather_init=g.header.weather_init.replace(microsecond=1))
+    with pytest.raises(ValueError, match="reads back as"):
+        g.validate()
+
+
+def test_huge_ntimes_is_refused_before_any_tflag_is_packed(monkeypatch):
+    g = _replace_header(simple_granule(ntimes=1), ntimes=2 ** 40)
+    monkeypatch.setattr(granule, "_pack_head", None)  # calling it would fail
+    with pytest.raises(ValueError, match="payload shape"):
+        g.validate()
+
+
+def test_encode_packs_each_stamp_once(monkeypatch):
+    g = simple_granule(ntimes=5)
+    calls = []
+    original = granule.calendar_to_julian
+    monkeypatch.setattr(granule, "calendar_to_julian",
+                        lambda t: calls.append(t) or original(t))
+    head, _ = granule.encode_granule(g)
+    h = g.header
+    assert sorted(calls) == sorted([h.created, h.weather_init, h.smoke_init] +
+                                   [h.first_frame + i * HOUR for i in range(5)])
+    assert _tflag_in(head) == [original(t) for t in calls[3:]]
+
+
+def test_float32_overflow_is_non_finite_before_write():
+    g = simple_granule(ntimes=1)
+    g.pm25 = g.pm25.astype(np.float64)
+    g.pm25[0, 2, 3] = 1e39  # finite as float64, +inf as the float32 written
+    for check in (g.validate, lambda: granule_to_bytes(g)):
+        with pytest.raises(ValueError, match="non-finite"):
+            check()
+
+
 def _packed_as_laid_out(g):
     """The granule's bytes packed field by field as the module docstring
-    lays them out, with no check: the oracle for what a writer produces."""
+    lays them out, one tflag stamp per given frame, with no check: the oracle
+    for what a writer produces."""
     h, geom = g.header, g.header.geometry
+    cd, wd, sd = (calendar_to_julian(t)
+                  for t in (h.created, h.weather_init, h.smoke_init))
     head = struct.pack("<8sI16s6I3I4d", b"SMOKGRAN", 1,
                        h.forecast_id.encode("utf-8").ljust(16),
-                       h.cdate.date, h.cdate.time, h.wdate.date, h.wdate.time,
-                       h.sdate.date, h.sdate.time,
+                       cd.date, cd.time, wd.date, wd.time, sd.date, sd.time,
                        geom.nrows, geom.ncols, h.ntimes,
                        geom.lat0, geom.lon0, geom.dlat, geom.dlon)
-    tflag = b"".join(struct.pack("<II", s.date, s.time) for s in g.tflag)
+    tflag = b"".join(struct.pack("<II", s.date, s.time) for s in
+                     (calendar_to_julian(h.first_frame + i * HOUR)
+                      for i in range(len(g.pm25))))
     return head + tflag + np.ascontiguousarray(g.pm25, dtype="<f4").tobytes()
 
 
 _INTS = st.one_of(st.integers(-2, 2 ** 32 + 2),
-                  st.sampled_from([-1, 0, 1, 2 ** 32 - 1, 2 ** 32, 2022060,
-                                   2021366, 2024366, 240000, 236000, 235960]))
+                  st.sampled_from([-1, 0, 1, 2 ** 32 - 1, 2 ** 32]))
 _FLOATS = st.one_of(st.floats(), st.sampled_from(
     [math.nan, math.inf, -math.inf, -91.0, -90.0, 0.0, -0.0, 180.0, -180.0]))
 _IDS = st.one_of(st.sampled_from(["", "AB\x01", "ABC  ", " ABC", "\xe9",
                                   "A" * 16, "A" * 17]), st.text(max_size=18))
-_FIELDS = ("forecast_id", "cdate", "wdate", "sdate", "nrows", "ncols",
-           "ntimes", "lat0", "lon0", "dlat", "dlon", "tflag", "payload")
+# naive, sub-second, other-zone and edge-of-range times; an aware time at
+# year 1 or 9999 may not convert to UTC, and a late first frame's next
+# frames may not exist
+_TIMES = st.one_of(
+    st.datetimes(timezones=st.sampled_from(
+        [None, UTC, timezone(timedelta(hours=-7)),
+         timezone(timedelta(hours=5, minutes=30))])),
+    st.sampled_from([datetime(1, 1, 1, tzinfo=UTC),
+                     datetime(1, 1, 1, tzinfo=timezone(timedelta(hours=1))),
+                     datetime(9999, 12, 31, 22, tzinfo=UTC),
+                     datetime(9999, 12, 31, 23, 59, 59, tzinfo=UTC)]))
+_FIELDS = ("forecast_id", "created", "weather_init", "smoke_init",
+           "first_frame", "nrows", "ncols", "ntimes", "lat0", "lon0", "dlat",
+           "dlon", "payload")
 
 
 @st.composite
 def _granules_with_faults(draw):
-    """A small granule with at most two header, tflag or payload fields
-    replaced by values drawn to break it (some of which do not)."""
+    """A small granule with at most two header or payload fields replaced by
+    values drawn to break it (some of which do not)."""
     broken = set(draw(st.lists(st.sampled_from(_FIELDS), max_size=2)))
 
     def field(name, good, bad):
         return draw(bad) if name in broken else good
 
     first = draw(st.datetimes(datetime(1990, 1, 1), datetime(2100, 1, 1),
-                              timezones=st.just(UTC)))
+                              timezones=st.just(UTC))).replace(microsecond=0)
     n = draw(st.integers(1, 3))
-    tflag = [calendar_to_julian(first + i * HOUR) for i in range(n)]
-    if "tflag" in broken:
-        i = draw(st.integers(0, n - 1))
-        tflag[i] = draw(st.one_of(
-            st.builds(JulianStamp, _INTS, _INTS),
-            st.sampled_from([-1, 1, 2]).map(
-                lambda k: calendar_to_julian(first + (i + k) * HOUR))))
-    stamp = st.builds(JulianStamp, _INTS, _INTS)
     geometry = GridGeometry(field("nrows", 2, _INTS), field("ncols", 3, _INTS),
                             field("lat0", 40.0, _FLOATS),
                             field("lon0", -120.0, _FLOATS),
                             field("dlat", 0.5, _FLOATS),
                             field("dlon", 0.5, _FLOATS))
     header = GranuleHeader(field("forecast_id", "BSC00CA12-01", _IDS),
-                           field("cdate", calendar_to_julian(first), stamp),
-                           field("wdate", calendar_to_julian(first), stamp),
-                           field("sdate", calendar_to_julian(first), stamp),
+                           field("created", first, _TIMES),
+                           field("weather_init", first, _TIMES),
+                           field("smoke_init", first, _TIMES),
+                           field("first_frame", first, _TIMES),
                            geometry, field("ntimes", n, _INTS))
 
     def small(k, default):
@@ -576,7 +629,7 @@ def _granules_with_faults(draw):
     if "payload" in broken and pm25.size:
         pm25.reshape(-1)[draw(st.integers(0, pm25.size - 1))] = \
             draw(st.sampled_from([np.nan, np.inf, -1.0]))
-    return ForecastGranule(header, tflag, pm25)
+    return ForecastGranule(header, pm25)
 
 
 @settings(max_examples=400, deadline=None)
@@ -585,10 +638,10 @@ def test_validate_accepts_exactly_what_reads_back_unchanged(g):
     try:
         data = _packed_as_laid_out(g)
         back = parse_granule_bytes(data)
-        reads_back = (back.header == g.header and back.tflag == g.tflag
+        reads_back = (back.header == g.header
                       and back.pm25.shape == g.pm25.shape
                       and np.array_equal(back.pm25, g.pm25))
-    except (struct.error, GranuleError):
+    except (struct.error, ValueError, OverflowError, GranuleError):
         reads_back = False
     if reads_back:
         g.validate()

@@ -99,7 +99,7 @@ def test_scan_reads_zero_payload_bytes(tmp_path):
     records = scan_cache(cache, opener=PayloadCountingFile)
     assert all(r.ok for r in records)
     for r in records:
-        header_region = 96 + r.info.header.ntimes * 8
+        header_region = 96 + r.header.ntimes * 8
         assert PayloadCountingFile.totals[str(r.path)] == header_region
 
 
