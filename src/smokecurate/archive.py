@@ -212,6 +212,16 @@ def build_archive(plan: SequencePlan, canonical: GridGeometry,
     return CuratedArchive.open(out)
 
 
+def _parse_time(text: str) -> datetime:
+    return datetime.strptime(text, ISO_Z).replace(tzinfo=UTC)
+
+
+def _level_count(levels: int) -> int:
+    if not isinstance(levels, int) or levels < 1:
+        raise ValueError(f"{levels!r} is not a positive level count")
+    return levels
+
+
 def _write_chunk(path: Path, values: np.ndarray) -> None:
     tmp = path.with_suffix(".tmp")
     with open(tmp, "wb") as f:
@@ -260,32 +270,59 @@ class CuratedArchive:
 
     @classmethod
     def open(cls, root: Path | str) -> "CuratedArchive":
+        """Open the archive at `root`. A missing, unreadable or malformed
+        manifest or provenance file raises ArchiveError naming the file and
+        the key or line at fault."""
         root = Path(root)
-        manifest = json.loads((root / "manifest.json").read_text())
+        path = root / "manifest.json"
+        try:
+            manifest = json.loads(path.read_text())
+        except OSError as e:
+            raise ArchiveError(f"{path}: {e.strerror}") from e
+        except ValueError as e:
+            raise ArchiveError(f"{path}: not JSON: {e}") from e
+        if not isinstance(manifest, dict):
+            raise ArchiveError(f"{path}: not a JSON object")
         if manifest.get("format_version") != 1:
-            raise ArchiveError(f"unsupported archive format: "
+            raise ArchiveError(f"{path}: unsupported archive format: "
                                f"{manifest.get('format_version')}")
-        g = manifest["geometry"]
-        geometry = GridGeometry(g["nrows"], g["ncols"], g["lat0"], g["lon0"],
-                                g["dlat"], g["dlon"])
-        start = datetime.strptime(manifest["start"], ISO_Z).replace(tzinfo=UTC)
-        end = datetime.strptime(manifest["end"], ISO_Z).replace(tzinfo=UTC)
-        gaps = {datetime.strptime(s, ISO_Z).replace(tzinfo=UTC)
-                for s in manifest["gaps"]}
+
+        def value(key, parse):
+            if key not in manifest:
+                raise ArchiveError(f"{path}: no {key!r} key")
+            try:
+                return parse(manifest[key])
+            except (TypeError, ValueError) as e:
+                raise ArchiveError(f"{path}: bad {key!r}: {e}") from e
+
+        geometry = value("geometry", lambda g: GridGeometry(**g).validate())
+        start, end = value("start", _parse_time), value("end", _parse_time)
+        levels = value("levels", _level_count)
+        gaps = value("gaps", lambda texts: set(map(_parse_time, texts)))
+
+        path = root / "provenance.csv"
         provenance = {}
-        with open(root / "provenance.csv", newline="") as f:
-            for row in csv.DictReader(f):
-                pr = ProvenanceRow(
-                    int(row["tflag_date"]), int(row["tflag_time"]),
-                    int(row["cdate"]), int(row["ctime"]),
-                    int(row["wdate"]), int(row["wtime"]),
-                    int(row["sdate"]), int(row["stime"]),
-                    row["forecast_id"], row["resampled"] == "true",
-                    row["wrf_arw_init_time"])
-                t = julian_to_calendar(JulianStamp(pr.tflag_date, pr.tflag_time))
-                provenance[t] = pr
-        return cls(root, geometry, start, end, manifest["levels"], gaps,
-                   provenance, has_originals=manifest.get("originals", False))
+        try:
+            with open(path, newline="") as f:
+                reader = csv.DictReader(f)
+                for row in reader:
+                    pr = ProvenanceRow(
+                        int(row["tflag_date"]), int(row["tflag_time"]),
+                        int(row["cdate"]), int(row["ctime"]),
+                        int(row["wdate"]), int(row["wtime"]),
+                        int(row["sdate"]), int(row["stime"]),
+                        row["forecast_id"], row["resampled"] == "true",
+                        row["wrf_arw_init_time"])
+                    t = julian_to_calendar(JulianStamp(pr.tflag_date, pr.tflag_time))
+                    provenance[t] = pr
+        except OSError as e:
+            raise ArchiveError(f"{path}: {e.strerror}") from e
+        except KeyError as e:
+            raise ArchiveError(f"{path}: no column {e}") from e
+        except (csv.Error, TypeError, ValueError) as e:
+            raise ArchiveError(f"{path} line {reader.line_num}: {e}") from e
+        return cls(root, geometry, start, end, levels, gaps, provenance,
+                   has_originals=manifest.get("originals", False))
 
     def _index_of(self, t: datetime) -> int:
         if not self.start <= t <= self.end:

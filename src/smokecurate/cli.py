@@ -193,7 +193,7 @@ def validate(cache, scale, dump_index):
     report = indexer.consistency_report(records, canonical)
     click.echo(report.format() or "no parseable granules")
     for r in bad:
-        click.echo(f"{r.path}: {r.status}", err=True)
+        click.echo(f"{r.path}: {r.status}: {r.detail}", err=True)
     if dump_index:
         indexer.build_coverage(records).dump_json(dump_index)
     click.echo(f"{len(records) - len(bad)} ok, {len(bad)} rejected")

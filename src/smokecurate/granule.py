@@ -27,6 +27,7 @@ from __future__ import annotations
 import io
 import math
 import mmap
+import numbers
 import struct
 from dataclasses import dataclass
 from datetime import datetime
@@ -84,6 +85,9 @@ class GridGeometry:
     def validate(self) -> "GridGeometry":
         if not all(map(math.isfinite, (self.lat0, self.lon0, self.dlat, self.dlon))):
             raise ValueError("grid origin and spacing must be finite")
+        if not all(isinstance(n, numbers.Integral) for n in (self.nrows, self.ncols)):
+            raise ValueError(f"grid dimensions {self.nrows!r}x{self.ncols!r} "
+                             f"are not integers")
         if self.nrows < 2 or self.ncols < 2:
             raise ValueError(f"grid must be at least 2x2, got {self.nrows}x{self.ncols}")
         if self.dlat <= 0 or self.dlon <= 0:
@@ -109,15 +113,6 @@ class GridGeometry:
 
     def longitudes(self) -> np.ndarray:
         return self.lon0 + np.arange(self.ncols) * self.dlon
-
-
-def grid_coordinates(geom: GridGeometry, row: int, col: int) -> tuple[float, float]:
-    """(latitude, longitude) of a grid point."""
-    if not 0 <= row < geom.nrows:
-        raise IndexError(f"row {row} outside 0..{geom.nrows - 1}")
-    if not 0 <= col < geom.ncols:
-        raise IndexError(f"col {col} outside 0..{geom.ncols - 1}")
-    return geom.lat0 + row * geom.dlat, geom.lon0 + col * geom.dlon
 
 
 @dataclass(frozen=True)
@@ -203,22 +198,10 @@ def _pack_head(h: GranuleHeader) -> bytes:
 
 
 def encode_granule(g: ForecastGranule) -> tuple[bytes, memoryview]:
-    """Validate `g` once and return its header and tflag bytes and a byte
-    view of its payload."""
+    """The one serializer: validate `g` once and return its header and tflag
+    bytes and a byte view of its payload."""
     head, payload = g.validate()
     return head, memoryview(payload).cast("B")
-
-
-def write_granule(g: ForecastGranule, dest: BinaryIO) -> int:
-    """Serialize a granule after one validation; returns the byte count."""
-    head, payload = encode_granule(g)
-    dest.write(head)
-    dest.write(payload)
-    return len(head) + len(payload)
-
-
-def granule_to_bytes(g: ForecastGranule) -> bytes:
-    return b"".join(encode_granule(g))
 
 
 def _read_upto(source: BinaryIO, n: int) -> bytes:
@@ -308,6 +291,15 @@ def parse_granule(source: BinaryIO) -> ForecastGranule:
     every invariant of ForecastGranule.validate.
     """
     h = read_header(source)
+    if source.seekable():
+        # refuse a payload the source cannot hold before a read of the
+        # declared size allocates a buffer for it
+        here = source.tell()
+        left = source.seek(0, io.SEEK_END) - here
+        source.seek(here)
+        if left < h.expected_payload_bytes:
+            raise TruncatedError("stream ended inside payload",
+                                 h.header_bytes + left)
     raw = _read_exact(source, h.expected_payload_bytes, h.header_bytes, "payload")
     pm25 = np.frombuffer(raw, dtype="<f4").reshape(
         h.ntimes, h.geometry.nrows, h.geometry.ncols).copy()

@@ -144,10 +144,6 @@ class GeometryGroup:
 class ConsistencyReport:
     groups: list[GeometryGroup]
 
-    @property
-    def flagged_groups(self) -> list[GeometryGroup]:
-        return [g for g in self.groups if g.flagged]
-
     def format(self) -> str:
         lines = []
         for g in self.groups:

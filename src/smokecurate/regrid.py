@@ -20,13 +20,11 @@ class Frame:
     geometry: GridGeometry
     values: np.ndarray
     resampled: bool = False
-    out_of_extent: int = 0  # target cells outside the source bbox, zero-filled
 
 
 def bilinear_resample(src: Frame, target: GridGeometry) -> Frame:
     """Resample onto `target` by bilinear blending of the 4 enclosing source
-    points. Target points outside the source bounding box are set to 0 and
-    counted in `out_of_extent`.
+    points. Target points outside the source bounding box are set to 0.
 
     When the two grids share origin and spacing exactly (only `nrows`/`ncols`
     differ), every in-extent target point is a source point: the overlap is
@@ -43,8 +41,7 @@ def bilinear_resample(src: Frame, target: GridGeometry) -> Frame:
         out = np.zeros((target.nrows, target.ncols))
         # adding +0.0 turns -0.0 into +0.0, so no cell is negative zero
         np.add(src.values[:rows, :cols], 0.0, out=out[:rows, :cols])
-        return Frame(target, out, resampled=True,
-                     out_of_extent=out.size - rows * cols)
+        return Frame(target, out, resampled=True)
 
     lat = target.lat0 + np.arange(target.nrows) * target.dlat
     lon = target.lon0 + np.arange(target.ncols) * target.dlon
@@ -73,13 +70,11 @@ def bilinear_resample(src: Frame, target: GridGeometry) -> Frame:
 
     out = np.where(inside, out, 0.0)
     np.maximum(out, 0.0, out=out)
-    return Frame(target, out, resampled=True,
-                 out_of_extent=int(np.size(inside) - np.count_nonzero(inside)))
+    return Frame(target, out, resampled=True)
 
 
 def identity_or_resample(frame: Frame, canonical: GridGeometry) -> Frame:
     """Pass canonical-grid frames through unchanged; resample anything else."""
     if frame.geometry == canonical:
-        return Frame(frame.geometry, frame.values, resampled=False,
-                     out_of_extent=frame.out_of_extent)
+        return Frame(frame.geometry, frame.values)
     return bilinear_resample(frame, canonical)

@@ -10,7 +10,7 @@ import pytest
 
 from smokecurate.archive import build_archive
 from smokecurate.corpusgen import CorpusSpec, FaultProfile
-from smokecurate.granule import (HEADER_END, GridGeometry, granule_to_bytes,
+from smokecurate.granule import (HEADER_END, GridGeometry, encode_granule,
                                  make_granule)
 from smokecurate.indexer import build_coverage, scan_cache
 from smokecurate.sequencer import plan_sequence
@@ -36,6 +36,11 @@ def simple_granule(ntimes=4, geometry=SMALL_GEOM, forecast_id="BSC00CA12-01",
     return make_granule(forecast_id, created=init + timedelta(hours=1),
                         weather_init=init - timedelta(hours=6),
                         smoke_init=init, geometry=geometry, frames=frames)
+
+
+def granule_to_bytes(g) -> bytes:
+    """One granule body: the two parts `encode_granule` returns, joined."""
+    return b"".join(encode_granule(g))
 
 
 def simple_granule_bytes(**kwargs) -> bytes:

@@ -18,8 +18,8 @@ from smokecurate.corpusgen import (DESK_DRIFT_GEOMETRY, DESK_GEOMETRY,
                                    CorpusSpec, FaultProfile, generate_corpus)
 from smokecurate.fetcher import SourceEndpoint, embedded_init_hour, fetch_range
 from smokecurate.granule import (GridGeometry, NotAGranuleError,
-                                 TruncatedError, granule_to_bytes,
-                                 make_granule, parse_granule_bytes)
+                                 TruncatedError, make_granule,
+                                 parse_granule_bytes)
 from smokecurate.indexer import build_coverage, scan_cache
 from smokecurate.pvanalysis import SolarRecord, fit_regression, run_analysis
 from smokecurate.query import SamplingMode, sample_point
@@ -28,7 +28,7 @@ from smokecurate.sequencer import plan_sequence
 from smokecurate.timecal import (HOUR, UTC, JulianStamp, calendar_to_julian,
                                  hour_range, julian_to_calendar)
 
-from conftest import SMALL_GEOM, T0, archive_from_frames
+from conftest import SMALL_GEOM, T0, archive_from_frames, granule_to_bytes
 
 IDS = ("BSC00CA12-01", "BSC06CA12-01", "BSC12CA12-01", "BSC18CA12-01")
 TINY_GEOM = GridGeometry(4, 5, 40.0, -120.0, 0.5, 0.5)

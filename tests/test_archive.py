@@ -1,4 +1,5 @@
 import hashlib
+import json
 import os
 from collections import Counter
 from datetime import date, datetime, timedelta
@@ -13,14 +14,14 @@ from smokecurate.archive import (PROVENANCE_COLUMNS, ArchiveError,
                                  level_geometry, level_shape)
 from smokecurate.corpusgen import (DESK_DRIFT_GEOMETRY, DESK_GEOMETRY,
                                    CorpusSpec, FaultProfile, generate_corpus)
-from smokecurate.granule import (GridGeometry, granule_to_bytes, make_granule,
-                                 parse_granule, read_header_bytes)
+from smokecurate.granule import (GridGeometry, make_granule, parse_granule,
+                                 read_header_bytes)
 from smokecurate.indexer import build_coverage, scan_cache
 from smokecurate.regrid import Frame, identity_or_resample
 from smokecurate.sequencer import plan_sequence
 from smokecurate.timecal import HOUR, UTC, JulianStamp, calendar_to_julian
 
-from conftest import SMALL_GEOM, T0, archive_from_frames
+from conftest import SMALL_GEOM, T0, archive_from_frames, granule_to_bytes
 
 
 def random_frames(n, geometry=SMALL_GEOM, seed=0):
@@ -402,6 +403,61 @@ def test_wrong_size_original_raises_archive_error(tmp_path):
     original.write_bytes(b"\0" * 13)
     with pytest.raises(ArchiveError, match="13 bytes"):
         arch.read_original(T0)
+
+
+def _manifest_with(edit):
+    def damage(root):
+        manifest = json.loads((root / "manifest.json").read_text())
+        edit(manifest)
+        (root / "manifest.json").write_text(json.dumps(manifest))
+    return damage
+
+
+def _provenance_cell(column, value):
+    """Set `column` of the second data row (line 3 of the file)."""
+    def damage(root):
+        path = root / "provenance.csv"
+        lines = path.read_text().splitlines()
+        row = lines[2].split(",")
+        row[PROVENANCE_COLUMNS.index(column)] = value
+        lines[2] = ",".join(row)
+        path.write_text("\n".join(lines) + "\n")
+    return damage
+
+
+def _truncate(name):
+    def damage(root):
+        path = root / name
+        path.write_text(path.read_text()[:40])
+    return damage
+
+
+@pytest.mark.parametrize("damage, file, where", [
+    (_truncate("manifest.json"), "manifest.json", "not JSON"),
+    (_manifest_with(lambda m: m.pop("gaps")), "manifest.json", "no 'gaps' key"),
+    (_manifest_with(lambda m: m.update(start="yesterday")), "manifest.json",
+     "bad 'start'"),
+    (_manifest_with(lambda m: m["geometry"].update(nrows="six")),
+     "manifest.json", "bad 'geometry'"),
+    (_manifest_with(lambda m: m.update(levels="3")), "manifest.json",
+     "bad 'levels'"),
+    (_provenance_cell("tflag_time", "250000"), "provenance.csv", "line 3"),
+    (_provenance_cell("cdate", "x"), "provenance.csv", "line 3"),
+    (lambda root: (root / "provenance.csv").unlink(), "provenance.csv",
+     "No such file"),
+    (lambda root: (root / "manifest.json").unlink(), "manifest.json",
+     "No such file"),
+], ids=["truncated-manifest", "no-gaps", "bad-start", "text-nrows",
+        "text-levels", "tflag-time-out-of-range", "non-integer-stamp",
+        "no-provenance", "no-manifest"])
+def test_damaged_archive_open_names_file_and_place(tmp_path, damage, file,
+                                                   where):
+    root = archive_from_frames(tmp_path, random_frames(3)).root
+    damage(root)
+    with pytest.raises(ArchiveError) as err:
+        CuratedArchive.open(root)
+    assert str(err.value).startswith(str(root / file))
+    assert where in str(err.value)
 
 
 def cached_granule(tmp_path, frames, geometry=SMALL_GEOM):

@@ -7,6 +7,8 @@ from click.testing import CliRunner
 
 from smokecurate.cli import main
 
+from conftest import BAD_GEOMETRY_OFFSET, simple_granule_bytes, with_geometry_field
+
 LOCAL = timezone(timedelta(hours=-6))
 
 
@@ -114,9 +116,14 @@ def test_full_pipeline_artifacts(pipeline):
 
 
 def test_validate_counts(pipeline, runner):
+    bad = pipeline / "cache" / "BSC00CA12-01" / "dispersion_20220305.gran"
+    bad.write_bytes(with_geometry_field(simple_granule_bytes(), "lat0", math.nan))
     result = run_ok(runner, ["validate", "--cache", str(pipeline / "cache")])
-    assert "6 ok, 0 rejected" in result.output
+    assert "6 ok, 1 rejected" in result.output
     assert "20x40" in result.output
+    assert result.stderr == (f"{bad}: invalid_header: bad geometry: grid origin "
+                             f"and spacing must be finite (at byte "
+                             f"{BAD_GEOMETRY_OFFSET})\n")
 
 
 def test_validate_dump_index(pipeline, runner):

@@ -12,11 +12,11 @@ from smokecurate.corpusgen import (DEFAULT_FORECAST_IDS, DESK_DRIFT_GEOMETRY,
                                    PuffSource, build_run_granule,
                                    generate_corpus, make_world, puff_field)
 from smokecurate.granule import (ForecastGranule, GridGeometry, NotAGranuleError,
-                                 TruncatedError, granule_to_bytes,
-                                 parse_granule_bytes, read_header_bytes)
+                                 TruncatedError, parse_granule_bytes,
+                                 read_header_bytes)
 from smokecurate.timecal import UTC
 
-from conftest import SMALL_GEOM
+from conftest import SMALL_GEOM, granule_to_bytes
 
 
 def tree_digest(root):

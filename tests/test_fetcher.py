@@ -21,11 +21,11 @@ from smokecurate.fetcher import (ConfigError, SourceEndpoint, build_url,
                                  probe_earliest)
 from smokecurate.granule import (STREAM_BUFFER_BYTES, GranuleError,
                                  GridGeometry, InvalidHeaderError,
-                                 parse_granule_bytes, read_header_bytes,
-                                 write_granule)
+                                 parse_granule_bytes, read_header_bytes)
 
-from conftest import (BAD_GEOMETRY_OFFSET, SMALL_GEOM, simple_granule,
-                      simple_granule_bytes, with_geometry_field)
+from conftest import (BAD_GEOMETRY_OFFSET, SMALL_GEOM, granule_to_bytes,
+                      simple_granule, simple_granule_bytes,
+                      with_geometry_field)
 
 IDS = ("BSC00CA12-01", "BSC06CA12-01")
 
@@ -349,7 +349,8 @@ def test_fetch_report_csv_gives_the_fault_offset(tmp_path):
 def test_fetch_holds_one_buffer_not_the_body(tmp_path):
     path = publish(tmp_path / "corpus", b"")
     with open(path, "wb") as f:
-        size = write_granule(simple_granule(ntimes=24, geometry=FULL_GEOMETRY), f)
+        size = f.write(granule_to_bytes(
+            simple_granule(ntimes=24, geometry=FULL_GEOMETRY)))
     assert size >= 32 << 20
     gc.collect()
     tracemalloc.start()

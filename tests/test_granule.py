@@ -17,17 +17,16 @@ from smokecurate.granule import (HEADER_END, ForecastGranule, FrameReader,
                                  GridGeometry, InvalidHeaderError,
                                  NotAGranuleError,
                                  TruncatedError, _check_payload,
-                                 grid_coordinates,
-                                 granule_to_bytes, parse_granule,
+                                 encode_granule, parse_granule,
                                  parse_granule_bytes, read_header,
-                                 read_header_bytes, validate_stream,
-                                 write_granule)
+                                 read_header_bytes, validate_stream)
 
 from smokecurate.timecal import (HOUR, UTC, JulianStamp, calendar_to_julian,
                                  julian_to_calendar)
 
-from conftest import (BAD_GEOMETRY_OFFSET, SMALL_GEOM, simple_granule,
-                      simple_granule_bytes, with_geometry_field)
+from conftest import (BAD_GEOMETRY_OFFSET, SMALL_GEOM, granule_to_bytes,
+                      simple_granule, simple_granule_bytes,
+                      with_geometry_field)
 
 
 def _tflag_in(data):
@@ -74,14 +73,14 @@ def test_nan_rejected_before_write():
     g = simple_granule(ntimes=1)
     g.pm25[0, 0, 0] = np.nan
     with pytest.raises(ValueError, match="non-finite"):
-        write_granule(g, io.BytesIO())
+        encode_granule(g)
 
 
 def test_negative_rejected_before_write():
     g = simple_granule(ntimes=1)
     g.pm25[0, 1, 1] = -1.0
     with pytest.raises(ValueError, match="negative"):
-        write_granule(g, io.BytesIO())
+        encode_granule(g)
 
 
 def test_html_bytes_are_not_a_granule():
@@ -138,19 +137,6 @@ def test_bad_tflag_contiguity_rejected():
     data[HEADER_END + 8: HEADER_END + 16] = data[HEADER_END: HEADER_END + 8]
     with pytest.raises(InvalidHeaderError):
         read_header_bytes(bytes(data))
-
-
-def test_grid_coordinates_origin_and_corners():
-    geom = GridGeometry(381, 1081, 32.0, -160.0, 0.1, 0.1)
-    assert grid_coordinates(geom, 0, 0) == (32.0, -160.0)
-    lat, lon = grid_coordinates(geom, 10, 20)
-    assert lat == pytest.approx(33.0)
-    assert lon == pytest.approx(-158.0)
-    ne = grid_coordinates(geom, 380, 1080)
-    assert ne[0] == pytest.approx(32.0 + 380 * 0.1)
-    assert ne[1] == pytest.approx(-160.0 + 1080 * 0.1)
-    with pytest.raises(IndexError):
-        grid_coordinates(geom, 381, 0)
 
 
 @settings(max_examples=200, deadline=None)
@@ -283,6 +269,33 @@ def test_frame_reader_rejects_truncated_source():
     with pytest.raises(TruncatedError):
         FrameReader(io.BytesIO(data[:-1]), info)  # a known header is rechecked
     FrameReader(io.BytesIO(data + b"\0" * 8)).read_frame(2)  # trailing bytes ok
+
+
+class RefusesLongReads(io.BytesIO):
+    """A seekable source that fails a read asking for more bytes than it
+    holds, as a buffered file does when the buffer cannot be allocated."""
+
+    def read(self, n=-1):
+        if n > len(self.getbuffer()):
+            raise MemoryError(f"read({n}) from a {len(self.getbuffer())}-byte source")
+        return super().read(n)
+
+
+def test_payload_larger_than_the_source_is_refused_before_reading(tmp_path):
+    # header and one tflag entry declaring a 2 x (2**32 - 1) grid (34 GB),
+    # spaced finely enough to stay on the globe, and no payload
+    head = bytearray(simple_granule_bytes(ntimes=1)[:HEADER_END + 8])
+    struct.pack_into("<II", head, 52, 2, 2 ** 32 - 1)  # nrows, ncols
+    body = with_geometry_field(bytes(head), "dlon", 1e-300)
+    path = tmp_path / "huge.gran"
+    path.write_bytes(body)
+    for read in (parse_granule, validate_stream, FrameReader):
+        with open(path, "rb") as f, pytest.raises(TruncatedError) as err:
+            read(f)
+        assert err.value.offset == len(body)
+    with pytest.raises(TruncatedError) as err:
+        parse_granule(RefusesLongReads(body))
+    assert err.value.offset == len(body)
 
 
 def _mask_rule(values, offset):

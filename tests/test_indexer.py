@@ -5,12 +5,12 @@ import pytest
 
 from smokecurate.corpusgen import (DESK_DRIFT_GEOMETRY, DESK_GEOMETRY,
                                    CorpusSpec, generate_corpus)
-from smokecurate.granule import granule_to_bytes
 from smokecurate.indexer import build_coverage, consistency_report, scan_cache
 from smokecurate.timecal import UTC
 
-from conftest import (BAD_GEOMETRY_OFFSET, SMALL_GEOM, simple_granule,
-                      simple_granule_bytes, with_geometry_field)
+from conftest import (BAD_GEOMETRY_OFFSET, SMALL_GEOM, granule_to_bytes,
+                      simple_granule, simple_granule_bytes,
+                      with_geometry_field)
 
 
 class PayloadCountingFile:
@@ -119,7 +119,7 @@ def test_consistency_report_single_group(tmp_path):
     cache = write_cache(tmp_path, [simple_granule(ntimes=1) for _ in range(3)])
     report = consistency_report(scan_cache(cache), canonical=SMALL_GEOM)
     assert len(report.groups) == 1
-    assert not report.flagged_groups
+    assert not [g for g in report.groups if g.flagged]
     assert report.groups[0].count == 3
 
 

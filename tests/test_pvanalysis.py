@@ -4,7 +4,7 @@ from datetime import date, datetime, time, timedelta, timezone
 import numpy as np
 import pytest
 
-from smokecurate.granule import granule_to_bytes, make_granule
+from smokecurate.granule import make_granule
 from smokecurate.indexer import build_coverage, scan_cache
 from smokecurate.pvanalysis import (DEFAULT_CLEAR_SKY_THRESHOLD,
                                     FitError, InsufficientDataError,
@@ -19,7 +19,7 @@ from smokecurate.sequencer import plan_sequence
 from smokecurate.archive import build_archive
 from smokecurate.timecal import UTC
 
-from conftest import SMALL_GEOM, T0, archive_from_frames
+from conftest import SMALL_GEOM, T0, archive_from_frames, granule_to_bytes
 
 LOCAL = timezone(timedelta(hours=-6))
 SITE = (41.0, -118.0)
