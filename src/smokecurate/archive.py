@@ -17,12 +17,12 @@ On-disk layout:
 
 from __future__ import annotations
 
-import csv
 import json
 import os
 from contextlib import ExitStack, closing
 from dataclasses import dataclass
 from datetime import datetime
+from functools import lru_cache
 from itertools import groupby
 from pathlib import Path
 from typing import Iterator
@@ -32,9 +32,10 @@ import numpy as np
 from . import __version__
 from .granule import FrameReader, GranuleError, GranuleHeader, GridGeometry
 from .regrid import Frame, identity_or_resample
-from .sequencer import ISO_Z, SequencePlan
-from .timecal import (HOUR, UTC, JulianStamp, calendar_to_julian, hour_range,
-                      julian_to_calendar)
+from .sequencer import SequencePlan
+from .tables import read_table, write_table
+from .timecal import (HOUR, ISO_Z, JulianStamp, calendar_to_julian, hour_range,
+                      julian_to_calendar, parse_iso_z)
 
 PROVENANCE_COLUMNS = ["tflag_date", "tflag_time", "cdate", "ctime", "wdate",
                       "wtime", "sdate", "stime", "forecast_id", "resampled",
@@ -169,7 +170,7 @@ def build_archive(plan: SequencePlan, canonical: GridGeometry,
         (out / f"L{lv}").mkdir(exist_ok=True)
     orig_dir = out / "originals"
 
-    rows: list[ProvenanceRow] = []
+    rows: list[list] = []  # provenance.csv
     any_resampled = False
     with closing(_picked_frames(plan)) as picked:
         for t, h, values in picked:
@@ -188,12 +189,12 @@ def build_archive(plan: SequencePlan, canonical: GridGeometry,
                     level_values = box_downsample(level_values).astype(np.float32)
             tf, cd, wd, sd = map(calendar_to_julian,
                                  (t, h.created, h.weather_init, h.smoke_init))
-            rows.append(ProvenanceRow(
-                tf.date, tf.time, cd.date, cd.time, wd.date, wd.time,
-                sd.date, sd.time, h.forecast_id, frame.resampled,
-                h.weather_init.strftime(ISO_Z)))
+            rows.append([tf.date, tf.time, cd.date, cd.time, wd.date, wd.time,
+                         sd.date, sd.time, h.forecast_id,
+                         "true" if frame.resampled else "false",
+                         h.weather_init.strftime(ISO_Z)])
 
-    _write_provenance(out / "provenance.csv", rows)
+    write_table(out / "provenance.csv", PROVENANCE_COLUMNS, rows)
     manifest = {
         "format_version": 1,
         "tool_version": __version__,
@@ -212,8 +213,30 @@ def build_archive(plan: SequencePlan, canonical: GridGeometry,
     return CuratedArchive.open(out)
 
 
-def _parse_time(text: str) -> datetime:
-    return datetime.strptime(text, ISO_Z).replace(tzinfo=UTC)
+@lru_cache(maxsize=64)
+def _iso_z_text(stamp: JulianStamp) -> str:
+    # rows of one granule share a weather stamp; every open checks each row
+    return julian_to_calendar(stamp).strftime(ISO_Z)
+
+
+def _provenance_entry(row: dict[str, str]) -> tuple[datetime, ProvenanceRow]:
+    """A provenance.csv row, keyed by its timestep. Every stamp must be
+    valid, `resampled` must be true or false, and `wrf_arw_init_time` must be
+    the weather stamp's ISO_Z text."""
+    tf, cd, wd, sd = (JulianStamp(int(row[f"{p}date"]), int(row[f"{p}time"]))
+                      for p in ("tflag_", "c", "w", "s"))
+    cd.validate()
+    sd.validate()
+    weather = _iso_z_text(wd)
+    if row["resampled"] not in ("true", "false"):
+        raise ValueError(f"resampled is {row['resampled']!r}, "
+                         f"not true or false")
+    if row["wrf_arw_init_time"] != weather:
+        raise ValueError(f"wrf_arw_init_time {row['wrf_arw_init_time']!r} is "
+                         f"not the weather stamp's {weather}")
+    return julian_to_calendar(tf), ProvenanceRow(
+        tf.date, tf.time, cd.date, cd.time, wd.date, wd.time, sd.date, sd.time,
+        row["forecast_id"], row["resampled"] == "true", weather)
 
 
 def _level_count(levels: int) -> int:
@@ -236,17 +259,6 @@ def _read_bytes(path: Path) -> bytes:
         raise ArchiveError(f"chunk {path} unreadable: {e}") from e
 
 
-def _write_provenance(path: Path, rows: list[ProvenanceRow]) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(PROVENANCE_COLUMNS)
-        for r in rows:
-            w.writerow([r.tflag_date, r.tflag_time, r.cdate, r.ctime,
-                        r.wdate, r.wtime, r.sdate, r.stime, r.forecast_id,
-                        "true" if r.resampled else "false",
-                        r.wrf_arw_init_time])
-
-
 @dataclass
 class WindowResult:
     times: list[datetime]
@@ -266,7 +278,6 @@ class CuratedArchive:
     gaps: set[datetime]
     provenance: dict[datetime, ProvenanceRow]
     bytes_read: int = 0  # instrumentation for progressive-cost checks
-    has_originals: bool = False
 
     @classmethod
     def open(cls, root: Path | str) -> "CuratedArchive":
@@ -296,33 +307,19 @@ class CuratedArchive:
                 raise ArchiveError(f"{path}: bad {key!r}: {e}") from e
 
         geometry = value("geometry", lambda g: GridGeometry(**g).validate())
-        start, end = value("start", _parse_time), value("end", _parse_time)
+        start, end = value("start", parse_iso_z), value("end", parse_iso_z)
         levels = value("levels", _level_count)
-        gaps = value("gaps", lambda texts: set(map(_parse_time, texts)))
+        gaps = value("gaps", lambda texts: set(map(parse_iso_z, texts)))
 
         path = root / "provenance.csv"
-        provenance = {}
         try:
-            with open(path, newline="") as f:
-                reader = csv.DictReader(f)
-                for row in reader:
-                    pr = ProvenanceRow(
-                        int(row["tflag_date"]), int(row["tflag_time"]),
-                        int(row["cdate"]), int(row["ctime"]),
-                        int(row["wdate"]), int(row["wtime"]),
-                        int(row["sdate"]), int(row["stime"]),
-                        row["forecast_id"], row["resampled"] == "true",
-                        row["wrf_arw_init_time"])
-                    t = julian_to_calendar(JulianStamp(pr.tflag_date, pr.tflag_time))
-                    provenance[t] = pr
+            provenance = dict(read_table(path, PROVENANCE_COLUMNS,
+                                         _provenance_entry))
         except OSError as e:
             raise ArchiveError(f"{path}: {e.strerror}") from e
-        except KeyError as e:
-            raise ArchiveError(f"{path}: no column {e}") from e
-        except (csv.Error, TypeError, ValueError) as e:
-            raise ArchiveError(f"{path} line {reader.line_num}: {e}") from e
-        return cls(root, geometry, start, end, levels, gaps, provenance,
-                   has_originals=manifest.get("originals", False))
+        except ValueError as e:
+            raise ArchiveError(str(e)) from e
+        return cls(root, geometry, start, end, levels, gaps, provenance)
 
     def _index_of(self, t: datetime) -> int:
         if not self.start <= t <= self.end:

@@ -15,7 +15,6 @@ value exits 2 with a usage error; a command that fails exits 1 with
 
 from __future__ import annotations
 
-import csv
 import sys
 from collections import Counter
 from datetime import date, datetime
@@ -26,7 +25,8 @@ import click
 from . import corpusgen, fetcher, indexer, pvanalysis, sequencer
 from .archive import CuratedArchive, build_archive
 from .query import SamplingMode, sample_series
-from .timecal import UTC
+from .tables import write_table
+from .timecal import ISO_Z, UTC, parse_iso_z
 
 SCALES = {
     "desk": (corpusgen.DESK_GEOMETRY, corpusgen.DESK_DRIFT_GEOMETRY),
@@ -36,8 +36,7 @@ SERIES_HEADER = ["timestep_utc", "pm25_ugm3"]
 
 
 def _parse_hour(text: str) -> datetime:
-    t = datetime.strptime(text, "%Y-%m-%dT%H:%M:%SZ") if text.endswith("Z") \
-        else datetime.fromisoformat(text)
+    t = parse_iso_z(text) if text.endswith("Z") else datetime.fromisoformat(text)
     if t.tzinfo is None:
         t = t.replace(tzinfo=UTC)
     return t.astimezone(UTC)
@@ -122,15 +121,8 @@ def _histogram(outcomes) -> str:
     return ", ".join(f"{k}={v}" for k, v in sorted(Counter(outcomes).items()))
 
 
-def _write_csv(path, header: list[str], rows) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(header)
-        w.writerows(rows)
-
-
 def _series_rows(series) -> list[tuple[str, str]]:
-    return [(t.strftime(sequencer.ISO_Z), f"{v:.6g}") for t, v in series.entries]
+    return [(t.strftime(ISO_Z), f"{v:.6g}") for t, v in series.entries]
 
 
 @main.command("gen-corpus")
@@ -249,7 +241,7 @@ def query(archive_dir, lat, lon, start, end, mode, csv_out):
                            lat, lon, mode)
     rows = _series_rows(series)
     if csv_out:
-        _write_csv(csv_out, SERIES_HEADER, rows)
+        write_table(csv_out, SERIES_HEADER, rows)
     else:
         for ts, v in rows:
             click.echo(f"{ts},{v}")
@@ -305,10 +297,10 @@ def plot(archive_dir, solar, cloud, flags, site, mode, out_prefix):
     """Emit series and scatter CSVs for external plotting."""
     archive, report = _run_analysis(archive_dir, solar, cloud, flags, site, mode)
     series = sample_series(archive, archive.start, archive.end, *site, mode)
-    _write_csv(f"{out_prefix}_series.csv", SERIES_HEADER, _series_rows(series))
-    _write_csv(f"{out_prefix}_scatter.csv", ["avg_pm25", "ratio"],
-               [(f"{r.avg_pm25:.6g}", f"{r.ratio:.6g}")
-                for r in report.rows if r.ratio is not None])
+    write_table(f"{out_prefix}_series.csv", SERIES_HEADER, _series_rows(series))
+    write_table(f"{out_prefix}_scatter.csv", ["avg_pm25", "ratio"],
+                [(f"{r.avg_pm25:.6g}", f"{r.ratio:.6g}")
+                 for r in report.rows if r.ratio is not None])
     click.echo(f"wrote {out_prefix}_series.csv and {out_prefix}_scatter.csv")
 
 

@@ -9,7 +9,6 @@ once per corpus and shared by every run that covers the hour.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta
@@ -20,7 +19,8 @@ import numpy as np
 
 from .fetcher import ConfigError, embedded_init_hour
 from .granule import GridGeometry, encode_granule, make_granule
-from .timecal import UTC
+from .tables import write_table
+from .timecal import ISO_Z, UTC
 
 DEFAULT_FORECAST_IDS = ("BSC00CA12-01", "BSC06CA12-01",
                         "BSC12CA12-01", "BSC18CA12-01")
@@ -125,12 +125,9 @@ class CorpusManifest:
         return [e for e in self.entries if e.outcome == outcome]
 
     def write_csv(self, path: Path) -> None:
-        with open(path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["forecast_id", "init_utc", "outcome", "path"])
-            for e in self.entries:
-                w.writerow([e.forecast_id, e.init.strftime("%Y-%m-%dT%H:%M:%SZ"),
-                            e.outcome, e.path])
+        write_table(path, ["forecast_id", "init_utc", "outcome", "path"],
+                    ([e.forecast_id, e.init.strftime(ISO_Z), e.outcome, e.path]
+                     for e in self.entries))
 
 
 def _stable_digest(*parts: str | int) -> int:

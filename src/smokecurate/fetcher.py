@@ -9,7 +9,6 @@ ever land there. A body that fails is copied whole into `rejects/`.
 
 from __future__ import annotations
 
-import csv
 import os
 import re
 import shutil
@@ -23,6 +22,7 @@ from typing import BinaryIO, Iterator
 from urllib.parse import urlparse
 
 from .granule import GranuleError, validate_stream
+from .tables import write_table
 
 DEFAULT_TEMPLATE = "{forecast_id}/{yyyymmdd}{init}/dispersion.{ext}"
 PLACEHOLDERS = ("{forecast_id}", "{yyyymmdd}", "{init}", "{ext}")
@@ -76,14 +76,12 @@ class FetchReport:
         return [r for r in self.records if r.outcome == outcome]
 
     def write_csv(self, path: Path | str) -> None:
-        with open(path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["forecast_id", "date", "outcome", "bytes", "attempts",
-                        "error_offset"])
-            for r in self.records:
-                w.writerow([r.forecast_id, r.date.isoformat(), r.outcome,
-                            r.bytes, r.attempts,
-                            "" if r.error_offset is None else r.error_offset])
+        write_table(path, ["forecast_id", "date", "outcome", "bytes",
+                           "attempts", "error_offset"],
+                    ([r.forecast_id, r.date.isoformat(), r.outcome, r.bytes,
+                      r.attempts,
+                      "" if r.error_offset is None else r.error_offset]
+                     for r in self.records))
 
 
 def embedded_init_hour(forecast_id: str) -> int:

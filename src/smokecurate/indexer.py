@@ -17,7 +17,7 @@ from typing import Callable
 
 from .granule import (GranuleHeader, GridGeometry, InvalidHeaderError,
                       NotAGranuleError, TruncatedError, read_header)
-from .timecal import HOUR
+from .timecal import HOUR, ISO_Z
 
 
 @dataclass(frozen=True)
@@ -69,22 +69,21 @@ class CoverageIndex:
     def dump_json(self, path: Path | str) -> None:
         out = {}
         for t in self.timesteps():
-            out[t.strftime("%Y-%m-%dT%H:%M:%SZ")] = [
+            out[t.strftime(ISO_Z)] = [
                 {"path": str(c.path), "forecast_id": c.forecast_id,
                  "frame_index": c.frame_index,
-                 "smoke_init": c.smoke_init.strftime("%Y-%m-%dT%H:%M:%SZ")}
+                 "smoke_init": c.smoke_init.strftime(ISO_Z)}
                 for c in self.by_timestep[t]]
         Path(path).write_text(json.dumps(out, indent=1))
-
-
-_METADATA_SUFFIXES = {".csv", ".json", ".tmp"}
 
 
 def scan_cache(cache_root: Path | str,
                canonical: GridGeometry | None = None,
                drift: GridGeometry | None = None,
                opener: Callable = open) -> list[ScanRecord]:
-    """One ScanRecord per file under the root, in sorted path order.
+    """One ScanRecord per `*.gran` file under the root, the one name a
+    fetch commits (so quarantined `rejects/` bodies are never read), in
+    sorted path order.
 
     `opener` exists so tests can instrument byte accounting; it must behave
     like builtins.open for binary reads.
@@ -92,12 +91,8 @@ def scan_cache(cache_root: Path | str,
     cache_root = Path(cache_root)
     if not cache_root.is_dir():
         raise FileNotFoundError(f"cache root {cache_root} is not a directory")
-    records = []
-    for path in sorted(p for p in cache_root.rglob("*") if p.is_file()):
-        if path.suffix in _METADATA_SUFFIXES:
-            continue
-        records.append(_scan_one(path, canonical, drift, opener))
-    return records
+    return [_scan_one(path, canonical, drift, opener)
+            for path in sorted(cache_root.rglob("*.gran")) if path.is_file()]
 
 
 def _scan_one(path: Path, canonical, drift, opener) -> ScanRecord:

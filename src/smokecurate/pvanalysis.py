@@ -8,7 +8,6 @@ are reported, never imputed.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from datetime import date, datetime, timedelta, timezone
@@ -17,6 +16,7 @@ from typing import Iterable, Sequence
 
 from .archive import ArchiveError, CuratedArchive
 from .query import ExtentError, SamplingMode, sample_series
+from .tables import read_table, write_table
 from .timecal import UTC
 
 PEAK_START_HOUR = 10          # local, inclusive
@@ -238,19 +238,15 @@ class AnalysisReport:
     excluded: list[ExcludedDay]
 
     def write_csv(self, path: Path | str) -> None:
-        with open(path, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["date", "avg_pm25", "avg_output", "ratio",
-                        "clear_sky", "used_in_fit"])
-            for r in self.rows:
-                w.writerow([r.day.isoformat(), f"{r.avg_pm25:.6g}",
-                            f"{r.avg_output:.6g}",
-                            "" if r.ratio is None else f"{r.ratio:.6g}",
-                            int(r.clear_sky), int(r.used_in_fit)])
-            if self.fit is not None:
-                w.writerow(["#fit", f"{self.fit.slope:.6g}",
-                            f"{self.fit.intercept:.6g}",
-                            f"{self.fit.r_squared:.6g}", self.fit.n_points, ""])
+        rows = [[r.day.isoformat(), f"{r.avg_pm25:.6g}", f"{r.avg_output:.6g}",
+                 "" if r.ratio is None else f"{r.ratio:.6g}",
+                 int(r.clear_sky), int(r.used_in_fit)] for r in self.rows]
+        if self.fit is not None:
+            f = self.fit
+            rows.append(["#fit", f"{f.slope:.6g}", f"{f.intercept:.6g}",
+                         f"{f.r_squared:.6g}", f.n_points, ""])
+        write_table(path, ["date", "avg_pm25", "avg_output", "ratio",
+                           "clear_sky", "used_in_fit"], rows)
 
 
 def run_analysis(archive: CuratedArchive,
@@ -292,36 +288,26 @@ def run_analysis(archive: CuratedArchive,
     return AnalysisReport(rows, fit, excluded)
 
 
-def _read_rows(path: Path | str, *columns: str) -> list[dict[str, str]]:
-    """The rows of a CSV whose header must name every one of `columns`."""
-    with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        missing = [c for c in columns if c not in (reader.fieldnames or ())]
-        if missing:
-            raise ValueError(f"{path}: missing column {', '.join(missing)}")
-        return list(reader)
-
-
 def read_solar_csv(path: Path | str,
                    utc_offset_hours: int = DEFAULT_UTC_OFFSET_HOURS
                    ) -> list[SolarRecord]:
     """CSV with columns timestamp_iso,energy_kwh; naive timestamps are taken
     as local time at the configured offset."""
     tz = timezone(timedelta(hours=utc_offset_hours))
-    records = []
-    for row in _read_rows(path, "timestamp_iso", "energy_kwh"):
+
+    def record(row):
         ts = datetime.fromisoformat(row["timestamp_iso"])
         if ts.tzinfo is None:
             ts = ts.replace(tzinfo=tz)
-        records.append(SolarRecord(ts, float(row["energy_kwh"])))
-    return records
+        return SolarRecord(ts, float(row["energy_kwh"]))
+    return read_table(path, ["timestamp_iso", "energy_kwh"], record)
 
 
 def read_cloud_csv(path: Path | str) -> dict[date, float]:
-    return {date.fromisoformat(r["date"]): float(r["avg_cloud_pct"])
-            for r in _read_rows(path, "date", "avg_cloud_pct")}
+    return dict(read_table(path, ["date", "avg_cloud_pct"], lambda r: (
+        date.fromisoformat(r["date"]), float(r["avg_cloud_pct"]))))
 
 
 def read_flags_csv(path: Path | str) -> dict[date, bool]:
-    return {date.fromisoformat(r["date"]): r["smoky"].strip() in ("1", "true")
-            for r in _read_rows(path, "date", "smoky")}
+    return dict(read_table(path, ["date", "smoky"], lambda r: (
+        date.fromisoformat(r["date"]), r["smoky"].strip() in ("1", "true"))))

@@ -7,16 +7,14 @@ a candidate is only eligible for timesteps at or after its own smoke init.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from datetime import datetime
 from pathlib import Path
 
 from .granule import GridGeometry
 from .indexer import CandidateFrame, CoverageIndex, PlannedFrame
-from .timecal import UTC, hour_range
-
-ISO_Z = "%Y-%m-%dT%H:%M:%SZ"
+from .tables import read_table, write_table
+from .timecal import ISO_Z, hour_range, parse_iso_z
 
 
 @dataclass
@@ -69,36 +67,29 @@ def explain_pick(plan: SequencePlan, t: datetime) -> list[RankedCandidate]:
 
 def write_plan_csv(plan: SequencePlan, path: Path | str,
                    canonical: GridGeometry | None = None) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["timestep_utc", "forecast_id", "path", "frame_index",
-                    "smoke_init_utc", "resampled_needed"])
-        for t in sorted(plan.picks):
-            c = plan.picks[t]
-            needs = canonical is not None and c.geometry != canonical
-            w.writerow([t.strftime(ISO_Z), c.forecast_id, str(c.path),
-                        c.frame_index, c.smoke_init.strftime(ISO_Z),
-                        int(needs)])
+    write_table(path, ["timestep_utc", "forecast_id", "path", "frame_index",
+                       "smoke_init_utc", "resampled_needed"],
+                ([t.strftime(ISO_Z), c.forecast_id, str(c.path), c.frame_index,
+                  c.smoke_init.strftime(ISO_Z),
+                  int(canonical is not None and c.geometry != canonical)]
+                 for t, c in sorted(plan.picks.items())))
 
 
 def write_gaps_csv(plan: SequencePlan, path: Path | str) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["timestep_utc"])
-        for t in plan.gaps:
-            w.writerow([t.strftime(ISO_Z)])
+    write_table(path, ["timestep_utc"], ([t.strftime(ISO_Z)] for t in plan.gaps))
+
+
+def _plan_row(row: dict[str, str]) -> tuple[datetime, PlannedFrame]:
+    return parse_iso_z(row["timestep_utc"]), PlannedFrame(
+        Path(row["path"]), row["forecast_id"], int(row["frame_index"]),
+        parse_iso_z(row["smoke_init_utc"]))
 
 
 def read_plan_csv(path: Path | str) -> SequencePlan:
     """Rebuild a plan from its CSV: picks hold only the CSV's columns, and
     the plan has no candidate index."""
-    picks: dict[datetime, PlannedFrame] = {}
-    with open(path, newline="") as f:
-        for row in csv.DictReader(f):
-            t = datetime.strptime(row["timestep_utc"], ISO_Z).replace(tzinfo=UTC)
-            init = datetime.strptime(row["smoke_init_utc"], ISO_Z).replace(tzinfo=UTC)
-            picks[t] = PlannedFrame(Path(row["path"]), row["forecast_id"],
-                                    int(row["frame_index"]), init)
+    picks = dict(read_table(path, ["timestep_utc", "forecast_id", "path",
+                                   "frame_index", "smoke_init_utc"], _plan_row))
     if not picks:
         raise ValueError(f"plan {path} contains no picks")
     times = sorted(picks)

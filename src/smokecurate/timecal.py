@@ -1,4 +1,4 @@
-"""Conversions between YYYYDDD/HHMMSS integer stamps and UTC datetimes.
+"""Conversions between UTC datetimes, YYYYDDD/HHMMSS stamps and ISO_Z text.
 
 All stamps are UTC. Second resolution only; the HHMMSS encoding cannot
 express anything finer.
@@ -12,6 +12,7 @@ from datetime import datetime, timedelta, timezone
 
 UTC = timezone.utc
 HOUR = timedelta(hours=1)
+ISO_Z = "%Y-%m-%dT%H:%M:%SZ"
 
 
 class EncodingError(ValueError):
@@ -67,6 +68,11 @@ def calendar_to_julian(dt: datetime) -> JulianStamp:
     doy = dt.timetuple().tm_yday
     return JulianStamp(dt.year * 1000 + doy,
                        dt.hour * 10000 + dt.minute * 100 + dt.second)
+
+
+def parse_iso_z(text: str) -> datetime:
+    """The aware UTC datetime that an ISO_Z text names."""
+    return datetime.strptime(text, ISO_Z).replace(tzinfo=UTC)
 
 
 def is_hour_step(dt: datetime) -> bool:

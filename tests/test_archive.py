@@ -233,7 +233,7 @@ def test_drift_frames_marked_and_originals_kept(tmp_path):
     times = index.timesteps()
     plan = plan_sequence(index, times[0], times[-1])
     arch = build_archive(plan, DESK_GEOMETRY, tmp_path / "a", levels=1)
-    assert arch.has_originals
+    assert json.loads((arch.root / "manifest.json").read_text())["originals"]
     cutoff = datetime(2022, 3, 4, 0, tzinfo=UTC)
     for t, row in arch.provenance.items():
         frame, _ = arch.read_frame(t)
@@ -425,6 +425,13 @@ def _provenance_cell(column, value):
     return damage
 
 
+def _provenance_header(column, name):
+    def damage(root):
+        path = root / "provenance.csv"
+        path.write_text(path.read_text().replace(column, name, 1))
+    return damage
+
+
 def _truncate(name):
     def damage(root):
         path = root / name
@@ -443,12 +450,22 @@ def _truncate(name):
      "bad 'levels'"),
     (_provenance_cell("tflag_time", "250000"), "provenance.csv", "line 3"),
     (_provenance_cell("cdate", "x"), "provenance.csv", "line 3"),
+    (_provenance_cell("cdate", "9999999"), "provenance.csv",
+     "line 3: date=9999999"),
+    (_provenance_cell("resampled", "yes"), "provenance.csv",
+     "line 3: resampled is 'yes'"),
+    (_provenance_cell("wrf_arw_init_time", "2022-03-01T00:00:00Z"),
+     "provenance.csv", "line 3: wrf_arw_init_time '2022-03-01T00:00:00Z'"),
+    (_provenance_header("resampled", "resample"), "provenance.csv",
+     ": missing column resampled"),
     (lambda root: (root / "provenance.csv").unlink(), "provenance.csv",
      "No such file"),
     (lambda root: (root / "manifest.json").unlink(), "manifest.json",
      "No such file"),
 ], ids=["truncated-manifest", "no-gaps", "bad-start", "text-nrows",
         "text-levels", "tflag-time-out-of-range", "non-integer-stamp",
+        "creation-stamp-out-of-range", "resampled-not-boolean",
+        "weather-text-not-stamp", "renamed-column",
         "no-provenance", "no-manifest"])
 def test_damaged_archive_open_names_file_and_place(tmp_path, damage, file,
                                                    where):
@@ -558,9 +575,9 @@ def test_frame_times_come_from_the_header_read(tmp_path, monkeypatch):
     assert [JulianStamp(r.tflag_date, r.tflag_time)
             for r in arch.provenance.values()] == tflag
     # tflag[0] and tflag[1] are also the smoke init and creation stamps,
-    # which the header read validates once more
+    # which the header read validates once more, and open once per row
     counts = Counter(calls)
-    assert [counts[stamp] for stamp in tflag] == [3, 3] + [2] * 4
+    assert [counts[stamp] for stamp in tflag] == [3 + 6, 3 + 6] + [2] * 4
 
 
 def read_chars():

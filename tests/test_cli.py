@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from datetime import date, datetime, time, timedelta, timezone
@@ -262,6 +263,56 @@ def test_bad_analysis_input_is_one_error_line(pipeline, runner, args,
     assert "Traceback" not in result.output
 
 
+@pytest.mark.parametrize("file, line, column, value, command, message", [
+    ("plan.csv", 0, 3, "frame", "build-archive",
+     "{dir}/plan.csv: missing column frame_index"),
+    ("plan.csv", 1, 3, "x", "build-archive",
+     "{dir}/plan.csv line 2: invalid literal for int() with base 10: 'x'"),
+    ("plan.csv", 1, 0, "2022-03-02 00:00", "build-archive",
+     "{dir}/plan.csv line 2: time data '2022-03-02 00:00' does not match"),
+    ("solar.csv", 1, 1, "abc", "analyze",
+     "{dir}/solar.csv line 2: could not convert string to float: 'abc'"),
+    ("cloud.csv", 1, 1, "", "analyze",
+     "{dir}/cloud.csv line 2: could not convert string to float: ''"),
+    ("flags.csv", 2, 1, None, "analyze",
+     "{dir}/flags.csv line 3: fewer cells than the header names"),
+], ids=["plan-renamed-column", "plan-frame-index", "plan-timestep",
+        "solar-energy", "cloud-empty", "flags-short-row"])
+def test_bad_csv_cell_names_file_and_line(pipeline, runner, file, line, column,
+                                          value, command, message):
+    inputs = write_analysis_inputs(pipeline)
+    path = pipeline / file
+    lines = path.read_text().splitlines()
+    cells = lines[line].split(",")
+    cells[column:column + 1] = [] if value is None else [value]  # None: cut
+    lines[line] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    args = {"build-archive": ["--plan", str(pipeline / "plan.csv"),
+                              "--out", str(pipeline / "arch2")],
+            "analyze": inputs + ["--site", "36.0,-145.0"]}[command]
+    result = runner.invoke(main, [command] + args, catch_exceptions=False)
+    assert result.exit_code == 1
+    errors = [l for l in result.output.splitlines() if l.startswith("Error:")]
+    assert len(errors) == 1, result.output
+    assert errors[0].startswith(f"Error: {command}: " +
+                                message.format(dir=pipeline)), errors[0]
+
+
+def test_validate_reads_no_quarantined_body(tmp_path, runner):
+    ids = ["--ids", "BSC00CA12-01,BSC12CA12-01"]
+    days = ["--from", "2022-03-02", "--to", "2022-03-05"]
+    run_ok(runner, ["--seed", "31", "gen-corpus", "--root", str(tmp_path / "corpus"),
+                    *ids, *days, "--init-hours", "0,12", "--horizon", "12",
+                    "--html-rate", "0.3", "--truncation-rate", "0.3"])
+    run_ok(runner, ["fetch", "--base", str(tmp_path / "corpus"), *ids, *days,
+                    "--cache", str(tmp_path / "cache"),
+                    "--report", str(tmp_path / "cache" / "fetch_report.csv")])
+    assert list((tmp_path / "cache" / "rejects").rglob("*.bin"))
+    result = run_ok(runner, ["validate", "--cache", str(tmp_path / "cache")])
+    assert "rejects" not in result.stderr
+    assert result.output.endswith(" ok, 0 rejected\n")
+
+
 @pytest.mark.parametrize("args, option", [
     (["sequence", "--cache", "{tmp}", "--from", "2022-03-02T00:00:00Z",
       "--to", "garbage", "--out", "{tmp}/c"], "--to"),
@@ -349,3 +400,80 @@ def test_plot_shares_query_and_analyze_outputs(pipeline, runner):
     scatter = (pipeline / "p_scatter.csv").read_text().splitlines()
     assert scatter[1:] == with_ratio
     assert len(with_ratio) == 2
+
+
+# sha256 of each file the pipeline below writes, taken with the run's
+# temporary directory spelled "<tmp>"
+PINNED_OUTPUTS = {
+    "arch/manifest.json":
+        "d755e24defe1a282c3befafc148b6c39c9c6eb51a2a7a84a1ea839eae4fa53db",
+    "arch/provenance.csv":
+        "7e0ba8c173ada0562462f39a9f2972f4bfbc5d2b07b807a75796b79ec2037eb1",
+    "corpus/manifest.csv":
+        "49336bde261c847ae59aab76ea434be3bd254fa2a9ce723641e94d088836b6ca",
+    "fetch_report.csv":
+        "d0a537f29620a3ef1d8c7b63d0e01d2062e95bfc403fa1007f1fe6921d6e4a91",
+    "gaps.csv":
+        "7d0b723f6c69d93fd00e52f8d7afe15a44ca86fea3057ce857302577c5dc4631",
+    "index.json":
+        "6a942fc536d257907c6fdc48730ed8448b85022f5b0509f18986597cbc0cdb0c",
+    "plan.csv":
+        "d00b2f34fe44c5f2959910bf1026d926d1d8800a9fce5284d8a068b6210a5702",
+    "plot_scatter.csv":
+        "57930e6a5867aa4aaf237421b9b81739a5057ef6c6cbf4c091f9014a9c081f16",
+    "plot_series.csv":
+        "09d6ce96c0ffd807914ebf45216d957c7527f91a619c1cb1c8019e0513650cb4",
+    "report.csv":
+        "30b798dfc0fe7c69fc021ccb9717cfd6a1e0aaa2a6f9f81527fae54ef8a239a6",
+    "series.csv":
+        "09d6ce96c0ffd807914ebf45216d957c7527f91a619c1cb1c8019e0513650cb4",
+}
+
+
+def test_every_written_table_is_pinned(tmp_path, runner):
+    """gen-corpus -> fetch -> validate -> sequence -> build-archive -> query
+    -> analyze -> plot over a faulty, drifting desk corpus; every CSV and
+    JSON written is byte-pinned."""
+    ids = ["--ids", "BSC00CA12-01,BSC12CA12-01"]
+    days = ["--from", "2022-03-02", "--to", "2022-03-05"]
+    hours = ["--from", "2022-03-02T00:00:00Z", "--to", "2022-03-05T23:00:00Z"]
+    run_ok(runner, ["--seed", "29", "gen-corpus", "--root", str(tmp_path / "corpus"),
+                    *ids, *days, "--init-hours", "0,12", "--horizon", "36",
+                    "--missing-rate", "0.1", "--html-rate", "0.1",
+                    "--truncation-rate", "0.2", "--drift-cutoff", "2022-03-04"])
+    run_ok(runner, ["fetch", "--base", str(tmp_path / "corpus"), *ids, *days,
+                    "--cache", str(tmp_path / "cache"),
+                    "--report", str(tmp_path / "fetch_report.csv")])
+    run_ok(runner, ["validate", "--cache", str(tmp_path / "cache"),
+                    "--dump-index", str(tmp_path / "index.json")])
+    run_ok(runner, ["sequence", "--cache", str(tmp_path / "cache"), *hours,
+                    "--out", str(tmp_path / "plan.csv"),
+                    "--gaps", str(tmp_path / "gaps.csv")])
+    run_ok(runner, ["build-archive", "--plan", str(tmp_path / "plan.csv"),
+                    "--out", str(tmp_path / "arch"), "--levels", "2"])
+    run_ok(runner, ["query", "--archive", str(tmp_path / "arch"),
+                    "--lat", "36.1", "--lon", "-145.2",
+                    "--from", "2022-03-03T00:00:00Z", "--to", "2022-03-05T23:00:00Z",
+                    "--csv", str(tmp_path / "series.csv")])
+    days = [date(2022, 3, 3), date(2022, 3, 4), date(2022, 3, 5)]
+    write_solar_csv(tmp_path / "solar.csv", days, [1.0, 0.9, 0.8])
+    (tmp_path / "cloud.csv").write_text(
+        "date,avg_cloud_pct\n" + "".join(f"{d},5.0\n" for d in days))
+    (tmp_path / "flags.csv").write_text(
+        "date,smoky\n2022-03-03,0\n2022-03-04,1\n2022-03-05,1\n")
+    inputs = ["--archive", str(tmp_path / "arch"),
+              "--solar", str(tmp_path / "solar.csv"),
+              "--cloud", str(tmp_path / "cloud.csv"),
+              "--flags", str(tmp_path / "flags.csv"), "--site", "36.1,-145.2"]
+    run_ok(runner, ["analyze", *inputs,
+                    "--out", str(tmp_path / "report.csv")])
+    run_ok(runner, ["plot", *inputs,
+                    "--out-prefix", str(tmp_path / "plot")])
+    written = sorted(p for p in tmp_path.rglob("*")
+                     if p.suffix in (".csv", ".json")
+                     and p.name not in ("solar.csv", "cloud.csv", "flags.csv"))
+    digests = {
+        str(p.relative_to(tmp_path)): hashlib.sha256(
+            p.read_bytes().replace(str(tmp_path).encode(), b"<tmp>")).hexdigest()
+        for p in written}
+    assert digests == PINNED_OUTPUTS

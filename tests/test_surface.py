@@ -4,9 +4,13 @@ something in `src/` outside its own definition, or in `bench/`, names it.
 The match is by name, as `ast` sees it: an identifier, an attribute, an
 imported name or a string constant equal to the name (the bench wraps
 functions by their names). Code only tests reach belongs in the tests.
+
+The README's "Library layout" table has one row per module, so a module
+added or deleted cannot leave it stale.
 """
 
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -65,3 +69,15 @@ def unreached(src: Path, bench: Path) -> list[str]:
 
 def test_every_public_name_is_reached():
     assert unreached(ROOT / "src" / "smokecurate", ROOT / "bench") == []
+
+
+def layout_rows(readme: str) -> list[str]:
+    """The module named by each row of the README's "Library layout" table."""
+    table = readme.split("## Library layout", 1)[1].split("\n\n")[1]
+    return re.findall(r"^\| `(\w+)` \|", table, re.MULTILINE)
+
+
+def test_readme_layout_has_one_row_per_module():
+    modules = {p.stem for p in (ROOT / "src" / "smokecurate").rglob("*.py")}
+    assert sorted(layout_rows((ROOT / "README.md").read_text())) == \
+        sorted(modules - {"__init__"})
