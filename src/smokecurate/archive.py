@@ -7,12 +7,32 @@ truncation or a header fault in a picked frame aborts the build with a
 BuildError naming the timestep, the granule and the byte offset; a bad value
 in a frame nobody picked is never read and does not stop the build.
 
-On-disk layout:
-    manifest.json          geometry, time range, levels, gaps, tool version
+On-disk layout (format_version 2):
+    manifest.json          geometry, time range, levels, gaps, the grid and
+                           timesteps of each stored original, tool version
     provenance.csv         one row per stored timestep: the picked granule's
                            stamps, encoded back from its header's times
-    L{level}/{index:08}.bin row-major little-endian float32 chunks
-    originals/{index:08}.bin  pre-resample frames, when resampling occurred
+    L{level}/{YYYYMMDD}.bin  one shard per level per UTC day: that day's
+                           stored frames back to back in hour order, each a
+                           row-major little-endian float32 grid
+    originals/{YYYYMMDD}.bin  the day's pre-resample frames, the same way,
+                           each on its own grid, when resampling occurred
+
+Gap hours take no bytes, so a stored hour's frame starts at its slot times
+the level's frame size, its slot being the number of stored hours before it
+on its UTC day. `CuratedArchive.open` computes every slot once from the
+stored hours of provenance.csv, after checking that they and the manifest's
+`gaps` cover `start`..`end` exactly once. A shard must be exactly its day's
+stored frames long, and each frame read is one `os.pread` of exactly one
+frame. An original starts after the day's earlier originals.
+A build first removes the old manifest, writes each shard to a `.tmp` file,
+publishes it with `os.replace` when the build moves to the next day, and
+writes the manifest last, so a failed build or rebuild leaves no readable
+archive. There is no format 1 reader: rebuild such an archive with
+build-archive. A rebuild into an existing directory leaves files of days the
+new plan does not write, and an archive opened before a rebuild keeps its
+offsets, so where the rebuild moved a day's gaps it reads another hour's
+frame.
 """
 
 from __future__ import annotations
@@ -20,8 +40,8 @@ from __future__ import annotations
 import json
 import os
 from contextlib import ExitStack, closing
-from dataclasses import dataclass
-from datetime import datetime
+from dataclasses import asdict, dataclass
+from datetime import date, datetime
 from functools import lru_cache
 from itertools import groupby
 from pathlib import Path
@@ -34,8 +54,8 @@ from .granule import FrameReader, GranuleError, GranuleHeader, GridGeometry
 from .regrid import Frame, identity_or_resample
 from .sequencer import SequencePlan
 from .tables import read_table, write_table
-from .timecal import (HOUR, ISO_Z, JulianStamp, calendar_to_julian, hour_range,
-                      julian_to_calendar, parse_iso_z)
+from .timecal import (HOUR, ISO_Z, JulianStamp, calendar_to_julian, hour_count,
+                      hour_range, is_hour_step, julian_to_calendar, parse_iso_z)
 
 PROVENANCE_COLUMNS = ["tflag_date", "tflag_time", "cdate", "ctime", "wdate",
                       "wtime", "sdate", "stime", "forecast_id", "resampled",
@@ -124,8 +144,8 @@ def box_downsample(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _chunk_name(index: int) -> str:
-    return f"{index:08}.bin"
+def _shard_name(day: date) -> str:
+    return f"{day:%Y%m%d}.bin"
 
 
 def _picked_frames(plan: SequencePlan
@@ -157,34 +177,73 @@ def _picked_frames(plan: SequencePlan
                 yield t, reader.header, values
 
 
+class _DayShards:
+    """Appends frames, in time order, to the shard of their UTC day under
+    `directory`. A day's shard is written as a `.tmp` file and published
+    with os.replace when the next day's first frame arrives, or when the
+    block exits without an exception; on an exception the open `.tmp` file
+    is closed and removed."""
+
+    def __init__(self, directory: Path):
+        self.directory = directory
+        self.name = ""
+        self.file = None
+
+    def append(self, name: str, values: np.ndarray) -> None:
+        if name != self.name:
+            self._close(publish=True)
+            self.directory.mkdir(exist_ok=True)
+            self.name = name
+            self.file = open(self.directory / f"{name}.tmp", "wb")
+        self.file.write(memoryview(np.ascontiguousarray(values, dtype="<f4")))
+
+    def _close(self, publish: bool) -> None:
+        if self.file is not None:
+            self.file.close()
+            self.file = None
+            tmp = self.directory / f"{self.name}.tmp"
+            if publish:
+                os.replace(tmp, self.directory / self.name)
+            else:
+                tmp.unlink()
+
+    def __enter__(self) -> "_DayShards":
+        return self
+
+    def __exit__(self, exc_type, *_) -> None:
+        self._close(publish=exc_type is None)
+
+
 def build_archive(plan: SequencePlan, canonical: GridGeometry,
                   out: Path | str, levels: int = 1) -> "CuratedArchive":
-    """Materialize a plan into the on-disk archive; the manifest is written
-    last so an interrupted build leaves no readable archive behind."""
+    """Materialize a plan into the on-disk archive. An earlier build's
+    manifest is removed before the first shard is replaced and the new one
+    is written last, so an interrupted build or rebuild leaves no readable
+    archive behind; a build that fails leaves no `.tmp` shard."""
     if levels < 1:
         raise ValueError("levels must be >= 1")
     canonical.validate()
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
-    for lv in range(levels):
-        (out / f"L{lv}").mkdir(exist_ok=True)
-    orig_dir = out / "originals"
+    (out / "manifest.json").unlink(missing_ok=True)
 
     rows: list[list] = []  # provenance.csv
-    any_resampled = False
-    with closing(_picked_frames(plan)) as picked:
+    originals: dict[GridGeometry, list[str]] = {}  # timesteps per source grid
+    with ExitStack() as stack:
+        picked = stack.enter_context(closing(_picked_frames(plan)))
+        shards = [stack.enter_context(_DayShards(out / f"L{lv}"))
+                  for lv in range(levels)]
+        original_shards = stack.enter_context(_DayShards(out / "originals"))
         for t, h, values in picked:
+            name = _shard_name(t)
             src = Frame(h.geometry, values)
             frame = identity_or_resample(src, canonical)
-            idx = int((t - plan.start) / HOUR)
             if frame.resampled:
-                if not any_resampled:
-                    orig_dir.mkdir(exist_ok=True)
-                _write_chunk(orig_dir / _chunk_name(idx), src.values)
-                any_resampled = True
+                original_shards.append(name, src.values)
+                originals.setdefault(h.geometry, []).append(t.strftime(ISO_Z))
             level_values = np.asarray(frame.values, dtype=np.float32)
-            for lv in range(levels):
-                _write_chunk(out / f"L{lv}" / _chunk_name(idx), level_values)
+            for lv, level in enumerate(shards):
+                level.append(name, level_values)
                 if lv + 1 < levels:
                     level_values = box_downsample(level_values).astype(np.float32)
             tf, cd, wd, sd = map(calendar_to_julian,
@@ -196,16 +255,15 @@ def build_archive(plan: SequencePlan, canonical: GridGeometry,
 
     write_table(out / "provenance.csv", PROVENANCE_COLUMNS, rows)
     manifest = {
-        "format_version": 1,
+        "format_version": 2,
         "tool_version": __version__,
-        "geometry": {"nrows": canonical.nrows, "ncols": canonical.ncols,
-                     "lat0": canonical.lat0, "lon0": canonical.lon0,
-                     "dlat": canonical.dlat, "dlon": canonical.dlon},
+        "geometry": asdict(canonical),
         "start": plan.start.strftime(ISO_Z),
         "end": plan.end.strftime(ISO_Z),
         "levels": levels,
         "gaps": [t.strftime(ISO_Z) for t in plan.gaps],
-        "originals": any_resampled,
+        "originals": [{"geometry": asdict(g), "timesteps": times}
+                      for g, times in originals.items()],
     }
     tmp = out / "manifest.json.tmp"
     tmp.write_text(json.dumps(manifest, indent=1))
@@ -245,18 +303,59 @@ def _level_count(levels: int) -> int:
     return levels
 
 
-def _write_chunk(path: Path, values: np.ndarray) -> None:
-    tmp = path.with_suffix(".tmp")
-    with open(tmp, "wb") as f:
-        f.write(memoryview(np.ascontiguousarray(values, dtype="<f4")))
-    os.replace(tmp, path)
+def _cover_fault(start: datetime, end: datetime, gaps: set[datetime],
+                 stored: set[datetime]) -> str | None:
+    """Why the gaps and the stored hours do not cover every hour from start
+    to end exactly once, or None if they do."""
+    stray = sorted(t for t in gaps | stored
+                   if not (is_hour_step(t) and start <= t <= end))
+    if stray:
+        return f"{stray[0].strftime(ISO_Z)} is not an hour of the range"
+    both = gaps & stored
+    if both:
+        return f"{min(both).strftime(ISO_Z)} is both a gap and stored"
+    hours = hour_count(start, end)
+    if len(gaps) + len(stored) != hours:
+        return (f"{hours} hours from 'start' to 'end', but {len(gaps)} gaps "
+                f"and {len(stored)} stored")
+    return None
 
 
-def _read_bytes(path: Path) -> bytes:
-    try:
-        return path.read_bytes()
-    except OSError as e:
-        raise ArchiveError(f"chunk {path} unreadable: {e}") from e
+def _day_slots(stored: list[datetime]) -> dict[datetime, tuple[str, int, int]]:
+    """Shard name, slot and the day's stored-hour count of each stored hour,
+    from the sorted stored hours: a day's stored hours fill its shard's
+    slots in hour order, and gap hours take none."""
+    slots = {}
+    for day, times in groupby(stored, key=datetime.date):
+        name, times = _shard_name(day), list(times)
+        slots.update((t, (name, slot, len(times)))
+                     for slot, t in enumerate(times))
+    return slots
+
+
+def _original_slots(groups: list[dict], stored: dict[datetime, tuple]
+                    ) -> dict[datetime, tuple[str, int, GridGeometry, int]]:
+    """Shard name, byte offset, grid and the shard's size of each stored
+    original, from the manifest's groups of timesteps by grid: a day's
+    originals lie back to back in hour order, each the size of its own
+    grid."""
+    grids = {}
+    for group in groups:
+        grid = GridGeometry(**group["geometry"]).validate()
+        for text in group["timesteps"]:
+            t = parse_iso_z(text)
+            if t not in stored:
+                raise ValueError(f"{text} is not a stored timestep")
+            grids[t] = grid
+    where = {}
+    for day, times in groupby(sorted(grids), key=datetime.date):
+        name, times = _shard_name(day), list(times)
+        sizes = [grids[t].nrows * grids[t].ncols * 4 for t in times]
+        offset = 0
+        for t, size in zip(times, sizes):
+            where[t] = (name, offset, grids[t], sum(sizes))
+            offset += size
+    return where
 
 
 @dataclass
@@ -277,13 +376,17 @@ class CuratedArchive:
     levels: int
     gaps: set[datetime]
     provenance: dict[datetime, ProvenanceRow]
+    # stored hour -> shard, slot, the day's stored-hour count
+    slots: dict[datetime, tuple[str, int, int]]
+    originals: dict[datetime, tuple[str, int, GridGeometry, int]]
     bytes_read: int = 0  # instrumentation for progressive-cost checks
 
     @classmethod
     def open(cls, root: Path | str) -> "CuratedArchive":
         """Open the archive at `root`. A missing, unreadable or malformed
         manifest or provenance file raises ArchiveError naming the file and
-        the key or line at fault."""
+        the key or line at fault; gaps and stored hours that do not cover
+        the range exactly once name both files."""
         root = Path(root)
         path = root / "manifest.json"
         try:
@@ -294,38 +397,48 @@ class CuratedArchive:
             raise ArchiveError(f"{path}: not JSON: {e}") from e
         if not isinstance(manifest, dict):
             raise ArchiveError(f"{path}: not a JSON object")
-        if manifest.get("format_version") != 1:
+        if manifest.get("format_version") != 2:
             raise ArchiveError(f"{path}: unsupported archive format: "
-                               f"{manifest.get('format_version')}")
+                               f"{manifest.get('format_version')}; rebuild "
+                               f"with build-archive")
 
         def value(key, parse):
             if key not in manifest:
                 raise ArchiveError(f"{path}: no {key!r} key")
             try:
                 return parse(manifest[key])
-            except (TypeError, ValueError) as e:
+            except (KeyError, TypeError, ValueError) as e:
                 raise ArchiveError(f"{path}: bad {key!r}: {e}") from e
 
         geometry = value("geometry", lambda g: GridGeometry(**g).validate())
-        start, end = value("start", parse_iso_z), value("end", parse_iso_z)
+        start = value("start", parse_iso_z)
+        end = value("end", parse_iso_z)
+        # a bad range is a bad end
+        value("end", lambda _: hour_count(start, end))
         levels = value("levels", _level_count)
         gaps = value("gaps", lambda texts: set(map(parse_iso_z, texts)))
 
-        path = root / "provenance.csv"
+        table = root / "provenance.csv"
         try:
-            provenance = dict(read_table(path, PROVENANCE_COLUMNS,
+            provenance = dict(read_table(table, PROVENANCE_COLUMNS,
                                          _provenance_entry))
         except OSError as e:
-            raise ArchiveError(f"{path}: {e.strerror}") from e
+            raise ArchiveError(f"{table}: {e.strerror}") from e
         except ValueError as e:
             raise ArchiveError(str(e)) from e
-        return cls(root, geometry, start, end, levels, gaps, provenance)
+        fault = _cover_fault(start, end, gaps, set(provenance))
+        if fault:
+            raise ArchiveError(f"{path} and {table} disagree: {fault}")
+        slots = _day_slots(sorted(provenance))
+        originals = value("originals",
+                          lambda groups: _original_slots(groups, slots))
+        return cls(root, geometry, start, end, levels, gaps, provenance,
+                   slots, originals)
 
-    def _index_of(self, t: datetime) -> int:
+    def _check_range(self, t: datetime) -> None:
         if not self.start <= t <= self.end:
             raise ArchiveError(f"{t} outside archive range "
                                f"{self.start}..{self.end}")
-        return int((t - self.start) / HOUR)
 
     def _neighbors(self, t: datetime) -> tuple[datetime | None, datetime | None]:
         before = after = None
@@ -343,18 +456,39 @@ class CuratedArchive:
             step += HOUR
         return before, after
 
+    def _read(self, path: Path, offset: int, shape: tuple[int, int],
+              shard_size: int, t: datetime) -> np.ndarray:
+        """The float32 frame of `shape` at byte `offset` of the shard at
+        `path`, read with one pread. A shard that is not exactly
+        `shard_size` bytes raises ArchiveError naming the shard, both sizes
+        and the hour."""
+        size = shape[0] * shape[1] * 4
+        try:
+            fd = os.open(path, os.O_RDONLY)
+            try:
+                actual = os.fstat(fd).st_size
+                data = (os.pread(fd, size, offset) if actual == shard_size
+                        else b"")
+            finally:
+                os.close(fd)
+        except OSError as e:
+            raise ArchiveError(f"shard {path} unreadable: {e}") from e
+        if len(data) != size:
+            raise ArchiveError(f"shard {path} is {actual} bytes, not "
+                               f"{shard_size}; hour {t.strftime(ISO_Z)} "
+                               f"not read")
+        self.bytes_read += size
+        return np.frombuffer(data, dtype="<f4").reshape(shape).copy()
+
     def _read_chunk(self, t: datetime, level: int) -> np.ndarray:
-        idx = self._index_of(t)
+        self._check_range(t)
         if t in self.gaps:
             raise GapError(t, *self._neighbors(t))
-        path = self.root / f"L{level}" / _chunk_name(idx)
-        data = _read_bytes(path)
-        self.bytes_read += len(data)
-        rows, cols = level_shape(self.geometry, level)
-        if len(data) != rows * cols * 4:
-            raise ArchiveError(f"chunk {path} is {len(data)} bytes, "
-                               f"expected {rows * cols * 4}")
-        return np.frombuffer(data, dtype="<f4").reshape(rows, cols).copy()
+        name, slot, count = self.slots[t]
+        shape = level_shape(self.geometry, level)
+        size = shape[0] * shape[1] * 4
+        return self._read(self.root / f"L{level}" / name, slot * size, shape,
+                          count * size, t)
 
     def read_frame(self, t: datetime,
                    level: int = 0) -> tuple[Frame, ProvenanceRow]:
@@ -368,18 +502,14 @@ class CuratedArchive:
                       resampled=row.resampled), row)
 
     def read_original(self, t: datetime) -> np.ndarray | None:
-        """Pre-resample frame, if one was stored for this timestep."""
-        path = self.root / "originals" / _chunk_name(self._index_of(t))
-        if not path.is_file():
+        """Pre-resample frame as an (nrows, ncols) array on the grid the
+        manifest records for it, if one was stored for this timestep."""
+        self._check_range(t)
+        if t not in self.originals:
             return None
-        data = _read_bytes(path)
-        self.bytes_read += len(data)
-        # the pre-resample geometry is not recorded, so the size can only be
-        # checked to hold whole float32 values of at least a 2x2 grid
-        if len(data) % 4 or len(data) < 16:
-            raise ArchiveError(f"original chunk {path} is {len(data)} bytes, "
-                               f"expected a multiple of 4 of at least 16")
-        return np.frombuffer(data, dtype="<f4").copy()
+        name, offset, grid, shard_size = self.originals[t]
+        return self._read(self.root / "originals" / name, offset,
+                          (grid.nrows, grid.ncols), shard_size, t)
 
     def read_window(self, t0: datetime, t1: datetime,
                     bbox: tuple[float, float, float, float],

@@ -2,7 +2,7 @@
 gen-corpus / fetch -> validate -> sequence -> build-archive -> query / analyze.
 
 Machine-readable outputs are CSV/JSON files. Of these only the archive
-manifest, the archive chunks and the cached granules are written atomically
+manifest, the archive shards and the cached granules are written atomically
 (temp file, then rename). Logs go to stderr and are never meant to be parsed.
 
 `--config FILE` holds flat `key = value` lines. A key is an option's long name

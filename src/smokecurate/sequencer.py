@@ -65,34 +65,45 @@ def explain_pick(plan: SequencePlan, t: datetime) -> list[RankedCandidate]:
     return [RankedCandidate(c, c == pick) for c in plan.index.candidates(t)]
 
 
+PLAN_COLUMNS = ["timestep_utc", "forecast_id", "path", "frame_index",
+                "smoke_init_utc", "resampled_needed"]
+
+
 def write_plan_csv(plan: SequencePlan, path: Path | str,
                    canonical: GridGeometry | None = None) -> None:
-    write_table(path, ["timestep_utc", "forecast_id", "path", "frame_index",
-                       "smoke_init_utc", "resampled_needed"],
-                ([t.strftime(ISO_Z), c.forecast_id, str(c.path), c.frame_index,
-                  c.smoke_init.strftime(ISO_Z),
-                  int(canonical is not None and c.geometry != canonical)]
-                 for t, c in sorted(plan.picks.items())))
+    """One row per sequenced hour; a gap's row leaves the pick columns
+    empty, so the plan's range and gaps read back with its picks."""
+    def row(t: datetime) -> list:
+        c = plan.picks.get(t)
+        if c is None:
+            return [t.strftime(ISO_Z)] + [""] * (len(PLAN_COLUMNS) - 1)
+        return [t.strftime(ISO_Z), c.forecast_id, str(c.path), c.frame_index,
+                c.smoke_init.strftime(ISO_Z),
+                int(canonical is not None and c.geometry != canonical)]
+    write_table(path, PLAN_COLUMNS, map(row, plan.timesteps()))
 
 
 def write_gaps_csv(plan: SequencePlan, path: Path | str) -> None:
     write_table(path, ["timestep_utc"], ([t.strftime(ISO_Z)] for t in plan.gaps))
 
 
-def _plan_row(row: dict[str, str]) -> tuple[datetime, PlannedFrame]:
-    return parse_iso_z(row["timestep_utc"]), PlannedFrame(
-        Path(row["path"]), row["forecast_id"], int(row["frame_index"]),
-        parse_iso_z(row["smoke_init_utc"]))
+def _plan_row(row: dict[str, str]) -> tuple[datetime, PlannedFrame | None]:
+    t = parse_iso_z(row["timestep_utc"])
+    if not any(row[c] for c in PLAN_COLUMNS[1:5]):
+        return t, None  # a gap
+    return t, PlannedFrame(Path(row["path"]), row["forecast_id"],
+                           int(row["frame_index"]),
+                           parse_iso_z(row["smoke_init_utc"]))
 
 
 def read_plan_csv(path: Path | str) -> SequencePlan:
-    """Rebuild a plan from its CSV: picks hold only the CSV's columns, and
-    the plan has no candidate index."""
-    picks = dict(read_table(path, ["timestep_utc", "forecast_id", "path",
-                                   "frame_index", "smoke_init_utc"], _plan_row))
+    """Rebuild a plan from its CSV: it runs from its first to its last row,
+    an hour whose pick columns are empty (or that has no row) is a gap,
+    picks hold only the CSV's columns, and the plan has no candidate index."""
+    rows = dict(read_table(path, PLAN_COLUMNS[:5], _plan_row))
+    picks = {t: pick for t, pick in rows.items() if pick is not None}
     if not picks:
         raise ValueError(f"plan {path} contains no picks")
-    times = sorted(picks)
-    start, end = times[0], times[-1]
+    start, end = min(rows), max(rows)
     gaps = [t for t in hour_range(start, end) if t not in picks]
     return SequencePlan(start, end, picks, gaps)

@@ -79,11 +79,15 @@ def is_hour_step(dt: datetime) -> bool:
     return dt.tzinfo is not None and dt.minute == 0 and dt.second == 0 and dt.microsecond == 0
 
 
-def hour_range(start: datetime, end: datetime) -> list[datetime]:
-    """Inclusive list of hourly steps from start to end."""
+def hour_count(start: datetime, end: datetime) -> int:
+    """Number of hourly steps from start to end, both included."""
     if not is_hour_step(start) or not is_hour_step(end):
         raise ValueError("hour_range endpoints must be exact UTC hour boundaries")
     if start > end:
         raise ValueError(f"start {start} is after end {end}")
-    n = int((end - start) / HOUR) + 1
-    return [start + i * HOUR for i in range(n)]
+    return int((end - start) / HOUR) + 1
+
+
+def hour_range(start: datetime, end: datetime) -> list[datetime]:
+    """Inclusive list of hourly steps from start to end."""
+    return [start + i * HOUR for i in range(hour_count(start, end))]

@@ -16,12 +16,17 @@ from smokecurate.corpusgen import (DESK_DRIFT_GEOMETRY, DESK_GEOMETRY,
                                    CorpusSpec, FaultProfile, generate_corpus)
 from smokecurate.granule import (GridGeometry, make_granule, parse_granule,
                                  read_header_bytes)
-from smokecurate.indexer import build_coverage, scan_cache
+from smokecurate.indexer import PlannedFrame, build_coverage, scan_cache
 from smokecurate.regrid import Frame, identity_or_resample
-from smokecurate.sequencer import plan_sequence
-from smokecurate.timecal import HOUR, UTC, JulianStamp, calendar_to_julian
+from smokecurate.sequencer import SequencePlan, plan_sequence
+from smokecurate.timecal import (HOUR, UTC, JulianStamp, calendar_to_julian,
+                                 hour_range)
 
 from conftest import SMALL_GEOM, T0, archive_from_frames, granule_to_bytes
+
+# on the canonical SMALL_GEOM's origin and spacing, one row and column short
+DRIFT_GEOM = GridGeometry(nrows=5, ncols=7, lat0=40.0, lon0=-120.0,
+                          dlat=0.5, dlon=0.5)
 
 
 def random_frames(n, geometry=SMALL_GEOM, seed=0):
@@ -181,9 +186,18 @@ def test_pyramid_chunks_equal_downsampled_level_below(tmp_path):
     plan = plan_sequence(index, times[0], times[-1])
     arch = build_archive(plan, DESK_GEOMETRY, tmp_path / "a", levels=3)
 
-    def chunk(level, t):
-        name = f"{int((t - arch.start) / timedelta(hours=1)):08}.bin"
-        return (arch.root / level / name).read_bytes()
+    def chunk(directory, t, earlier, shape):
+        """Hour t's frame in its day's shard, after the day's `earlier`
+        frames of `shape` (gap hours and unresampled originals take none)."""
+        size = 4 * shape[0] * shape[1]
+        data = (arch.root / directory / f"{t:%Y%m%d}.bin").read_bytes()
+        return data[earlier * size:(earlier + 1) * size]
+
+    def earlier(hours, t):
+        return sum(s.date() == t.date() and s < t for s in hours)
+
+    drifted = [s for s, row in arch.provenance.items() if row.resampled]
+    drift_shape = (DESK_DRIFT_GEOMETRY.nrows, DESK_DRIFT_GEOMETRY.ncols)
 
     granules = {}
     resampled = 0
@@ -195,17 +209,99 @@ def test_pyramid_chunks_equal_downsampled_level_below(tmp_path):
         source = granule.pm25[pick.frame_index]
         if arch.provenance[t].resampled:
             resampled += 1
-            assert chunk("originals", t) == source.astype("<f4").tobytes()
+            assert chunk("originals", t, earlier(drifted, t), drift_shape) \
+                == source.astype("<f4").tobytes()
             src = Frame(granule.header.geometry, source)
             expect = identity_or_resample(src, DESK_GEOMETRY).values
-            assert chunk("L0", t) == expect.astype("<f4").tobytes()
         else:
-            assert chunk("L0", t) == source.astype("<f4").tobytes()
+            expect = source
+        slot = earlier(plan.picks, t)
+        assert chunk("L0", t, slot, level_shape(DESK_GEOMETRY, 0)) == \
+            expect.astype("<f4").tobytes()
         for lv in (1, 2):
             below, _ = arch.read_frame(t, level=lv - 1)
             expect = box_downsample(below.values).astype("<f4")
-            assert chunk(f"L{lv}", t) == expect.tobytes()
+            assert chunk(f"L{lv}", t, slot, level_shape(DESK_GEOMETRY, lv)) \
+                == expect.tobytes()
     assert 0 < resampled < len(plan.picks)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_day_shards_read_back_every_hour(tmp_path_factory, data):
+    """A random range over 1-3 UTC days, with gaps at the start or end of a
+    day and a whole missing day, some drift frames and 1-3 levels: every
+    stored hour reads back its picked frame (resampled, then box-averaged
+    level by level), every gap hour raises GapError, and each read adds
+    exactly one frame to bytes_read."""
+    start = T0 + data.draw(st.integers(0, 23), label="start hour") * HOUR
+    ndays = data.draw(st.integers(1, 3), label="days")
+    end = T0 + (ndays - 1) * 24 * HOUR + data.draw(
+        st.integers(start.hour if ndays == 1 else 0, 23), label="end hour") * HOUR
+    levels = data.draw(st.integers(1, 3), label="levels")
+    days = [T0 + k * 24 * HOUR for k in range(ndays)]
+    missing = data.draw(st.sampled_from([None, *days]), label="missing day")
+    head = {d: data.draw(st.integers(0, 3)) for d in days}
+    tail = {d: data.draw(st.integers(0, 3)) for d in days}
+
+    def is_gap(t):
+        day = t - t.hour * HOUR
+        return day == missing or t.hour < head[day] or t.hour >= 24 - tail[day]
+
+    hours = hour_range(start, end)
+    gaps = [t for t in hours if is_gap(t)]
+    stored = [t for t in hours if t not in gaps]
+    drifted = data.draw(st.sets(st.sampled_from(stored)) if stored
+                        else st.just(set()), label="drift hours")
+
+    # one canonical and one drift granule per day, each holding its 24 hours
+    root = tmp_path_factory.mktemp("shards")
+    granules = {}
+    for k, day in enumerate(days):
+        for seed, geom in enumerate((SMALL_GEOM, DRIFT_GEOM), start=2 * k):
+            frames = random_frames(24, geom, seed=seed)
+            g = make_granule("BSC00CA12-01", created=day, weather_init=day,
+                             smoke_init=day, geometry=geom, frames=frames)
+            path = root / f"{geom.nrows}x{geom.ncols}_{k}.gran"
+            path.write_bytes(granule_to_bytes(g))
+            granules[day.date(), geom] = path, frames
+    picks = {}
+    for t in stored:
+        geom = DRIFT_GEOM if t in drifted else SMALL_GEOM
+        path, _ = granules[t.date(), geom]
+        picks[t] = PlannedFrame(path, "BSC00CA12-01", t.hour,
+                                t - t.hour * HOUR)
+    plan = SequencePlan(start, end, picks, gaps)
+    arch = build_archive(plan, SMALL_GEOM, root / "arch", levels=levels)
+    assert not list(arch.root.rglob("*.tmp"))
+    assert sorted(p.name for p in (arch.root / "L0").glob("*")) == \
+        sorted({f"{t:%Y%m%d}.bin" for t in stored})
+
+    for t in hours:
+        before = arch.bytes_read
+        if t in gaps:
+            for lv in range(levels):
+                with pytest.raises(GapError):
+                    arch.read_frame(t, lv)
+            assert arch.read_original(t) is None
+            assert arch.bytes_read == before
+            continue
+        geom = DRIFT_GEOM if t in drifted else SMALL_GEOM
+        source = granules[t.date(), geom][1][t.hour]
+        expect = np.asarray(identity_or_resample(Frame(geom, source),
+                                                 SMALL_GEOM).values, "<f4")
+        for lv in range(levels):
+            frame, _ = arch.read_frame(t, lv)
+            assert frame.values.tobytes() == expect.tobytes()
+            assert arch.bytes_read - before == expect.size * 4
+            before = arch.bytes_read
+            expect = box_downsample(expect).astype("<f4")
+        original = arch.read_original(t)
+        if t in drifted:
+            assert original.tobytes() == source.tobytes()
+            assert arch.bytes_read - before == source.size * 4
+        else:
+            assert original is None
 
 
 def test_provenance_preserves_original_stamps(tmp_path):
@@ -273,7 +369,7 @@ def test_provenance_and_manifest_bytes_are_pinned(tmp_path):
         "provenance.csv":
             "f92fda61590c33393501793ef3305167e76d183dbc3fe22e678c13de06eb6a93",
         "manifest.json":
-            "533318df3e4e463102890273c8c55a168ccc5eeec65670e23b7727ba541391c2"}
+            "ccd36cb7c8ab69eb4eaf14a5a2bec064d84db85a6707098ded5d4e1b9782f9a3"}
 
 
 def gapped_archive(tmp_path, levels=1):
@@ -353,12 +449,20 @@ def test_manifest_contents(tmp_path):
     import json
     arch = gapped_archive(tmp_path, levels=2)
     manifest = json.loads((arch.root / "manifest.json").read_text())
-    assert manifest["format_version"] == 1
+    assert manifest["format_version"] == 2
     assert manifest["levels"] == 2
     assert manifest["start"] == "2022-03-02T00:00:00Z"
     assert manifest["end"] == "2022-03-02T05:00:00Z"
     assert manifest["gaps"] == ["2022-03-02T03:00:00Z"]
     assert manifest["geometry"]["nrows"] == 6
+    assert manifest["originals"] == []
+    # the five stored hours fill the day's shard; the gap hour takes no bytes
+    for lv in (0, 1):
+        rows, cols = level_shape(SMALL_GEOM, lv)
+        assert sorted(p.name for p in (arch.root / f"L{lv}").iterdir()) == \
+            ["20220302.bin"]
+        assert (arch.root / f"L{lv}" / "20220302.bin").stat().st_size == \
+            5 * rows * cols * 4
     reopened = CuratedArchive.open(arch.root)
     assert reopened.geometry == SMALL_GEOM
     assert reopened.levels == 2
@@ -381,28 +485,85 @@ def test_mismatched_frame_index_aborts_build(tmp_path):
 
 
 def test_truncated_chunk_raises_archive_error(tmp_path):
+    frame_bytes = 6 * 8 * 4
     arch = archive_from_frames(tmp_path, random_frames(3))
-    chunk = arch.root / "L0" / "00000001.bin"
-    chunk.write_bytes(chunk.read_bytes()[:100])
-    arch.read_frame(T0)  # neighbouring chunks are unaffected
-    with pytest.raises(ArchiveError) as err:
-        arch.read_frame(T0 + timedelta(hours=1))
-    assert str(chunk) in str(err.value)
-    assert "100 bytes" in str(err.value)
-    assert f"expected {6 * 8 * 4}" in str(err.value)
-    missing = arch.root / "L0" / "00000002.bin"
-    missing.unlink()
-    with pytest.raises(ArchiveError, match=str(missing)):
-        arch.read_frame(T0 + timedelta(hours=2))
+    shard = arch.root / "L0" / "20220302.bin"
+    shard.write_bytes(shard.read_bytes()[:frame_bytes + 100])
+    for hour in (0, 1):  # a shard of the wrong size is not read at all
+        with pytest.raises(ArchiveError) as err:
+            arch.read_frame(T0 + timedelta(hours=hour))
+        assert str(shard) in str(err.value)
+        assert f"2022-03-02T0{hour}:00:00Z" in str(err.value)
+        assert f"{frame_bytes + 100} bytes, not {3 * frame_bytes}" in \
+            str(err.value)
+    shard.unlink()
+    with pytest.raises(ArchiveError, match=str(shard)):
+        arch.read_frame(T0)
 
 
 def test_wrong_size_original_raises_archive_error(tmp_path):
-    arch = archive_from_frames(tmp_path, random_frames(1))
-    original = arch.root / "originals" / "00000000.bin"
-    original.parent.mkdir()
-    original.write_bytes(b"\0" * 13)
-    with pytest.raises(ArchiveError, match="13 bytes"):
-        arch.read_original(T0)
+    frames = random_frames(2, DRIFT_GEOM)
+    cached_granule(tmp_path / "cache", frames, DRIFT_GEOM)
+    arch = build_archive(plan_hours(tmp_path / "cache", 2), SMALL_GEOM,
+                         tmp_path / "arch")
+    for k, frame in enumerate(frames):
+        original = arch.read_original(T0 + k * HOUR)
+        assert original.shape == (5, 7)
+        np.testing.assert_array_equal(original, frame)
+    shard = arch.root / "originals" / "20220302.bin"
+    size = shard.stat().st_size
+    assert size == 2 * 5 * 7 * 4
+    shard.write_bytes(shard.read_bytes()[:-4])
+    for t in (T0, T0 + HOUR):
+        with pytest.raises(ArchiveError) as err:
+            arch.read_original(t)
+        assert str(shard) in str(err.value)
+        assert f"{size - 4} bytes, not {size}" in str(err.value)
+
+
+def test_shard_with_an_extra_frame_raises_archive_error(tmp_path):
+    frames = random_frames(3)
+    arch = archive_from_frames(tmp_path, frames)
+    shard = arch.root / "L0" / "20220302.bin"
+    size = shard.stat().st_size
+    shard.write_bytes(shard.read_bytes() + frames[0].astype("<f4").tobytes())
+    with pytest.raises(ArchiveError) as err:
+        arch.read_frame(T0 + HOUR)
+    assert str(shard) in str(err.value)
+    assert f"{size + size // 3} bytes, not {size}" in str(err.value)
+
+
+def test_manifest_missing_a_gap_hour_is_refused(tmp_path):
+    root = gapped_archive(tmp_path).root
+    _manifest_with(lambda m: m.update(gaps=[]))(root)
+    with pytest.raises(ArchiveError) as err:
+        CuratedArchive.open(root)
+    assert str(err.value).startswith(
+        f"{root / 'manifest.json'} and {root / 'provenance.csv'} disagree: "
+        f"6 hours from 'start' to 'end', but 0 gaps and 5 stored")
+
+
+def test_failed_rebuild_leaves_no_readable_archive(tmp_path):
+    """A rebuild that moves a day's gaps and then aborts must not leave the
+    old manifest beside the new shards."""
+    frames = random_frames(4, seed=5)
+    cached_granule(tmp_path / "gapped", frames)
+    good = plan_hours(tmp_path / "gapped", 4)
+    del good.picks[T0 + HOUR]
+    good.gaps.append(T0 + HOUR)
+    arch = build_archive(good, SMALL_GEOM, tmp_path / "arch")
+    frame, _ = arch.read_frame(T0 + 2 * HOUR)
+    np.testing.assert_array_equal(frame.values, frames[2])
+    # the new plan has no gap on 03-02 but a bad picked value on 03-03
+    cache = tmp_path / "bad"
+    cached_granule(cache, random_frames(30, seed=6))
+    poke_value(next(cache.rglob("*.gran")), frame=25, cell=0, value=np.nan)
+    with pytest.raises(BuildError):
+        build_archive(plan_hours(cache, 30), SMALL_GEOM, tmp_path / "arch")
+    assert (tmp_path / "arch" / "L0" / "20220302.bin").stat().st_size == \
+        24 * frames[0].nbytes  # the first day was published
+    with pytest.raises(ArchiveError, match="No such file"):
+        CuratedArchive.open(tmp_path / "arch")
 
 
 def _manifest_with(edit):
@@ -462,11 +623,30 @@ def _truncate(name):
      "No such file"),
     (lambda root: (root / "manifest.json").unlink(), "manifest.json",
      "No such file"),
+    (_manifest_with(lambda m: m.update(format_version=1)), "manifest.json",
+     "unsupported archive format: 1; rebuild with build-archive"),
+    (_manifest_with(lambda m: m.update(end="2022-03-01T00:00:00Z")),
+     "manifest.json", "bad 'end'"),
+    (_manifest_with(lambda m: m.update(originals=[
+        {"geometry": m["geometry"], "timesteps": ["2022-03-09T00:00:00Z"]}])),
+     "manifest.json", "bad 'originals': 2022-03-09T00:00:00Z is not a stored"),
+    (_manifest_with(lambda m: m.update(originals=[{"timesteps": []}])),
+     "manifest.json", "bad 'originals'"),
+    (_manifest_with(lambda m: m.update(gaps=["2022-03-02T01:00:00Z"])),
+     "manifest.json", "provenance.csv disagree: 2022-03-02T01:00:00Z is "
+     "both a gap and stored"),
+    (_manifest_with(lambda m: m.update(end="9999-12-31T23:00:00Z")),
+     "manifest.json", "hours from 'start' to 'end', but 0 gaps and 3 stored"),
+    (_manifest_with(lambda m: m.update(gaps=["2022-03-09T00:00:00Z"])),
+     "manifest.json", "disagree: 2022-03-09T00:00:00Z is not an hour of "
+     "the range"),
 ], ids=["truncated-manifest", "no-gaps", "bad-start", "text-nrows",
         "text-levels", "tflag-time-out-of-range", "non-integer-stamp",
         "creation-stamp-out-of-range", "resampled-not-boolean",
         "weather-text-not-stamp", "renamed-column",
-        "no-provenance", "no-manifest"])
+        "no-provenance", "no-manifest", "format-1", "end-before-start",
+        "original-not-stored", "original-without-grid", "gap-is-stored",
+        "far-end", "gap-out-of-range"])
 def test_damaged_archive_open_names_file_and_place(tmp_path, damage, file,
                                                    where):
     root = archive_from_frames(tmp_path, random_frames(3)).root
@@ -516,6 +696,7 @@ def test_bad_value_in_picked_frame_aborts_build(tmp_path, bad):
     assert str(path) in message
     assert f"at byte {offset}" in message
     assert not (tmp_path / "arch" / "manifest.json").exists()
+    assert not list((tmp_path / "arch").rglob("*.tmp"))
 
 
 def test_bad_value_in_unpicked_frame_builds_identical_archive(tmp_path):
@@ -532,7 +713,7 @@ def test_bad_value_in_unpicked_frame_builds_identical_archive(tmp_path):
                 for p in sorted(root.rglob("*")) if p.is_file()}
 
     clean = contents(tmp_path / "arch_clean")
-    assert len(clean) == 1 + 1 + 2 * 3  # manifest, provenance, 2 levels x 3 h
+    assert len(clean) == 1 + 1 + 2  # manifest, provenance, 2 levels x 1 day
     assert contents(tmp_path / "arch_dirty") == clean
 
 
@@ -544,6 +725,7 @@ def test_truncated_picked_granule_aborts_build(tmp_path):
         build_archive(plan, SMALL_GEOM, tmp_path / "arch")
     assert "timestep 2022-03-02T00:00:00Z" in str(err.value)
     assert str(path) in str(err.value)
+    assert not list((tmp_path / "arch").rglob("*.tmp"))
 
 
 def test_missing_picked_granule_aborts_build(tmp_path):
@@ -556,6 +738,7 @@ def test_missing_picked_granule_aborts_build(tmp_path):
     assert str(path) in str(err.value)
     assert isinstance(err.value.__cause__, FileNotFoundError)
     assert not (tmp_path / "arch" / "manifest.json").exists()
+    assert not list((tmp_path / "arch").rglob("*.tmp"))
 
 
 def test_frame_times_come_from_the_header_read(tmp_path, monkeypatch):

@@ -406,7 +406,7 @@ def test_plot_shares_query_and_analyze_outputs(pipeline, runner):
 # temporary directory spelled "<tmp>"
 PINNED_OUTPUTS = {
     "arch/manifest.json":
-        "d755e24defe1a282c3befafc148b6c39c9c6eb51a2a7a84a1ea839eae4fa53db",
+        "a6760e270393eecd4ebf9eb880bba20a96eadd12641d026f4ed094138dd8c4f6",
     "arch/provenance.csv":
         "7e0ba8c173ada0562462f39a9f2972f4bfbc5d2b07b807a75796b79ec2037eb1",
     "corpus/manifest.csv":
@@ -418,7 +418,7 @@ PINNED_OUTPUTS = {
     "index.json":
         "6a942fc536d257907c6fdc48730ed8448b85022f5b0509f18986597cbc0cdb0c",
     "plan.csv":
-        "d00b2f34fe44c5f2959910bf1026d926d1d8800a9fce5284d8a068b6210a5702",
+        "cd8a221960df54110bea6b3998423feb3211228572a9f4cf913bf9d68d85011e",
     "plot_scatter.csv":
         "57930e6a5867aa4aaf237421b9b81739a5057ef6c6cbf4c091f9014a9c081f16",
     "plot_series.csv":
@@ -477,3 +477,24 @@ def test_every_written_table_is_pinned(tmp_path, runner):
             p.read_bytes().replace(str(tmp_path).encode(), b"<tmp>")).hexdigest()
         for p in written}
     assert digests == PINNED_OUTPUTS
+
+
+def test_leading_gap_hours_reach_the_archive(tmp_path, runner):
+    """Gap hours at the start of the sequenced range survive plan.csv, so
+    the archive covers them and a query over them omits them."""
+    run_ok(runner, ["gen-corpus", "--root", str(tmp_path / "corpus"),
+                    "--ids", "BSC00CA12-01", "--from", "2022-03-03",
+                    "--to", "2022-03-03", "--init-hours", "0", "--horizon", "24"])
+    hours = ["--from", "2022-03-02T00:00:00Z", "--to", "2022-03-03T23:00:00Z"]
+    run_ok(runner, ["sequence", "--cache", str(tmp_path / "corpus"), *hours,
+                    "--out", str(tmp_path / "plan.csv"),
+                    "--gaps", str(tmp_path / "gaps.csv")])
+    run_ok(runner, ["build-archive", "--plan", str(tmp_path / "plan.csv"),
+                    "--out", str(tmp_path / "arch"), "--levels", "1"])
+    result = run_ok(runner, ["query", "--archive", str(tmp_path / "arch"),
+                             "--lat", "36.1", "--lon", "-145.2", *hours])
+    assert result.stderr == "24 gap hours omitted\n"
+    assert len(result.stdout.splitlines()) == 24
+    manifest = json.loads((tmp_path / "arch" / "manifest.json").read_text())
+    assert manifest["start"] == "2022-03-02T00:00:00Z"
+    assert manifest["gaps"] == [f"2022-03-02T{h:02}:00:00Z" for h in range(24)]

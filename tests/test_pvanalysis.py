@@ -110,8 +110,9 @@ def test_pm25_gap_in_peak_window_drops_day(tmp_path):
 def test_truncated_chunk_excludes_day_naming_the_file(tmp_path):
     frames = [np.full((6, 8), 10.0, dtype=np.float32) for _ in range(24)]
     arch = archive_from_frames(tmp_path, frames)
-    chunk = arch.root / "L0" / "00000017.bin"   # 17 UTC == 11:00 local
-    chunk.write_bytes(chunk.read_bytes()[:-4])
+    chunk = arch.root / "L0" / "20220302.bin"
+    # cut the shard 4 bytes into the slot of 17 UTC == 11:00 local
+    chunk.write_bytes(chunk.read_bytes()[:18 * 6 * 8 * 4 - 4])
     aggs, excluded = daily_aggregates(flat_day(date(2022, 3, 2)),
                                       {date(2022, 3, 2): 5.0}, arch, SITE)
     assert not aggs

@@ -10,7 +10,8 @@ from smokecurate.indexer import CoverageIndex, build_coverage, scan_cache
 from smokecurate.sequencer import (PlannedFrame, explain_pick, plan_sequence,
                                    read_plan_csv, write_gaps_csv,
                                    write_plan_csv)
-from smokecurate.timecal import HOUR, UTC, hour_range, julian_to_calendar
+from smokecurate.timecal import (HOUR, ISO_Z, UTC, hour_range,
+                                 julian_to_calendar)
 
 from conftest import SMALL_GEOM, T0, simple_granule_bytes
 
@@ -143,12 +144,18 @@ def test_plan_csv_round_trip(tmp_path, faulty_corpus_spec):
     lines = (tmp_path / "plan.csv").read_text().splitlines()
     assert lines[0] == ("timestep_utc,forecast_id,path,frame_index,"
                        "smoke_init_utc,resampled_needed")
-    assert all(line.endswith(",0") for line in lines[1:])  # same geometry
+    # one row per sequenced hour; a gap's row has empty pick columns
+    assert len(lines) == 1 + len(plan.timesteps())
+    for t, line in zip(plan.timesteps(), lines[1:]):
+        assert line.startswith(t.strftime(ISO_Z) + ",")
+        assert line.endswith(",,,,," if t in plan.gaps else ",0")  # same grid
     gap_lines = (tmp_path / "gaps.csv").read_text().splitlines()
     assert gap_lines[0] == "timestep_utc"
     assert len(gap_lines) == 1 + len(plan.gaps)
 
     back = read_plan_csv(tmp_path / "plan.csv")
+    assert plan.gaps[-1] == plan.end  # a trailing gap the picks alone lose
+    assert (back.start, back.end, back.gaps) == (plan.start, plan.end, plan.gaps)
     assert set(back.picks) == set(plan.picks)
     for t in plan.picks:
         assert back.picks[t].path == plan.picks[t].path
