@@ -298,7 +298,7 @@ def _provenance_entry(row: dict[str, str]) -> tuple[datetime, ProvenanceRow]:
 
 
 def _level_count(levels: int) -> int:
-    if not isinstance(levels, int) or levels < 1:
+    if type(levels) is not int or levels < 1:
         raise ValueError(f"{levels!r} is not a positive level count")
     return levels
 
@@ -321,24 +321,25 @@ def _cover_fault(start: datetime, end: datetime, gaps: set[datetime],
     return None
 
 
-def _day_slots(stored: list[datetime]) -> dict[datetime, tuple[str, int, int]]:
-    """Shard name, slot and the day's stored-hour count of each stored hour,
-    from the sorted stored hours: a day's stored hours fill its shard's
-    slots in hour order, and gap hours take none."""
+def _day_slots(sizes: dict[datetime, int]) -> dict[datetime, tuple[str, int, int]]:
+    """Shard name, offset and shard size of each hour, from each hour's
+    size: a day's frames lie back to back in hour order in its shard, and
+    an hour not in `sizes` takes no room."""
     slots = {}
-    for day, times in groupby(stored, key=datetime.date):
-        name, times = _shard_name(day), list(times)
-        slots.update((t, (name, slot, len(times)))
-                     for slot, t in enumerate(times))
+    for day, times in groupby(sorted(sizes), key=datetime.date):
+        times = list(times)
+        offset, total = 0, sum(sizes[t] for t in times)
+        for t in times:
+            slots[t] = (_shard_name(day), offset, total)
+            offset += sizes[t]
     return slots
 
 
 def _original_slots(groups: list[dict], stored: dict[datetime, tuple]
                     ) -> dict[datetime, tuple[str, int, GridGeometry, int]]:
     """Shard name, byte offset, grid and the shard's size of each stored
-    original, from the manifest's groups of timesteps by grid: a day's
-    originals lie back to back in hour order, each the size of its own
-    grid."""
+    original, from the manifest's groups of timesteps by grid; each
+    original is the size of its own grid."""
     grids = {}
     for group in groups:
         grid = GridGeometry(**group["geometry"]).validate()
@@ -347,15 +348,9 @@ def _original_slots(groups: list[dict], stored: dict[datetime, tuple]
             if t not in stored:
                 raise ValueError(f"{text} is not a stored timestep")
             grids[t] = grid
-    where = {}
-    for day, times in groupby(sorted(grids), key=datetime.date):
-        name, times = _shard_name(day), list(times)
-        sizes = [grids[t].nrows * grids[t].ncols * 4 for t in times]
-        offset = 0
-        for t, size in zip(times, sizes):
-            where[t] = (name, offset, grids[t], sum(sizes))
-            offset += size
-    return where
+    sizes = {t: grid.nrows * grid.ncols * 4 for t, grid in grids.items()}
+    return {t: (name, offset, grids[t], size)
+            for t, (name, offset, size) in _day_slots(sizes).items()}
 
 
 @dataclass
@@ -379,7 +374,6 @@ class CuratedArchive:
     # stored hour -> shard, slot, the day's stored-hour count
     slots: dict[datetime, tuple[str, int, int]]
     originals: dict[datetime, tuple[str, int, GridGeometry, int]]
-    bytes_read: int = 0  # instrumentation for progressive-cost checks
 
     @classmethod
     def open(cls, root: Path | str) -> "CuratedArchive":
@@ -429,7 +423,7 @@ class CuratedArchive:
         fault = _cover_fault(start, end, gaps, set(provenance))
         if fault:
             raise ArchiveError(f"{path} and {table} disagree: {fault}")
-        slots = _day_slots(sorted(provenance))
+        slots = _day_slots(dict.fromkeys(provenance, 1))
         originals = value("originals",
                           lambda groups: _original_slots(groups, slots))
         return cls(root, geometry, start, end, levels, gaps, provenance,
@@ -477,7 +471,6 @@ class CuratedArchive:
             raise ArchiveError(f"shard {path} is {actual} bytes, not "
                                f"{shard_size}; hour {t.strftime(ISO_Z)} "
                                f"not read")
-        self.bytes_read += size
         return np.frombuffer(data, dtype="<f4").reshape(shape).copy()
 
     def _read_chunk(self, t: datetime, level: int) -> np.ndarray:

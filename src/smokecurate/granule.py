@@ -16,10 +16,13 @@ the YYYYDDD/HHMMSS stamps exist only in the bytes, decoded once by
 from its first entry, so frame i is at `first_frame + i*HOUR`.
 
 Parsing must be safe on arbitrary bytes; every failure carries the byte
-offset of the first inconsistency. `FrameReader` reads single frames after a
-header-only parse, so a reader that needs a few frames never loads the rest;
-`validate_stream` checks a whole granule as it streams past, through one
-bounded buffer, so a writer never holds a whole body.
+offset of the first inconsistency. Every payload byte goes through one
+checked fill, `_read_payload`, straight into the memory that keeps it:
+`parse_granule` fills its one payload array (no copy), `FrameReader` reads
+single frames after a header-only parse, each into a fresh array, so a
+reader that needs a few frames never loads the rest, and `validate_stream`
+checks a whole granule as it streams past, through one bounded buffer, so a
+writer never holds a whole body.
 """
 
 from __future__ import annotations
@@ -284,7 +287,7 @@ def read_header(source: BinaryIO) -> GranuleHeader:
 
 
 def parse_granule(source: BinaryIO) -> ForecastGranule:
-    """Fully parse a granule, materializing the payload.
+    """Fully parse a granule, filling one payload array in place.
 
     Safe on arbitrary byte input: raises NotAGranuleError, TruncatedError or
     InvalidHeaderError instead of crashing. What it returns already holds
@@ -292,19 +295,21 @@ def parse_granule(source: BinaryIO) -> ForecastGranule:
     """
     h = read_header(source)
     if source.seekable():
-        # refuse a payload the source cannot hold before a read of the
-        # declared size allocates a buffer for it
-        here = source.tell()
-        left = source.seek(0, io.SEEK_END) - here
-        source.seek(here)
-        if left < h.expected_payload_bytes:
-            raise TruncatedError("stream ended inside payload",
-                                 h.header_bytes + left)
-    raw = _read_exact(source, h.expected_payload_bytes, h.header_bytes, "payload")
-    pm25 = np.frombuffer(raw, dtype="<f4").reshape(
-        h.ntimes, h.geometry.nrows, h.geometry.ncols).copy()
-    _check_payload(pm25, h.header_bytes)
+        # refuse a payload the source cannot hold before allocating it
+        _check_length(source, h)
+    pm25 = np.empty((h.ntimes, h.geometry.nrows, h.geometry.ncols), dtype="<f4")
+    _read_payload(source, memoryview(pm25).cast("B"), h.header_bytes)
     return ForecastGranule(h, pm25)
+
+
+def _check_length(source: BinaryIO, h: GranuleHeader) -> None:
+    """A seekable source shorter than the declared granule is truncated at
+    its size; the read position is kept."""
+    here = source.tell()
+    size = source.seek(0, io.SEEK_END)
+    source.seek(here)
+    if size < h.expected_total_bytes:
+        raise TruncatedError("stream ended inside payload", size)
 
 
 def _check_payload(values: np.ndarray, offset: int) -> None:
@@ -321,15 +326,16 @@ def _check_payload(values: np.ndarray, offset: int) -> None:
                              offset + int(np.argmax(~ok)) * 4)
 
 
-def _read_into(source: BinaryIO, view: memoryview) -> int:
-    """Fill `view` from `source`; fewer bytes only at the end of the stream."""
+def _read_payload(source: BinaryIO, view: memoryview, offset: int) -> None:
+    """Fill the byte `view` of payload that starts at byte `offset` from
+    `source`, then check its values: the one payload read."""
     got = 0
     while got < len(view):
         n = source.readinto(view[got:])
         if not n:
-            break
+            raise TruncatedError("stream ended inside payload", offset + got)
         got += n
-    return got
+    _check_payload(np.frombuffer(view, dtype="<f4"), offset)
 
 
 def validate_stream(source: BinaryIO) -> GranuleHeader:
@@ -352,10 +358,7 @@ def validate_stream(source: BinaryIO) -> GranuleHeader:
     offset, end = h.header_bytes, h.expected_total_bytes
     while offset < end:
         want = min(len(buf), end - offset)
-        got = _read_into(source, memoryview(buf)[:want])
-        if got < want:
-            raise TruncatedError("stream ended inside payload", offset + got)
-        _check_payload(np.frombuffer(buf, dtype="<f4", count=want // 4), offset)
+        _read_payload(source, memoryview(buf)[:want], offset)
         offset += want
     if source.read(1):
         raise TruncatedError(f"stream continues past the declared {end} bytes",
@@ -374,24 +377,19 @@ class FrameReader:
 
     def __init__(self, source: BinaryIO, header: GranuleHeader | None = None):
         self.header = header if header is not None else read_header(source)
-        size = source.seek(0, io.SEEK_END)
-        if size < self.header.expected_total_bytes:
-            raise TruncatedError("stream ended inside payload", size)
+        _check_length(source, self.header)
         self._source = source
 
     def read_frame(self, index: int) -> np.ndarray:
-        """Frame `index` as a read-only (nrows, ncols) float32 array."""
+        """Frame `index` as a fresh (nrows, ncols) float32 array."""
         h = self.header
         if not 0 <= index < h.ntimes:
             raise IndexError(f"frame {index} outside 0..{h.ntimes - 1}")
-        frame_bytes = h.geometry.nrows * h.geometry.ncols * 4
-        offset = h.header_bytes + index * frame_bytes
+        frame = np.empty((h.geometry.nrows, h.geometry.ncols), dtype="<f4")
+        offset = h.header_bytes + index * frame.nbytes
         self._source.seek(offset)
-        raw = _read_exact(self._source, frame_bytes, offset, "payload")
-        values = np.frombuffer(raw, dtype="<f4").reshape(h.geometry.nrows,
-                                                         h.geometry.ncols)
-        _check_payload(values, offset)
-        return values
+        _read_payload(self._source, memoryview(frame).cast("B"), offset)
+        return frame
 
 
 def parse_granule_bytes(data: bytes) -> ForecastGranule:

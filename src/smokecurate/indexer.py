@@ -13,7 +13,6 @@ import json
 from dataclasses import dataclass, field
 from datetime import datetime
 from pathlib import Path
-from typing import Callable
 
 from .granule import (GranuleHeader, GridGeometry, InvalidHeaderError,
                       NotAGranuleError, TruncatedError, read_header)
@@ -79,26 +78,21 @@ class CoverageIndex:
 
 def scan_cache(cache_root: Path | str,
                canonical: GridGeometry | None = None,
-               drift: GridGeometry | None = None,
-               opener: Callable = open) -> list[ScanRecord]:
+               drift: GridGeometry | None = None) -> list[ScanRecord]:
     """One ScanRecord per `*.gran` file under the root, the one name a
     fetch commits (so quarantined `rejects/` bodies are never read), in
-    sorted path order.
-
-    `opener` exists so tests can instrument byte accounting; it must behave
-    like builtins.open for binary reads.
-    """
+    sorted path order."""
     cache_root = Path(cache_root)
     if not cache_root.is_dir():
         raise FileNotFoundError(f"cache root {cache_root} is not a directory")
-    return [_scan_one(path, canonical, drift, opener)
+    return [_scan_one(path, canonical, drift)
             for path in sorted(cache_root.rglob("*.gran")) if path.is_file()]
 
 
-def _scan_one(path: Path, canonical, drift, opener) -> ScanRecord:
+def _scan_one(path: Path, canonical, drift) -> ScanRecord:
     fallback_id = path.parent.name
     try:
-        with opener(path, "rb") as f:
+        with open(path, "rb") as f:
             header = read_header(f)
     except NotAGranuleError as e:
         return ScanRecord(path, fallback_id, "not_a_granule", detail=str(e))

@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import builtins
+import os
 import struct
+from collections import Counter
+from contextlib import contextmanager
 from datetime import date, datetime, timedelta
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -76,6 +81,73 @@ def archive_from_frames(tmp_path, frames, geometry=SMALL_GEOM, start=T0,
     times = index.timesteps()
     plan = plan_sequence(index, times[0], times[-1])
     return build_archive(plan, geometry, tmp_path / "arch_single", levels=levels)
+
+
+class _Counted:
+    """A binary stream whose `read` and `readinto` add the bytes they
+    return to `reads[key]`; everything else goes to the stream."""
+
+    def __init__(self, stream, reads: Counter, key: str):
+        self._stream, self._reads, self._key = stream, reads, key
+
+    def read(self, n=-1):
+        data = self._stream.read(n)
+        self._reads[self._key] += len(data)
+        return data
+
+    def readinto(self, buf):
+        n = self._stream.readinto(buf)
+        self._reads[self._key] += n or 0
+        return n
+
+    def __getattr__(self, name):
+        return getattr(self._stream, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._stream.close()
+
+
+class ReadCounts(Counter):
+    """Bytes returned by reads, per path (or per the key of a wrapped
+    stream)."""
+
+    def wrap(self, stream, key="stream"):
+        """`stream`, with its `read` and `readinto` counted under `key`."""
+        return _Counted(stream, self, key)
+
+
+@contextmanager
+def count_reads():
+    """Count, per path, the bytes returned while the block runs by `read`
+    and `readinto` on binary files opened with `open`, and by `os.pread` on
+    descriptors opened with `os.open`. The one byte counter of the tests:
+    `with count_reads() as reads:` gives a `ReadCounts`, whose `wrap` counts
+    any other stream the same way."""
+    reads = ReadCounts()
+    paths = {}  # descriptor -> path, for os.pread
+    real_open, real_os_open, real_pread = builtins.open, os.open, os.pread
+
+    def counted_open(file, mode="r", *args, **kwargs):
+        f = real_open(file, mode, *args, **kwargs)
+        return reads.wrap(f, str(file)) if "b" in mode else f
+
+    def counted_os_open(path, *args, **kwargs):
+        fd = real_os_open(path, *args, **kwargs)
+        paths[fd] = str(path)
+        return fd
+
+    def counted_pread(fd, n, offset):
+        data = real_pread(fd, n, offset)
+        reads[paths.get(fd, f"fd {fd}")] += len(data)
+        return data
+
+    with mock.patch.object(builtins, "open", counted_open), \
+            mock.patch.object(os, "open", counted_os_open), \
+            mock.patch.object(os, "pread", counted_pread):
+        yield reads
 
 
 @pytest.fixture

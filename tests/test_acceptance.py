@@ -28,7 +28,8 @@ from smokecurate.sequencer import plan_sequence
 from smokecurate.timecal import (HOUR, UTC, JulianStamp, calendar_to_julian,
                                  hour_range, julian_to_calendar)
 
-from conftest import SMALL_GEOM, T0, archive_from_frames, granule_to_bytes
+from conftest import (SMALL_GEOM, T0, archive_from_frames, count_reads,
+                      granule_to_bytes)
 
 IDS = ("BSC00CA12-01", "BSC06CA12-01", "BSC12CA12-01", "BSC18CA12-01")
 TINY_GEOM = GridGeometry(4, 5, 40.0, -120.0, 0.5, 0.5)
@@ -167,26 +168,9 @@ def test_criterion_04_metadata_only_indexing(tmp_path):
         d.mkdir(parents=True, exist_ok=True)
         (d / f"dispersion_{init:%Y%m%d}.gran").write_bytes(granule_to_bytes(g))
 
-    totals = {}
-
-    class Counting:
-        def __init__(self, path, mode):
-            self._f = open(path, mode)
-            self._path = str(path)
-
-        def read(self, n=-1):
-            data = self._f.read(n)
-            totals[self._path] = totals.get(self._path, 0) + len(data)
-            return data
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            self._f.close()
-
     t0 = time.perf_counter()
-    records = scan_cache(cache, opener=Counting)
+    with count_reads() as totals:
+        records = scan_cache(cache)
     elapsed = time.perf_counter() - t0
     assert len(records) == 1000
     assert all(r.ok for r in records)
@@ -257,9 +241,11 @@ def test_criterion_06_archive_round_trip_and_pyramid(tmp_path):
     short = archive_from_frames(tmp_path / "short", frames)
     long_frames = [frames[k % 6] for k in range(24 * 7)]
     long = archive_from_frames(tmp_path / "long", long_frames)
-    short.read_frame(T0 + timedelta(hours=3))
-    long.read_frame(T0 + timedelta(hours=3))
-    assert short.bytes_read == long.bytes_read
+    with count_reads() as short_reads:
+        short.read_frame(T0 + timedelta(hours=3))
+    with count_reads() as long_reads:
+        long.read_frame(T0 + timedelta(hours=3))
+    assert short_reads.total() == long_reads.total()
     report("6 level-0 bit-exact; pyramid matches oracle; constant read cost")
 
 

@@ -22,7 +22,8 @@ from smokecurate.sequencer import SequencePlan, plan_sequence
 from smokecurate.timecal import (HOUR, UTC, JulianStamp, calendar_to_julian,
                                  hour_range)
 
-from conftest import SMALL_GEOM, T0, archive_from_frames, granule_to_bytes
+from conftest import (SMALL_GEOM, T0, archive_from_frames, count_reads,
+                      granule_to_bytes)
 
 # on the canonical SMALL_GEOM's origin and spacing, one row and column short
 DRIFT_GEOM = GridGeometry(nrows=5, ncols=7, lat0=40.0, lon0=-120.0,
@@ -233,7 +234,7 @@ def test_day_shards_read_back_every_hour(tmp_path_factory, data):
     day and a whole missing day, some drift frames and 1-3 levels: every
     stored hour reads back its picked frame (resampled, then box-averaged
     level by level), every gap hour raises GapError, and each read adds
-    exactly one frame to bytes_read."""
+    exactly one frame to the bytes read."""
     start = T0 + data.draw(st.integers(0, 23), label="start hour") * HOUR
     ndays = data.draw(st.integers(1, 3), label="days")
     end = T0 + (ndays - 1) * 24 * HOUR + data.draw(
@@ -277,31 +278,32 @@ def test_day_shards_read_back_every_hour(tmp_path_factory, data):
     assert sorted(p.name for p in (arch.root / "L0").glob("*")) == \
         sorted({f"{t:%Y%m%d}.bin" for t in stored})
 
-    for t in hours:
-        before = arch.bytes_read
-        if t in gaps:
+    with count_reads() as reads:
+        for t in hours:
+            before = reads.total()
+            if t in gaps:
+                for lv in range(levels):
+                    with pytest.raises(GapError):
+                        arch.read_frame(t, lv)
+                assert arch.read_original(t) is None
+                assert reads.total() == before
+                continue
+            geom = DRIFT_GEOM if t in drifted else SMALL_GEOM
+            source = granules[t.date(), geom][1][t.hour]
+            expect = np.asarray(identity_or_resample(Frame(geom, source),
+                                                     SMALL_GEOM).values, "<f4")
             for lv in range(levels):
-                with pytest.raises(GapError):
-                    arch.read_frame(t, lv)
-            assert arch.read_original(t) is None
-            assert arch.bytes_read == before
-            continue
-        geom = DRIFT_GEOM if t in drifted else SMALL_GEOM
-        source = granules[t.date(), geom][1][t.hour]
-        expect = np.asarray(identity_or_resample(Frame(geom, source),
-                                                 SMALL_GEOM).values, "<f4")
-        for lv in range(levels):
-            frame, _ = arch.read_frame(t, lv)
-            assert frame.values.tobytes() == expect.tobytes()
-            assert arch.bytes_read - before == expect.size * 4
-            before = arch.bytes_read
-            expect = box_downsample(expect).astype("<f4")
-        original = arch.read_original(t)
-        if t in drifted:
-            assert original.tobytes() == source.tobytes()
-            assert arch.bytes_read - before == source.size * 4
-        else:
-            assert original is None
+                frame, _ = arch.read_frame(t, lv)
+                assert frame.values.tobytes() == expect.tobytes()
+                assert reads.total() - before == expect.size * 4
+                before = reads.total()
+                expect = box_downsample(expect).astype("<f4")
+            original = arch.read_original(t)
+            if t in drifted:
+                assert original.tobytes() == source.tobytes()
+                assert reads.total() - before == source.size * 4
+            else:
+                assert original is None
 
 
 def test_provenance_preserves_original_stamps(tmp_path):
@@ -440,9 +442,11 @@ def test_read_cost_independent_of_archive_length(tmp_path):
     (tmp_path / "l").mkdir()
     short = archive_from_frames(tmp_path / "s", random_frames(6, seed=7))
     long = archive_from_frames(tmp_path / "l", random_frames(48, seed=8))
-    short.read_frame(T0 + timedelta(hours=2))
-    long.read_frame(T0 + timedelta(hours=2))
-    assert short.bytes_read == long.bytes_read > 0
+    with count_reads() as short_reads:
+        short.read_frame(T0 + timedelta(hours=2))
+    with count_reads() as long_reads:
+        long.read_frame(T0 + timedelta(hours=2))
+    assert short_reads.total() == long_reads.total() > 0
 
 
 def test_manifest_contents(tmp_path):
@@ -609,6 +613,8 @@ def _truncate(name):
      "manifest.json", "bad 'geometry'"),
     (_manifest_with(lambda m: m.update(levels="3")), "manifest.json",
      "bad 'levels'"),
+    (_manifest_with(lambda m: m.update(levels=True)), "manifest.json",
+     "bad 'levels'"),
     (_provenance_cell("tflag_time", "250000"), "provenance.csv", "line 3"),
     (_provenance_cell("cdate", "x"), "provenance.csv", "line 3"),
     (_provenance_cell("cdate", "9999999"), "provenance.csv",
@@ -641,7 +647,7 @@ def _truncate(name):
      "manifest.json", "disagree: 2022-03-09T00:00:00Z is not an hour of "
      "the range"),
 ], ids=["truncated-manifest", "no-gaps", "bad-start", "text-nrows",
-        "text-levels", "tflag-time-out-of-range", "non-integer-stamp",
+        "text-levels", "boolean-levels", "tflag-time-out-of-range", "non-integer-stamp",
         "creation-stamp-out-of-range", "resampled-not-boolean",
         "weather-text-not-stamp", "renamed-column",
         "no-provenance", "no-manifest", "format-1", "end-before-start",

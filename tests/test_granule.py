@@ -3,6 +3,7 @@ import io
 import math
 import re
 import struct
+import tracemalloc
 from datetime import datetime, timedelta, timezone
 from unittest import mock
 
@@ -24,8 +25,8 @@ from smokecurate.granule import (HEADER_END, ForecastGranule, FrameReader,
 from smokecurate.timecal import (HOUR, UTC, JulianStamp, calendar_to_julian,
                                  julian_to_calendar)
 
-from conftest import (BAD_GEOMETRY_OFFSET, SMALL_GEOM, granule_to_bytes,
-                      simple_granule, simple_granule_bytes,
+from conftest import (BAD_GEOMETRY_OFFSET, SMALL_GEOM, count_reads,
+                      granule_to_bytes, simple_granule, simple_granule_bytes,
                       with_geometry_field)
 
 
@@ -34,17 +35,6 @@ def _tflag_in(data):
     h = read_header_bytes(data)
     return [JulianStamp(*struct.unpack_from("<II", data, HEADER_END + 8 * i))
             for i in range(h.ntimes)]
-
-
-class CountingStream(io.BytesIO):
-    def __init__(self, data):
-        super().__init__(data)
-        self.bytes_read = 0
-
-    def read(self, n=-1):
-        data = super().read(n)
-        self.bytes_read += len(data)
-        return data
 
 
 def test_layout_byte_count_2x2_single_frame():
@@ -123,12 +113,26 @@ def test_header_read_cost_under_one_percent_of_large_file():
     geom = GridGeometry(100, 120, 32.0, -160.0, 0.1, 0.1)
     data = simple_granule_bytes(ntimes=84, geometry=geom, fill=1.0)
     assert len(data) > 4_000_000
-    stream = CountingStream(data)
-    from smokecurate.granule import read_header
+    with count_reads() as reads:
+        read_header(reads.wrap(io.BytesIO(data)))
+    assert reads["stream"] < 0.01 * len(data)
+    assert reads["stream"] == 96 + 84 * 8
 
-    read_header(stream)
-    assert stream.bytes_read < 0.01 * len(data)
-    assert stream.bytes_read == 96 + 84 * 8
+
+def test_parse_holds_each_payload_byte_once():
+    # the payload is read into the array that is returned, with no bytes
+    # object or copy beside it; a ~4 MB payload shows a second copy clearly
+    geom = GridGeometry(100, 120, 32.0, -160.0, 0.1, 0.1)
+    data = simple_granule_bytes(ntimes=84, geometry=geom, fill=1.0)
+    payload = read_header_bytes(data).expected_payload_bytes
+    tracemalloc.start()
+    try:
+        g = parse_granule_bytes(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.pm25.nbytes == payload
+    assert peak < 1.25 * payload, peak / payload
 
 
 def test_bad_tflag_contiguity_rejected():
@@ -224,8 +228,7 @@ def test_error_offsets_are_reported():
 def test_frame_reader_matches_full_parse():
     data = simple_granule_bytes(ntimes=5)
     g = parse_granule_bytes(data)
-    stream = CountingStream(data)
-    reader = FrameReader(stream)
+    reader = FrameReader(io.BytesIO(data))
     assert reader.header == read_header_bytes(data)
     for i in range(5):
         np.testing.assert_array_equal(reader.read_frame(i), g.pm25[i])
@@ -237,11 +240,11 @@ def test_frame_reader_matches_full_parse():
 
 def test_frame_reader_reads_only_the_header_and_the_frame():
     data = simple_granule_bytes(ntimes=40)
-    stream = CountingStream(data)
-    reader = FrameReader(stream)
-    header_bytes = reader.header.header_bytes
-    reader.read_frame(17)
-    assert stream.bytes_read == header_bytes + 6 * 8 * 4
+    with count_reads() as reads:
+        reader = FrameReader(reads.wrap(io.BytesIO(data)))
+        header_bytes = reader.header.header_bytes
+        reader.read_frame(17)
+    assert reads["stream"] == header_bytes + 6 * 8 * 4
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.5])

@@ -1,4 +1,3 @@
-import builtins
 from datetime import date, datetime
 
 import pytest
@@ -8,31 +7,9 @@ from smokecurate.corpusgen import (DESK_DRIFT_GEOMETRY, DESK_GEOMETRY,
 from smokecurate.indexer import build_coverage, consistency_report, scan_cache
 from smokecurate.timecal import UTC
 
-from conftest import (BAD_GEOMETRY_OFFSET, SMALL_GEOM, granule_to_bytes,
-                      simple_granule, simple_granule_bytes,
+from conftest import (BAD_GEOMETRY_OFFSET, SMALL_GEOM, count_reads,
+                      granule_to_bytes, simple_granule, simple_granule_bytes,
                       with_geometry_field)
-
-
-class PayloadCountingFile:
-    """File wrapper that records read positions so tests can prove the
-    payload region was never touched."""
-
-    totals: dict = {}
-
-    def __init__(self, path, mode):
-        self._f = builtins.open(path, mode)
-        self._path = str(path)
-
-    def read(self, n=-1):
-        data = self._f.read(n)
-        self.totals[self._path] = self.totals.get(self._path, 0) + len(data)
-        return data
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self._f.close()
 
 
 def write_cache(tmp_path, granules):
@@ -95,12 +72,12 @@ def test_scan_flags_non_finite_origin(tmp_path):
 def test_scan_reads_zero_payload_bytes(tmp_path):
     granules = [simple_granule(ntimes=12) for _ in range(5)]
     cache = write_cache(tmp_path, granules)
-    PayloadCountingFile.totals = {}
-    records = scan_cache(cache, opener=PayloadCountingFile)
+    with count_reads() as reads:
+        records = scan_cache(cache)
     assert all(r.ok for r in records)
     for r in records:
         header_region = 96 + r.header.ntimes * 8
-        assert PayloadCountingFile.totals[str(r.path)] == header_region
+        assert reads[str(r.path)] == header_region
 
 
 def test_geometry_classification(tmp_path):
