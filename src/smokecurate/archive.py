@@ -23,8 +23,9 @@ the level's frame size, its slot being the number of stored hours before it
 on its UTC day. `CuratedArchive.open` computes every slot once from the
 stored hours of provenance.csv, after checking that they and the manifest's
 `gaps` cover `start`..`end` exactly once. A shard must be exactly its day's
-stored frames long, and each frame read is one `os.pread` of exactly one
-frame. An original starts after the day's earlier originals.
+stored frames long, and each frame read is one `readinto` of exactly one
+frame, straight into the array returned. An original starts after the
+day's earlier originals.
 A build first removes the old manifest, writes each shard to a `.tmp` file,
 publishes it with `os.replace` when the build moves to the next day, and
 writes the manifest last, so a failed build or rebuild leaves no readable
@@ -219,9 +220,9 @@ def build_archive(plan: SequencePlan, canonical: GridGeometry,
     """Materialize a plan into the on-disk archive. An earlier build's
     manifest is removed before the first shard is replaced and the new one
     is written last, so an interrupted build or rebuild leaves no readable
-    archive behind; a build that fails leaves no `.tmp` shard."""
-    if levels < 1:
-        raise ValueError("levels must be >= 1")
+    archive behind; a build that fails leaves no `.tmp` shard. A `levels`
+    that `open` would refuse raises ValueError before `out` is touched."""
+    _level_count(levels)
     canonical.validate()
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
@@ -435,53 +436,31 @@ class CuratedArchive:
                                f"{self.start}..{self.end}")
 
     def _neighbors(self, t: datetime) -> tuple[datetime | None, datetime | None]:
-        before = after = None
-        step = t - HOUR
-        while step >= self.start:
-            if step not in self.gaps:
-                before = step
-                break
-            step -= HOUR
-        step = t + HOUR
-        while step <= self.end:
-            if step not in self.gaps:
-                after = step
-                break
-            step += HOUR
-        return before, after
+        """The nearest stored hours before and after `t`, if any."""
+        return (max((s for s in self.provenance if s < t), default=None),
+                min((s for s in self.provenance if s > t), default=None))
 
     def _read(self, path: Path, offset: int, shape: tuple[int, int],
               shard_size: int, t: datetime) -> np.ndarray:
         """The float32 frame of `shape` at byte `offset` of the shard at
-        `path`, read with one pread. A shard that is not exactly
-        `shard_size` bytes raises ArchiveError naming the shard, both sizes
-        and the hour."""
-        size = shape[0] * shape[1] * 4
+        `path`, read straight into the array returned. A shard that is not
+        exactly `shard_size` bytes raises ArchiveError naming the shard,
+        both sizes and the hour."""
+        values = np.empty(shape, dtype="<f4")
+        got = 0
         try:
-            fd = os.open(path, os.O_RDONLY)
-            try:
-                actual = os.fstat(fd).st_size
-                data = (os.pread(fd, size, offset) if actual == shard_size
-                        else b"")
-            finally:
-                os.close(fd)
+            with open(path, "rb", buffering=0) as f:
+                actual = os.fstat(f.fileno()).st_size
+                if actual == shard_size:
+                    f.seek(offset)
+                    got = f.readinto(values)
         except OSError as e:
             raise ArchiveError(f"shard {path} unreadable: {e}") from e
-        if len(data) != size:
+        if got != values.nbytes:
             raise ArchiveError(f"shard {path} is {actual} bytes, not "
                                f"{shard_size}; hour {t.strftime(ISO_Z)} "
                                f"not read")
-        return np.frombuffer(data, dtype="<f4").reshape(shape).copy()
-
-    def _read_chunk(self, t: datetime, level: int) -> np.ndarray:
-        self._check_range(t)
-        if t in self.gaps:
-            raise GapError(t, *self._neighbors(t))
-        name, slot, count = self.slots[t]
-        shape = level_shape(self.geometry, level)
-        size = shape[0] * shape[1] * 4
-        return self._read(self.root / f"L{level}" / name, slot * size, shape,
-                          count * size, t)
+        return values
 
     def read_frame(self, t: datetime,
                    level: int = 0) -> tuple[Frame, ProvenanceRow]:
@@ -489,10 +468,16 @@ class CuratedArchive:
         duration. Gap timesteps raise GapError with the nearest neighbors."""
         if not 0 <= level < self.levels:
             raise ArchiveError(f"level {level} outside 0..{self.levels - 1}")
-        values = self._read_chunk(t, level)
+        self._check_range(t)
+        if t in self.gaps:
+            raise GapError(t, *self._neighbors(t))
+        geom = level_geometry(self.geometry, level)
+        name, slot, count = self.slots[t]
+        size = geom.nrows * geom.ncols * 4
+        values = self._read(self.root / f"L{level}" / name, slot * size,
+                            (geom.nrows, geom.ncols), count * size, t)
         row = self.provenance[t]
-        return (Frame(level_geometry(self.geometry, level), values,
-                      resampled=row.resampled), row)
+        return Frame(geom, values, resampled=row.resampled), row
 
     def read_original(self, t: datetime) -> np.ndarray | None:
         """Pre-resample frame as an (nrows, ncols) array on the grid the
@@ -523,13 +508,12 @@ class CuratedArchive:
             raise ArchiveError(f"bbox {bbox} selects no grid points")
         times, slabs, gaps = [], [], []
         for t in hour_range(t0, t1):
-            try:
-                values = self._read_chunk(t, level)
-            except GapError:
+            if t in self.gaps:
                 gaps.append(t)
                 continue
+            frame, _ = self.read_frame(t, level)
             times.append(t)
-            slabs.append(values[np.ix_(rsel, csel)])
+            slabs.append(frame.values[np.ix_(rsel, csel)])
         values = (np.stack(slabs) if slabs
                   else np.empty((0, rsel.size, csel.size), dtype=np.float32))
         return WindowResult(times, values, lats[rsel], lons[csel], gaps)

@@ -26,7 +26,7 @@ from . import corpusgen, fetcher, indexer, pvanalysis, sequencer
 from .archive import CuratedArchive, build_archive
 from .query import SamplingMode, sample_series
 from .tables import write_table
-from .timecal import ISO_Z, UTC, parse_iso_z
+from .timecal import ISO_Z, UTC, is_hour_step, parse_iso_z
 
 SCALES = {
     "desk": (corpusgen.DESK_GEOMETRY, corpusgen.DESK_DRIFT_GEOMETRY),
@@ -39,7 +39,10 @@ def _parse_hour(text: str) -> datetime:
     t = parse_iso_z(text) if text.endswith("Z") else datetime.fromisoformat(text)
     if t.tzinfo is None:
         t = t.replace(tzinfo=UTC)
-    return t.astimezone(UTC)
+    t = t.astimezone(UTC)
+    if not is_hour_step(t):
+        raise ValueError(f"{text} is not an exact UTC hour")
+    return t
 
 
 def _parse_site(text: str) -> tuple[float, float]:

@@ -13,7 +13,8 @@ import math
 from dataclasses import dataclass
 from datetime import datetime
 
-from .archive import CuratedArchive, GapError
+from .archive import CuratedArchive
+from .regrid import blend, corner_weights
 from .timecal import hour_range
 
 
@@ -50,19 +51,13 @@ def sample_point(archive: CuratedArchive, t: datetime, lat: float, lon: float,
     fy, fx = _fractional_index(archive, lat, lon)
     frame, _ = archive.read_frame(t, level=0)
     v = frame.values
-    g = archive.geometry
-
-    iy = min(int(math.floor(fy)), g.nrows - 2)
-    ix = min(int(math.floor(fx)), g.ncols - 2)
     if mode is SamplingMode.SOUTHWEST_CORNER:
         # floor toward the grid origin in both axes
         return float(v[int(math.floor(fy)), int(math.floor(fx))])
-    wy = fy - iy
-    wx = fx - ix
-    return float((1 - wy) * (1 - wx) * v[iy, ix]
-                 + (1 - wy) * wx * v[iy, ix + 1]
-                 + wy * (1 - wx) * v[iy + 1, ix]
-                 + wy * wx * v[iy + 1, ix + 1])
+    iy, wy = corner_weights(fy, v.shape[0])
+    ix, wx = corner_weights(fx, v.shape[1])
+    # the corners as Python floats, so the blend runs in float64
+    return float(blend(wy, wx, *map(float, v[iy:iy + 2, ix:ix + 2].flat)))
 
 
 @dataclass
@@ -78,8 +73,8 @@ def sample_series(archive: CuratedArchive, t0: datetime, t1: datetime,
     _fractional_index(archive, lat, lon)  # extent check up front
     entries, gaps = [], []
     for t in hour_range(t0, t1):
-        try:
-            entries.append((t, sample_point(archive, t, lat, lon, mode)))
-        except GapError:
+        if t in archive.gaps:
             gaps.append(t)
+        else:
+            entries.append((t, sample_point(archive, t, lat, lon, mode)))
     return SeriesResult(entries, gaps)

@@ -1,4 +1,5 @@
-"""Bilinear resampling of a frame onto the canonical grid.
+"""Bilinear resampling of a frame onto the canonical grid, by the one
+bilinear rule (`corner_weights`, `blend`) that `query` samples points with.
 
 Geometry comparison is exact (all six fields); fuzzy matching would silently
 hide the grid drift this pipeline exists to expose.
@@ -22,6 +23,20 @@ class Frame:
     resampled: bool = False
 
 
+def corner_weights(f, n: int):
+    """For fractional indices `f` along an axis of `n` points: the index of
+    the lower of the two enclosing points, and the weight of the upper one."""
+    i = np.clip(np.floor(f).astype(int), 0, n - 2)
+    return i, np.clip(f - i, 0.0, 1.0)
+
+
+def blend(wy, wx, v00, v01, v10, v11):
+    """The bilinear blend of four corners, `v01` one column and `v10` one
+    row above `v00`, with upper-corner weights `wy` (rows) and `wx`."""
+    return ((1 - wy) * (1 - wx) * v00 + (1 - wy) * wx * v01
+            + wy * (1 - wx) * v10 + wy * wx * v11)
+
+
 def bilinear_resample(src: Frame, target: GridGeometry) -> Frame:
     """Resample onto `target` by bilinear blending of the 4 enclosing source
     points. Target points outside the source bounding box are set to 0.
@@ -43,30 +58,21 @@ def bilinear_resample(src: Frame, target: GridGeometry) -> Frame:
         np.add(src.values[:rows, :cols], 0.0, out=out[:rows, :cols])
         return Frame(target, out, resampled=True)
 
-    lat = target.lat0 + np.arange(target.nrows) * target.dlat
-    lon = target.lon0 + np.arange(target.ncols) * target.dlon
-    fy = (lat - sg.lat0) / sg.dlat          # fractional row index per target row
-    fx = (lon - sg.lon0) / sg.dlon
+    # fractional source index of each target row and column
+    fy = (target.latitudes() - sg.lat0) / sg.dlat
+    fx = (target.longitudes() - sg.lon0) / sg.dlon
 
     eps = 1e-9  # tolerate roundoff at the exact source boundary
     in_y = (fy >= -eps) & (fy <= sg.nrows - 1 + eps)
     in_x = (fx >= -eps) & (fx <= sg.ncols - 1 + eps)
     inside = in_y[:, None] & in_x[None, :]
 
-    iy = np.clip(np.floor(fy).astype(int), 0, sg.nrows - 2)
-    ix = np.clip(np.floor(fx).astype(int), 0, sg.ncols - 2)
-    wy = np.clip(fy - iy, 0.0, 1.0)
-    wx = np.clip(fx - ix, 0.0, 1.0)
-
+    iy, wy = corner_weights(fy, sg.nrows)
+    ix, wx = corner_weights(fx, sg.ncols)
     v = np.asarray(src.values, dtype=np.float64)
-    v00 = v[np.ix_(iy, ix)]
-    v01 = v[np.ix_(iy, ix + 1)]
-    v10 = v[np.ix_(iy + 1, ix)]
-    v11 = v[np.ix_(iy + 1, ix + 1)]
-    wy2 = wy[:, None]
-    wx2 = wx[None, :]
-    out = ((1 - wy2) * (1 - wx2) * v00 + (1 - wy2) * wx2 * v01
-           + wy2 * (1 - wx2) * v10 + wy2 * wx2 * v11)
+    out = blend(wy[:, None], wx[None, :], v[np.ix_(iy, ix)],
+                v[np.ix_(iy, ix + 1)], v[np.ix_(iy + 1, ix)],
+                v[np.ix_(iy + 1, ix + 1)])
 
     out = np.where(inside, out, 0.0)
     np.maximum(out, 0.0, out=out)

@@ -14,7 +14,7 @@ from pathlib import Path
 from .granule import GridGeometry
 from .indexer import CandidateFrame, CoverageIndex, PlannedFrame
 from .tables import read_table, write_table
-from .timecal import ISO_Z, hour_range, parse_iso_z
+from .timecal import ISO_Z, hour_range, is_hour_step, parse_iso_z
 
 
 @dataclass
@@ -87,20 +87,27 @@ def write_gaps_csv(plan: SequencePlan, path: Path | str) -> None:
     write_table(path, ["timestep_utc"], ([t.strftime(ISO_Z)] for t in plan.gaps))
 
 
-def _plan_row(row: dict[str, str]) -> tuple[datetime, PlannedFrame | None]:
-    t = parse_iso_z(row["timestep_utc"])
-    if not any(row[c] for c in PLAN_COLUMNS[1:5]):
-        return t, None  # a gap
-    return t, PlannedFrame(Path(row["path"]), row["forecast_id"],
-                           int(row["frame_index"]),
-                           parse_iso_z(row["smoke_init_utc"]))
-
-
 def read_plan_csv(path: Path | str) -> SequencePlan:
     """Rebuild a plan from its CSV: it runs from its first to its last row,
     an hour whose pick columns are empty (or that has no row) is a gap,
-    picks hold only the CSV's columns, and the plan has no candidate index."""
-    rows = dict(read_table(path, PLAN_COLUMNS[:5], _plan_row))
+    picks hold only the CSV's columns, and the plan has no candidate index.
+    A timestep that is not an exact hour, or that two rows list, raises
+    ValueError naming the file and the line."""
+    seen: set[datetime] = set()
+
+    def plan_row(row: dict[str, str]) -> tuple[datetime, PlannedFrame | None]:
+        t = parse_iso_z(row["timestep_utc"])
+        if t in seen or not is_hour_step(t):
+            raise ValueError(f"timestep_utc {row['timestep_utc']} is " + (
+                "listed twice" if t in seen else "not an exact hour"))
+        seen.add(t)
+        if not any(row[c] for c in PLAN_COLUMNS[1:5]):
+            return t, None  # a gap
+        return t, PlannedFrame(Path(row["path"]), row["forecast_id"],
+                               int(row["frame_index"]),
+                               parse_iso_z(row["smoke_init_utc"]))
+
+    rows = dict(read_table(path, PLAN_COLUMNS[:5], plan_row))
     picks = {t: pick for t, pick in rows.items() if pick is not None}
     if not picks:
         raise ValueError(f"plan {path} contains no picks")

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import builtins
-import os
 import struct
 from collections import Counter
 from contextlib import contextmanager
@@ -122,31 +121,17 @@ class ReadCounts(Counter):
 @contextmanager
 def count_reads():
     """Count, per path, the bytes returned while the block runs by `read`
-    and `readinto` on binary files opened with `open`, and by `os.pread` on
-    descriptors opened with `os.open`. The one byte counter of the tests:
-    `with count_reads() as reads:` gives a `ReadCounts`, whose `wrap` counts
-    any other stream the same way."""
+    and `readinto` on binary files opened with `open`. The one byte counter
+    of the tests: `with count_reads() as reads:` gives a `ReadCounts`, whose
+    `wrap` counts any other stream the same way."""
     reads = ReadCounts()
-    paths = {}  # descriptor -> path, for os.pread
-    real_open, real_os_open, real_pread = builtins.open, os.open, os.pread
+    real_open = builtins.open
 
     def counted_open(file, mode="r", *args, **kwargs):
         f = real_open(file, mode, *args, **kwargs)
         return reads.wrap(f, str(file)) if "b" in mode else f
 
-    def counted_os_open(path, *args, **kwargs):
-        fd = real_os_open(path, *args, **kwargs)
-        paths[fd] = str(path)
-        return fd
-
-    def counted_pread(fd, n, offset):
-        data = real_pread(fd, n, offset)
-        reads[paths.get(fd, f"fd {fd}")] += len(data)
-        return data
-
-    with mock.patch.object(builtins, "open", counted_open), \
-            mock.patch.object(os, "open", counted_os_open), \
-            mock.patch.object(os, "pread", counted_pread):
+    with mock.patch.object(builtins, "open", counted_open):
         yield reads
 
 

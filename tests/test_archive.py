@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import tracemalloc
 from collections import Counter
 from datetime import date, datetime, timedelta
 
@@ -409,6 +410,39 @@ def test_window_reports_gaps_and_skips_them(tmp_path):
     assert win.values.shape == (5, 6, 8)
 
 
+def test_gap_hours_never_walk_to_the_neighbors(tmp_path, monkeypatch):
+    """A window lists a gap hour without raising GapError, so it never
+    searches for the gap's neighbours; a direct read of a gap still does."""
+    arch = gapped_archive(tmp_path)
+
+    def no_walk(self, t):
+        raise AssertionError(f"walked to the neighbours of {t}")
+
+    monkeypatch.setattr(CuratedArchive, "_neighbors", no_walk)
+    win = arch.read_window(T0, T0 + timedelta(hours=5),
+                           bbox=(-90.0, 90.0, -180.0, 180.0))
+    assert win.gaps == [T0 + timedelta(hours=3)]
+    with pytest.raises(AssertionError, match="neighbours"):
+        arch.read_frame(T0 + timedelta(hours=3))
+
+
+def test_read_frame_holds_the_frame_once(tmp_path):
+    """A frame is read straight into the array returned: no second copy of
+    it is ever held."""
+    geom = GridGeometry(nrows=600, ncols=1000, lat0=20.0, lon0=-130.0,
+                        dlat=0.05, dlon=0.05)
+    frames = [np.full((600, 1000), 3.5, dtype=np.float32)]
+    arch = archive_from_frames(tmp_path, frames, geometry=geom, levels=1)
+    tracemalloc.start()
+    try:
+        frame, _ = arch.read_frame(T0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(frame.values, frames[0])
+    assert peak < 1.25 * frames[0].nbytes
+
+
 def test_window_full_extent_equals_read_frame(tmp_path):
     frames = random_frames(4, seed=2)
     arch = archive_from_frames(tmp_path, frames)
@@ -535,6 +569,19 @@ def test_shard_with_an_extra_frame_raises_archive_error(tmp_path):
         arch.read_frame(T0 + HOUR)
     assert str(shard) in str(err.value)
     assert f"{size + size // 3} bytes, not {size}" in str(err.value)
+
+
+@pytest.mark.parametrize("levels", [True, 2.5, 0])
+def test_bad_level_count_leaves_an_existing_archive(tmp_path, levels):
+    """build_archive refuses a level count that open would refuse, before
+    it touches the directory."""
+    frames = random_frames(2, seed=4)
+    arch = archive_from_frames(tmp_path, frames)
+    plan = plan_hours(tmp_path / "cache_single", 2)
+    with pytest.raises(ValueError, match="not a positive level count"):
+        build_archive(plan, SMALL_GEOM, arch.root, levels=levels)
+    frame, _ = CuratedArchive.open(arch.root).read_frame(T0 + HOUR)
+    np.testing.assert_array_equal(frame.values, frames[1])
 
 
 def test_manifest_missing_a_gap_hour_is_refused(tmp_path):

@@ -318,7 +318,10 @@ def test_validate_reads_no_quarantined_body(tmp_path, runner):
       "--to", "garbage", "--out", "{tmp}/c"], "--to"),
     (["gen-corpus", "--root", "{tmp}/c", "--from", "2022-13-02",
       "--to", "2022-03-02"], "--from"),
-], ids=["sequence-to", "gen-corpus-from"])
+    (["query", "--archive", "{tmp}", "--lat", "36.0", "--lon", "-145.0",
+      "--from", "2022-03-02T00:30:00Z", "--to", "2022-03-02T05:00:00Z",
+      "--csv", "{tmp}/c"], "--from"),
+], ids=["sequence-to", "gen-corpus-from", "query-from-not-an-hour"])
 def test_bad_option_value_is_a_usage_error(tmp_path, runner, args, option):
     args = [a.format(tmp=tmp_path) for a in args]
     result = runner.invoke(main, args, catch_exceptions=False)

@@ -111,6 +111,36 @@ def test_series_reports_gap_hours(tmp_path):
     assert len(res.entries) == 5
 
 
+def test_series_never_walks_to_a_gaps_neighbors(tmp_path, monkeypatch):
+    from test_archive import gapped_archive
+
+    from smokecurate.archive import CuratedArchive
+
+    a = gapped_archive(tmp_path)
+
+    def no_walk(self, t):
+        raise AssertionError(f"walked to the neighbours of {t}")
+
+    monkeypatch.setattr(CuratedArchive, "_neighbors", no_walk)
+    res = sample_series(a, T0, T0 + timedelta(hours=5), 41.0, -118.0)
+    assert res.gaps == [T0 + timedelta(hours=3)]
+
+
+def test_bilinear_constant_field_is_exact_to_float64(tmp_path):
+    """The blend runs in float64: a constant field samples to its value
+    within float64 roundoff at any point, not float32's."""
+    value = float(np.float32(7.3))
+    a = archive_from_frames(tmp_path, [np.full((6, 8), value, np.float32)])
+    g = a.geometry
+    rng = np.random.default_rng(3)
+    # Python floats, as the CLI passes them: a numpy float64 coordinate
+    # would lift a float32 blend to float64 by itself
+    points = rng.uniform((0, 0), (g.nrows - 1, g.ncols - 1), (500, 2))
+    for fy, fx in points.tolist():
+        v = sample_point(a, T0, g.lat0 + fy * g.dlat, g.lon0 + fx * g.dlon)
+        assert abs(v - value) <= 1e-12 * value
+
+
 def test_week_long_series(tmp_path):
     frames = [np.full((6, 8), float(k), dtype=np.float32)
               for k in range(168)]

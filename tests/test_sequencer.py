@@ -176,3 +176,24 @@ def test_plan_read_from_csv_holds_only_csv_columns(tmp_path, sched_corpus):
     # instead of reporting none
     with pytest.raises(ValueError, match="no candidate index"):
         explain_pick(back, t)
+
+
+@pytest.mark.parametrize("edit, line, message", [
+    (lambda rows: rows.insert(3, rows[2]), 4,
+     "timestep_utc 2022-03-04T02:00:00Z is listed twice"),
+    (lambda rows: rows.__setitem__(1, rows[1].replace("T01:00:00Z,", "T00:30:00Z,", 1)),
+     2, "timestep_utc 2022-03-04T00:30:00Z is not an exact hour"),
+    (lambda rows: rows.__setitem__(-1, rows[-1].replace("T03:00:00Z,", "T03:00:01Z,", 1)),
+     4, "timestep_utc 2022-03-04T03:00:01Z is not an exact hour"),
+], ids=["duplicate-hour", "first-not-an-hour", "last-not-an-hour"])
+def test_plan_csv_bad_timestep_names_file_and_line(tmp_path, sched_corpus,
+                                                   edit, line, message):
+    t = datetime(2022, 3, 4, 1, tzinfo=UTC)
+    path = tmp_path / "plan.csv"
+    write_plan_csv(make_plan(sched_corpus, t, t + timedelta(hours=2)), path)
+    rows = path.read_text().splitlines()
+    edit(rows)
+    path.write_text("\n".join(rows) + "\n")
+    with pytest.raises(ValueError) as err:
+        read_plan_csv(path)
+    assert str(err.value) == f"{path} line {line}: {message}"
