@@ -1,5 +1,6 @@
 """Curated chronological store: hourly level-0 frames, a 2x box-average
-resolution pyramid, per-timestep provenance, and progressive reads.
+resolution pyramid derived on read, per-timestep provenance, and progressive
+reads.
 
 The build reads each picked granule's header once and then only its picked
 frames, one granule open at a time. A non-finite or negative value, a
@@ -12,15 +13,20 @@ On-disk layout (format_version 2):
                            timesteps of each stored original, tool version
     provenance.csv         one row per stored timestep: the picked granule's
                            stamps, encoded back from its header's times
-    L{level}/{YYYYMMDD}.bin  one shard per level per UTC day: that day's
-                           stored frames back to back in hour order, each a
+    L0/{YYYYMMDD}.bin      one shard per UTC day: that day's stored
+                           level-0 frames back to back in hour order, each a
                            row-major little-endian float32 grid
     originals/{YYYYMMDD}.bin  the day's pre-resample frames, the same way,
                            each on its own grid, when resampling occurred
 
+Only level 0 is stored; `levels` is the number of readable levels. A
+level-L read costs one level-0 frame plus L box averages, each
+`box_downsample` then a cast to float32. Format 2 archives once stored
+levels 1 and up as `L{level}/` shards made by the same chain, so a reader
+ignores those shards and derives bit-identical values.
 Gap hours take no bytes, so a stored hour's frame starts at its slot times
-the level's frame size, its slot being the number of stored hours before it
-on its UTC day. `CuratedArchive.open` computes every slot once from the
+the frame size, its slot being the number of stored hours before it on its
+UTC day. `CuratedArchive.open` computes every slot once from the
 stored hours of provenance.csv, after checking that they and the manifest's
 `gaps` cover `start`..`end` exactly once. A shard must be exactly its day's
 stored frames long, and each frame read is one `readinto` of exactly one
@@ -30,10 +36,10 @@ A build first removes the old manifest, writes each shard to a `.tmp` file,
 publishes it with `os.replace` when the build moves to the next day, and
 writes the manifest last, so a failed build or rebuild leaves no readable
 archive. There is no format 1 reader: rebuild such an archive with
-build-archive. A rebuild into an existing directory leaves files of days the
-new plan does not write, and an archive opened before a rebuild keeps its
-offsets, so where the rebuild moved a day's gaps it reads another hour's
-frame.
+build-archive. A rebuild into an existing directory leaves files it does not
+write (shards of days the new plan does not cover, and any `L1/`, `L2/`...
+shards), unread, and an archive opened before a rebuild keeps its offsets,
+so where the rebuild moved a day's gaps it reads another hour's frame.
 """
 
 from __future__ import annotations
@@ -232,8 +238,7 @@ def build_archive(plan: SequencePlan, canonical: GridGeometry,
     originals: dict[GridGeometry, list[str]] = {}  # timesteps per source grid
     with ExitStack() as stack:
         picked = stack.enter_context(closing(_picked_frames(plan)))
-        shards = [stack.enter_context(_DayShards(out / f"L{lv}"))
-                  for lv in range(levels)]
+        level0 = stack.enter_context(_DayShards(out / "L0"))
         original_shards = stack.enter_context(_DayShards(out / "originals"))
         for t, h, values in picked:
             name = _shard_name(t)
@@ -242,11 +247,7 @@ def build_archive(plan: SequencePlan, canonical: GridGeometry,
             if frame.resampled:
                 original_shards.append(name, src.values)
                 originals.setdefault(h.geometry, []).append(t.strftime(ISO_Z))
-            level_values = np.asarray(frame.values, dtype=np.float32)
-            for lv, level in enumerate(shards):
-                level.append(name, level_values)
-                if lv + 1 < levels:
-                    level_values = box_downsample(level_values).astype(np.float32)
+            level0.append(name, frame.values)
             tf, cd, wd, sd = map(calendar_to_julian,
                                  (t, h.created, h.weather_init, h.smoke_init))
             rows.append([tf.date, tf.time, cd.date, cd.time, wd.date, wd.time,
@@ -464,20 +465,24 @@ class CuratedArchive:
 
     def read_frame(self, t: datetime,
                    level: int = 0) -> tuple[Frame, ProvenanceRow]:
-        """One timestep at one level; byte cost is independent of archive
-        duration. Gap timesteps raise GapError with the nearest neighbors."""
+        """One timestep at one level: one level-0 frame read, whatever the
+        archive's duration, box-averaged `level` times. Gap timesteps raise
+        GapError with the nearest neighbors."""
         if not 0 <= level < self.levels:
             raise ArchiveError(f"level {level} outside 0..{self.levels - 1}")
         self._check_range(t)
         if t in self.gaps:
             raise GapError(t, *self._neighbors(t))
-        geom = level_geometry(self.geometry, level)
+        g = self.geometry
         name, slot, count = self.slots[t]
-        size = geom.nrows * geom.ncols * 4
-        values = self._read(self.root / f"L{level}" / name, slot * size,
-                            (geom.nrows, geom.ncols), count * size, t)
+        size = g.nrows * g.ncols * 4
+        values = self._read(self.root / "L0" / name, slot * size,
+                            (g.nrows, g.ncols), count * size, t)
+        for _ in range(level):
+            values = box_downsample(values).astype(np.float32)
         row = self.provenance[t]
-        return Frame(geom, values, resampled=row.resampled), row
+        return (Frame(level_geometry(g, level), values,
+                      resampled=row.resampled), row)
 
     def read_original(self, t: datetime) -> np.ndarray | None:
         """Pre-resample frame as an (nrows, ncols) array on the grid the

@@ -217,7 +217,7 @@ def sequence(cache, start, end, out, gaps, scale):
 @main.command("build-archive")
 @click.option("--plan", "plan_path", required=True, type=click.Path(exists=True))
 @click.option("--out", required=True, type=click.Path())
-@click.option("--levels", type=int, default=3)
+@click.option("--levels", type=click.IntRange(min=1), default=3)
 @click.option("--scale", type=click.Choice(list(SCALES)), default="desk")
 def build_archive_cmd(plan_path, out, levels, scale):
     """Materialize a sequence plan into the curated archive."""

@@ -1,5 +1,5 @@
-"""Portal URL construction, validated bulk download into the cache layout,
-and earliest-available-date probing.
+"""Portal URL construction and validated bulk download into the cache
+layout.
 
 Bodies are streamed into a temp file through one bounded buffer and checked
 on the way (header, payload values, exact length); only a body that passes is
@@ -217,52 +217,3 @@ def fetch_range(endpoint: SourceEndpoint, forecast_ids: list[str],
                                   retries=retries, backoff=backoff), jobs))
     records.sort(key=lambda r: (r.forecast_id, r.date))
     return FetchReport(records)
-
-
-def _is_available(endpoint: SourceEndpoint, forecast_id: str, day: date) -> bool:
-    url = build_url(endpoint, forecast_id, day, embedded_init_hour(forecast_id))
-    try:
-        with _open_body(endpoint, url, timeout=30.0) as body:
-            validate_stream(body)
-        return True
-    except (NotFound, GranuleError, OSError):
-        return False
-
-
-def probe_earliest(endpoint: SourceEndpoint, forecast_id: str,
-                   window_start: date, window_end: date,
-                   gap_tolerance: int = 14) -> date | None:
-    """Earliest day in the window with a valid granule, assuming availability
-    has no interior gap longer than `gap_tolerance` consecutive days.
-
-    Finds any available day via capped exponential probing, then walks
-    backward day-by-day until the gap tolerance is exhausted.
-    """
-    if window_start > window_end:
-        raise ValueError("empty probe window")
-    total = (window_end - window_start).days + 1
-    block = gap_tolerance + 1
-
-    def block_has_hit(offset: int) -> bool:
-        # Once availability has begun, any block-sized run of days contains
-        # a granule, so this predicate is monotone in the offset.
-        for i in range(offset, min(offset + block, total)):
-            if _is_available(endpoint, forecast_id,
-                             window_start + timedelta(days=i)):
-                return True
-        return False
-
-    if not block_has_hit(max(0, total - block)):
-        return None
-    lo, hi = 0, max(0, total - block)  # hi: smallest known offset with a hit
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if block_has_hit(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    for i in range(lo, total):
-        day = window_start + timedelta(days=i)
-        if _is_available(endpoint, forecast_id, day):
-            return day
-    return None

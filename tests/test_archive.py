@@ -222,10 +222,15 @@ def test_pyramid_chunks_equal_downsampled_level_below(tmp_path):
             expect.astype("<f4").tobytes()
         for lv in (1, 2):
             below, _ = arch.read_frame(t, level=lv - 1)
+            frame, _ = arch.read_frame(t, level=lv)
             expect = box_downsample(below.values).astype("<f4")
-            assert chunk(f"L{lv}", t, slot, level_shape(DESK_GEOMETRY, lv)) \
-                == expect.tobytes()
+            assert frame.geometry == level_geometry(DESK_GEOMETRY, lv)
+            assert frame.values.dtype == expect.dtype
+            assert frame.values.tobytes() == expect.tobytes()
     assert 0 < resampled < len(plan.picks)
+    # only level 0 is stored; levels 1 and 2 are derived on read
+    assert not (arch.root / "L1").exists()
+    assert not (arch.root / "L2").exists()
 
 
 @settings(max_examples=30, deadline=None)
@@ -234,8 +239,8 @@ def test_day_shards_read_back_every_hour(tmp_path_factory, data):
     """A random range over 1-3 UTC days, with gaps at the start or end of a
     day and a whole missing day, some drift frames and 1-3 levels: every
     stored hour reads back its picked frame (resampled, then box-averaged
-    level by level), every gap hour raises GapError, and each read adds
-    exactly one frame to the bytes read."""
+    level by level), every gap hour raises GapError, and each read, at any
+    level, adds exactly one level-0 frame to the bytes read."""
     start = T0 + data.draw(st.integers(0, 23), label="start hour") * HOUR
     ndays = data.draw(st.integers(1, 3), label="days")
     end = T0 + (ndays - 1) * 24 * HOUR + data.draw(
@@ -278,6 +283,7 @@ def test_day_shards_read_back_every_hour(tmp_path_factory, data):
     assert not list(arch.root.rglob("*.tmp"))
     assert sorted(p.name for p in (arch.root / "L0").glob("*")) == \
         sorted({f"{t:%Y%m%d}.bin" for t in stored})
+    assert not list(arch.root.glob("L[1-9]*"))
 
     with count_reads() as reads:
         for t in hours:
@@ -293,10 +299,11 @@ def test_day_shards_read_back_every_hour(tmp_path_factory, data):
             source = granules[t.date(), geom][1][t.hour]
             expect = np.asarray(identity_or_resample(Frame(geom, source),
                                                      SMALL_GEOM).values, "<f4")
+            level0_bytes = expect.size * 4
             for lv in range(levels):
                 frame, _ = arch.read_frame(t, lv)
                 assert frame.values.tobytes() == expect.tobytes()
-                assert reads.total() - before == expect.size * 4
+                assert reads.total() - before == level0_bytes
                 before = reads.total()
                 expect = box_downsample(expect).astype("<f4")
             original = arch.read_original(t)
@@ -465,6 +472,39 @@ def test_window_single_cell_bbox(tmp_path):
     assert win.values[0, 0, 0] == frames[0][2, 3]
 
 
+def test_window_bbox_edges_on_grid_lines_are_included(tmp_path):
+    frames = random_frames(1, seed=4)
+    arch = archive_from_frames(tmp_path, frames)
+    # SMALL_GEOM's nodes lie at 40.0 + 0.5 i, -120.0 + 0.5 j; every edge is on one
+    win = arch.read_window(T0, T0, bbox=(40.5, 41.5, -119.0, -118.0))
+    assert win.latitudes.tolist() == [40.5, 41.0, 41.5]
+    assert win.longitudes.tolist() == [-119.0, -118.5, -118.0]
+    np.testing.assert_array_equal(win.values[0], frames[0][1:4, 2:5])
+    # level 1's nodes lie at 40.0 + 1.0 i, -120.0 + 1.0 j
+    win = arch.read_window(T0, T0, bbox=(41.0, 42.0, -119.0, -118.0), level=1)
+    assert win.latitudes.tolist() == [41.0, 42.0]
+    assert win.longitudes.tolist() == [-119.0, -118.0]
+    np.testing.assert_array_equal(win.values[0],
+                                  arch.read_frame(T0, 1)[0].values[1:3, 1:3])
+
+
+@pytest.mark.parametrize("level", [-1, 2], ids=["below-0", "levels"])
+def test_level_outside_the_readable_levels_is_refused(tmp_path, level):
+    """Levels are derived on read, so the bounds check is all that keeps
+    `levels` meaningful: without it, level -1 would return level-0 values on
+    a half-spacing grid and level `levels` would derive one level too many.
+    A window over a gap hour alone reads no frame and still refuses it."""
+    arch = gapped_archive(tmp_path, levels=2)
+    gap = T0 + timedelta(hours=3)
+    refused = f"level {level} outside 0..1"
+    with pytest.raises(ArchiveError, match=refused):
+        arch.read_frame(T0, level)
+    for t0, t1 in ((T0, T0 + timedelta(hours=5)), (gap, gap)):
+        with pytest.raises(ArchiveError, match=refused):
+            arch.read_window(t0, t1, bbox=(-90.0, 90.0, -180.0, 180.0),
+                             level=level)
+
+
 def test_window_empty_bbox_rejected(tmp_path):
     arch = archive_from_frames(tmp_path, random_frames(1))
     with pytest.raises(Exception, match="no grid points"):
@@ -494,13 +534,14 @@ def test_manifest_contents(tmp_path):
     assert manifest["gaps"] == ["2022-03-02T03:00:00Z"]
     assert manifest["geometry"]["nrows"] == 6
     assert manifest["originals"] == []
-    # the five stored hours fill the day's shard; the gap hour takes no bytes
-    for lv in (0, 1):
-        rows, cols = level_shape(SMALL_GEOM, lv)
-        assert sorted(p.name for p in (arch.root / f"L{lv}").iterdir()) == \
-            ["20220302.bin"]
-        assert (arch.root / f"L{lv}" / "20220302.bin").stat().st_size == \
-            5 * rows * cols * 4
+    # only level 0 is stored: the five stored hours fill the day's shard,
+    # and the gap hour takes no bytes
+    assert sorted(p.name for p in arch.root.iterdir()) == \
+        ["L0", "manifest.json", "provenance.csv"]
+    assert sorted(p.name for p in (arch.root / "L0").iterdir()) == \
+        ["20220302.bin"]
+    assert (arch.root / "L0" / "20220302.bin").stat().st_size == \
+        5 * SMALL_GEOM.nrows * SMALL_GEOM.ncols * 4
     reopened = CuratedArchive.open(arch.root)
     assert reopened.geometry == SMALL_GEOM
     assert reopened.levels == 2
@@ -766,7 +807,7 @@ def test_bad_value_in_unpicked_frame_builds_identical_archive(tmp_path):
                 for p in sorted(root.rglob("*")) if p.is_file()}
 
     clean = contents(tmp_path / "arch_clean")
-    assert len(clean) == 1 + 1 + 2  # manifest, provenance, 2 levels x 1 day
+    assert len(clean) == 1 + 1 + 1  # manifest, provenance, level 0 x 1 day
     assert contents(tmp_path / "arch_dirty") == clean
 
 

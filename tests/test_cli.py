@@ -321,7 +321,10 @@ def test_validate_reads_no_quarantined_body(tmp_path, runner):
     (["query", "--archive", "{tmp}", "--lat", "36.0", "--lon", "-145.0",
       "--from", "2022-03-02T00:30:00Z", "--to", "2022-03-02T05:00:00Z",
       "--csv", "{tmp}/c"], "--from"),
-], ids=["sequence-to", "gen-corpus-from", "query-from-not-an-hour"])
+    (["build-archive", "--plan", "{tmp}", "--out", "{tmp}/c", "--levels", "0"],
+     "--levels"),
+], ids=["sequence-to", "gen-corpus-from", "query-from-not-an-hour",
+        "build-archive-levels-0"])
 def test_bad_option_value_is_a_usage_error(tmp_path, runner, args, option):
     args = [a.format(tmp=tmp_path) for a in args]
     result = runner.invoke(main, args, catch_exceptions=False)

@@ -17,8 +17,7 @@ from smokecurate import fetcher
 from smokecurate.corpusgen import (FULL_GEOMETRY, CorpusSpec, FaultProfile,
                                    generate_corpus)
 from smokecurate.fetcher import (ConfigError, SourceEndpoint, build_url,
-                                 embedded_init_hour, fetch_one, fetch_range,
-                                 probe_earliest)
+                                 embedded_init_hour, fetch_one, fetch_range)
 from smokecurate.granule import (STREAM_BUFFER_BYTES, GranuleError,
                                  GridGeometry, InvalidHeaderError,
                                  parse_granule_bytes, read_header_bytes)
@@ -157,35 +156,6 @@ def test_fetch_report_csv(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "forecast_id,date,outcome,bytes,attempts,error_offset"
     assert len(lines) == 1 + len(report.records)
-
-
-def test_probe_earliest_finds_corpus_start(tmp_path):
-    spec, _ = make_corpus(tmp_path)
-    ep = SourceEndpoint(str(tmp_path / "corpus"))
-    found = probe_earliest(ep, "BSC00CA12-01", date(2022, 2, 1),
-                           date(2022, 3, 10))
-    assert found == date(2022, 3, 2)
-
-
-def test_probe_earliest_empty_corpus(tmp_path):
-    (tmp_path / "corpus").mkdir()
-    ep = SourceEndpoint(str(tmp_path / "corpus"))
-    assert probe_earliest(ep, "BSC00CA12-01", date(2022, 2, 1),
-                          date(2022, 3, 10)) is None
-
-
-def test_probe_earliest_skips_leading_faults(tmp_path):
-    spec, manifest = make_corpus(tmp_path, days=(2, 12),
-                                 faults=FaultProfile(missing_run_rate=0.4),
-                                 seed=43, ids=("BSC00CA12-01",),
-                                 init_hours=(0,))
-    ok_days = sorted(e.init.date() for e in manifest.entries
-                     if e.outcome == "ok")
-    assert ok_days and ok_days[0] > spec.start_date  # leading runs missing
-    ep = SourceEndpoint(str(tmp_path / "corpus"))
-    found = probe_earliest(ep, "BSC00CA12-01", date(2022, 2, 20),
-                           date(2022, 3, 20))
-    assert found == ok_days[0]
 
 
 def test_fetch_over_http(tmp_path):
@@ -437,14 +407,3 @@ def test_cached_granule_with_bad_payload_is_fetched_again(tmp_path):
                     backoff=0.0)
     assert (rec.outcome, rec.bytes, rec.attempts) == ("downloaded", len(valid), 1)
     assert stale.read_bytes() == valid
-
-
-def test_probe_earliest_skips_a_nan_payload(tmp_path):
-    make_corpus(tmp_path, ids=(FID,), init_hours=(0,))
-    first = Path(build_url(SourceEndpoint(str(tmp_path / "corpus")), FID,
-                           date(2022, 3, 2), 0))
-    body = first.read_bytes()
-    first.write_bytes(with_value(body, len(body) - 4, np.nan))
-    found = probe_earliest(SourceEndpoint(str(tmp_path / "corpus")), FID,
-                           date(2022, 2, 1), date(2022, 3, 10))
-    assert found == date(2022, 3, 3)

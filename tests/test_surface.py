@@ -17,7 +17,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 # Library-only API (no command or stage calls them), as the README lists it
-LIBRARY_ONLY = {"probe_earliest", "read_window", "read_original", "explain_pick"}
+LIBRARY_ONLY = {"read_window", "read_original", "explain_pick"}
 # click calls these on the parameter types and groups that define them
 CLICK_PROTOCOL = {"convert", "invoke"}
 
