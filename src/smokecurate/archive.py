@@ -1,6 +1,5 @@
 """Curated chronological store: hourly level-0 frames, a 2x box-average
-resolution pyramid derived on read, per-timestep provenance, and progressive
-reads.
+resolution pyramid derived on read, and per-timestep provenance.
 
 The build reads each picked granule's header once and then only its picked
 frames, one granule open at a time. A non-finite or negative value, a
@@ -62,7 +61,7 @@ from .regrid import Frame, identity_or_resample
 from .sequencer import SequencePlan
 from .tables import read_table, write_table
 from .timecal import (HOUR, ISO_Z, JulianStamp, calendar_to_julian, hour_count,
-                      hour_range, is_hour_step, julian_to_calendar, parse_iso_z)
+                      is_hour_step, julian_to_calendar, parse_iso_z)
 
 PROVENANCE_COLUMNS = ["tflag_date", "tflag_time", "cdate", "ctime", "wdate",
                       "wtime", "sdate", "stime", "forecast_id", "resampled",
@@ -356,15 +355,6 @@ def _original_slots(groups: list[dict], stored: dict[datetime, tuple]
 
 
 @dataclass
-class WindowResult:
-    times: list[datetime]
-    values: np.ndarray          # (ntimes, nrows, ncols) for covered steps
-    latitudes: np.ndarray
-    longitudes: np.ndarray
-    gaps: list[datetime]
-
-
-@dataclass
 class CuratedArchive:
     root: Path
     geometry: GridGeometry
@@ -493,32 +483,3 @@ class CuratedArchive:
         name, offset, grid, shard_size = self.originals[t]
         return self._read(self.root / "originals" / name, offset,
                           (grid.nrows, grid.ncols), shard_size, t)
-
-    def read_window(self, t0: datetime, t1: datetime,
-                    bbox: tuple[float, float, float, float],
-                    level: int = 0) -> WindowResult:
-        """Time-major subarray over [t0, t1] x bbox (lat_min, lat_max,
-        lon_min, lon_max); gap slices are omitted and listed."""
-        if t0 > t1:
-            raise ValueError("t0 after t1")
-        if not 0 <= level < self.levels:
-            raise ArchiveError(f"level {level} outside 0..{self.levels - 1}")
-        lat_min, lat_max, lon_min, lon_max = bbox
-        geom = level_geometry(self.geometry, level)
-        lats = geom.latitudes()
-        lons = geom.longitudes()
-        rsel = np.nonzero((lats >= lat_min) & (lats <= lat_max))[0]
-        csel = np.nonzero((lons >= lon_min) & (lons <= lon_max))[0]
-        if rsel.size == 0 or csel.size == 0:
-            raise ArchiveError(f"bbox {bbox} selects no grid points")
-        times, slabs, gaps = [], [], []
-        for t in hour_range(t0, t1):
-            if t in self.gaps:
-                gaps.append(t)
-                continue
-            frame, _ = self.read_frame(t, level)
-            times.append(t)
-            slabs.append(frame.values[np.ix_(rsel, csel)])
-        values = (np.stack(slabs) if slabs
-                  else np.empty((0, rsel.size, csel.size), dtype=np.float32))
-        return WindowResult(times, values, lats[rsel], lons[csel], gaps)

@@ -92,10 +92,9 @@ class Pipeline(click.Group):
 @click.option("--config", "config_path", default=None,
               type=click.Path(exists=True, dir_okay=False),
               help="Flat key = value file of option defaults.")
-@click.option("--verbose", is_flag=True)
 @click.option("--seed", type=int, default=None)
 @click.pass_context
-def main(ctx, config_path, verbose, seed):
+def main(ctx, config_path, seed):
     """Smoke-forecast curation and PV-attenuation analysis pipeline."""
     ctx.obj = seed
     if config_path is None:

@@ -28,6 +28,8 @@ DEFAULT_TEMPLATE = "{forecast_id}/{yyyymmdd}{init}/dispersion.{ext}"
 PLACEHOLDERS = ("{forecast_id}", "{yyyymmdd}", "{init}", "{ext}")
 
 _ID_INIT_RE = re.compile(r"^[A-Z]{3}(\d{2})")
+RETRIES = 3          # attempts per granule before it is an io_error
+TIMEOUT_S = 30.0     # per HTTP connect and read
 
 
 class ConfigError(ValueError):
@@ -105,13 +107,12 @@ def build_url(endpoint: SourceEndpoint, forecast_id: str, day: date,
 
 
 @contextmanager
-def _open_body(endpoint: SourceEndpoint, url: str,
-               timeout: float) -> Iterator[BinaryIO]:
+def _open_body(endpoint: SourceEndpoint, url: str) -> Iterator[BinaryIO]:
     """The body at `url` as a stream; raises NotFound for a missing object."""
     if endpoint.is_http:
         import requests
 
-        with requests.get(url, stream=True, timeout=timeout) as resp:
+        with requests.get(url, stream=True, timeout=TIMEOUT_S) as resp:
             if resp.status_code == 404:
                 raise NotFound(url)
             resp.raise_for_status()
@@ -153,8 +154,7 @@ class _Tee:
 
 
 def fetch_one(endpoint: SourceEndpoint, forecast_id: str, day: date,
-              cache_root: Path, retries: int = 3, backoff: float = 1.0,
-              timeout: float = 30.0) -> FetchRecord:
+              cache_root: Path, backoff: float = 1.0) -> FetchRecord:
     url = build_url(endpoint, forecast_id, day, embedded_init_hour(forecast_id))
     target = cache_root / forecast_id / f"dispersion_{day:%Y%m%d}.gran"
     reject = cache_root / "rejects" / forecast_id / f"dispersion_{day:%Y%m%d}.bin"
@@ -168,9 +168,9 @@ def fetch_one(endpoint: SourceEndpoint, forecast_id: str, day: date,
             target.unlink()  # stale junk; refetch
 
     tmp = target.with_suffix(".tmp")
-    for attempt in range(1, retries + 1):
+    for attempt in range(1, RETRIES + 1):
         try:
-            with _open_body(endpoint, url, timeout) as body:
+            with _open_body(endpoint, url) as body:
                 target.parent.mkdir(parents=True, exist_ok=True)
                 with open(tmp, "wb") as sink:
                     tee = _Tee(body, sink)
@@ -193,15 +193,14 @@ def fetch_one(endpoint: SourceEndpoint, forecast_id: str, day: date,
             return FetchRecord(forecast_id, day, url, "not_found", 0, attempt)
         except Exception:
             tmp.unlink(missing_ok=True)
-            if attempt == retries:
+            if attempt == RETRIES:
                 return FetchRecord(forecast_id, day, url, "io_error", 0, attempt)
             time.sleep(backoff * 2 ** (attempt - 1))
 
 
 def fetch_range(endpoint: SourceEndpoint, forecast_ids: list[str],
                 start: date, end: date, cache_root: Path | str,
-                parallel: int = 8, retries: int = 3,
-                backoff: float = 1.0) -> FetchReport:
+                parallel: int = 8, backoff: float = 1.0) -> FetchReport:
     """Download every (forecast_id, day) in the range; idempotent on re-run."""
     if start > end:
         raise ValueError("start after end")
@@ -214,6 +213,6 @@ def fetch_range(endpoint: SourceEndpoint, forecast_ids: list[str],
     with ThreadPoolExecutor(max_workers=max(1, parallel)) as pool:
         records = list(pool.map(
             lambda job: fetch_one(endpoint, job[0], job[1], cache_root,
-                                  retries=retries, backoff=backoff), jobs))
+                                  backoff=backoff), jobs))
     records.sort(key=lambda r: (r.forecast_id, r.date))
     return FetchReport(records)

@@ -2,8 +2,8 @@
 PM2.5; classify clear-sky days; compute peak-window aggregates and smoky/clear
 output ratios; fit the linear trend.
 
-Local time is a fixed UTC offset (default UTC-6); days dropped for PM2.5 gaps
-are reported, never imputed.
+Local time is fixed at UTC-6 (`LOCAL`); days dropped for PM2.5 gaps are
+reported, never imputed.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ DEFAULT_UTC_OFFSET_HOURS = -6
 DEFAULT_CLEAR_SKY_THRESHOLD = 0.01
 DEFAULT_CLOUD_MAX_PCT = 20.0
 PAIRING_WINDOW_DAYS = 7
+LOCAL = timezone(timedelta(hours=DEFAULT_UTC_OFFSET_HOURS))
 
 
 class InsufficientDataError(ValueError):
@@ -57,7 +58,6 @@ class DailyAggregate:
     avg_cloud: float
     clear_sky: bool
     smoky: bool
-    smoothness: float
 
 
 @dataclass(frozen=True)
@@ -74,19 +74,16 @@ class RegressionFit:
     n_points: int
 
 
-def classify_clear_sky(records: Sequence[SolarRecord],
-                       threshold: float = DEFAULT_CLEAR_SKY_THRESHOLD,
-                       utc_offset_hours: int = DEFAULT_UTC_OFFSET_HOURS
-                       ) -> tuple[bool, float]:
+def classify_clear_sky(records: Sequence[SolarRecord]) -> tuple[bool, float]:
     """Smoothness of one day's production curve.
 
     Score is the normalized second-difference energy of the daylight
     (positive-production) sequence; a day is clear when the score is at or
-    below the threshold. An all-zero day has no signal and is never clear.
+    below DEFAULT_CLEAR_SKY_THRESHOLD. An all-zero day has no signal and is
+    never clear.
     """
-    tz = timezone(timedelta(hours=utc_offset_hours))
     in_window = [r for r in records
-                 if PEAK_START_HOUR <= r.timestamp.astimezone(tz).hour < PEAK_END_HOUR]
+                 if PEAK_START_HOUR <= r.timestamp.astimezone(LOCAL).hour < PEAK_END_HOUR]
     if len(in_window) < 8:
         raise InsufficientDataError(
             f"need >= 8 peak-window records, got {len(in_window)}")
@@ -98,7 +95,7 @@ def classify_clear_sky(records: Sequence[SolarRecord],
     num = sum((daylight[i + 1] - 2 * daylight[i] + daylight[i - 1]) ** 2
               for i in range(1, len(daylight) - 1))
     score = num / denom
-    return score <= threshold, score
+    return score <= DEFAULT_CLEAR_SKY_THRESHOLD, score
 
 
 def daily_aggregates(solar: Iterable[SolarRecord],
@@ -106,9 +103,7 @@ def daily_aggregates(solar: Iterable[SolarRecord],
                      archive: CuratedArchive,
                      site: tuple[float, float],
                      mode: SamplingMode = SamplingMode.BILINEAR,
-                     smoky_flags: dict[date, bool] | None = None,
-                     utc_offset_hours: int = DEFAULT_UTC_OFFSET_HOURS,
-                     clear_threshold: float = DEFAULT_CLEAR_SKY_THRESHOLD
+                     smoky_flags: dict[date, bool] | None = None
                      ) -> tuple[list[DailyAggregate], list[ExcludedDay]]:
     """Per-day peak-window means of PV output, PM2.5 and cloud cover.
 
@@ -116,21 +111,20 @@ def daily_aggregates(solar: Iterable[SolarRecord],
     drops the day into the exclusion list.
     """
     lat, lon = site
-    tz = timezone(timedelta(hours=utc_offset_hours))
     smoky_flags = smoky_flags or {}
 
     by_day: dict[date, list[SolarRecord]] = {}
     for rec in solar:
         if rec.energy_kwh < 0:
             raise ValueError(f"negative energy at {rec.timestamp}")
-        by_day.setdefault(rec.timestamp.astimezone(tz).date(), []).append(rec)
+        by_day.setdefault(rec.timestamp.astimezone(LOCAL).date(), []).append(rec)
 
     aggregates: list[DailyAggregate] = []
     excluded: list[ExcludedDay] = []
     for day in sorted(by_day):
         records = by_day[day]
         peak = [r for r in records
-                if PEAK_START_HOUR <= r.timestamp.astimezone(tz).hour < PEAK_END_HOUR]
+                if PEAK_START_HOUR <= r.timestamp.astimezone(LOCAL).hour < PEAK_END_HOUR]
         if len(peak) < 8:
             excluded.append(ExcludedDay(day, "insufficient_solar_records"))
             continue
@@ -139,9 +133,9 @@ def daily_aggregates(solar: Iterable[SolarRecord],
             continue
 
         t0 = datetime(day.year, day.month, day.day, PEAK_START_HOUR,
-                      tzinfo=tz).astimezone(UTC)
+                      tzinfo=LOCAL).astimezone(UTC)
         t1 = datetime(day.year, day.month, day.day, PEAK_END_HOUR,
-                      tzinfo=tz).astimezone(UTC)
+                      tzinfo=LOCAL).astimezone(UTC)
         try:
             series = sample_series(archive, t0, t1, lat, lon, mode)
         except (ArchiveError, ExtentError) as e:
@@ -151,13 +145,12 @@ def daily_aggregates(solar: Iterable[SolarRecord],
             excluded.append(ExcludedDay(day, "pm25_gap"))
             continue
 
-        clear, score = classify_clear_sky(records, clear_threshold,
-                                          utc_offset_hours)
+        clear, _ = classify_clear_sky(records)
         avg_output = 4.0 * sum(r.energy_kwh for r in peak) / len(peak)
         avg_pm25 = sum(v for _, v in series.entries) / len(series.entries)
         aggregates.append(DailyAggregate(
             day, avg_output, avg_pm25, cloud[day], clear,
-            smoky_flags.get(day, False), score))
+            smoky_flags.get(day, False)))
 
     if not aggregates and not excluded:
         raise EmptyJoinError("no overlapping dates between inputs")
@@ -181,10 +174,14 @@ def output_ratio(smoky_day: DailyAggregate,
 
 def pair_reference(aggregates: list[DailyAggregate],
                    smoky_day: DailyAggregate) -> DailyAggregate | None:
-    """Nearest prior non-smoky clear-sky day within the pairing window."""
+    """Nearest prior non-smoky clear-sky day with positive output within the
+    pairing window. The clear-sky score sees only a day's positive records,
+    so a day whose peak window produced nothing can score clear; it is
+    skipped, since no ratio can be taken against it."""
     best = None
     for agg in aggregates:
-        if agg.day >= smoky_day.day or not agg.clear_sky or agg.smoky:
+        if (agg.day >= smoky_day.day or not agg.clear_sky or agg.smoky
+                or agg.avg_output <= 0):
             continue
         if (smoky_day.day - agg.day).days > PAIRING_WINDOW_DAYS:
             continue
@@ -255,15 +252,11 @@ def run_analysis(archive: CuratedArchive,
                  smoky_flags: dict[date, bool],
                  site: tuple[float, float],
                  mode: SamplingMode = SamplingMode.BILINEAR,
-                 cloud_max: float = DEFAULT_CLOUD_MAX_PCT,
-                 utc_offset_hours: int = DEFAULT_UTC_OFFSET_HOURS,
-                 clear_threshold: float = DEFAULT_CLEAR_SKY_THRESHOLD
-                 ) -> AnalysisReport:
+                 cloud_max: float = DEFAULT_CLOUD_MAX_PCT) -> AnalysisReport:
     """End-to-end: aggregate days, pair smoky days with clear references,
     filter by cloud cover, fit the trend."""
     aggregates, excluded = daily_aggregates(
-        solar, cloud, archive, site, mode, smoky_flags,
-        utc_offset_hours, clear_threshold)
+        solar, cloud, archive, site, mode, smoky_flags)
 
     rows: list[ReportRow] = []
     fit_points: list[tuple[float, float, float]] = []
@@ -279,26 +272,21 @@ def run_analysis(archive: CuratedArchive,
                     used = True
         rows.append(ReportRow(agg.day, agg.avg_pm25, agg.avg_output, ratio,
                               agg.clear_sky, used))
-    fit = None
-    if len(fit_points) >= 2:
-        try:
-            fit = fit_regression(fit_points, cloud_max)
-        except FitError:
-            fit = None
+    try:
+        fit = fit_regression(fit_points, cloud_max)
+    except FitError:
+        fit = None
     return AnalysisReport(rows, fit, excluded)
 
 
-def read_solar_csv(path: Path | str,
-                   utc_offset_hours: int = DEFAULT_UTC_OFFSET_HOURS
-                   ) -> list[SolarRecord]:
+def read_solar_csv(path: Path | str) -> list[SolarRecord]:
     """CSV with columns timestamp_iso,energy_kwh; naive timestamps are taken
-    as local time at the configured offset."""
-    tz = timezone(timedelta(hours=utc_offset_hours))
+    as `LOCAL` time."""
 
     def record(row):
         ts = datetime.fromisoformat(row["timestamp_iso"])
         if ts.tzinfo is None:
-            ts = ts.replace(tzinfo=tz)
+            ts = ts.replace(tzinfo=LOCAL)
         return SolarRecord(ts, float(row["energy_kwh"]))
     return read_table(path, ["timestamp_iso", "energy_kwh"], record)
 

@@ -51,10 +51,10 @@ def simple_granule_bytes(**kwargs) -> bytes:
     return granule_to_bytes(simple_granule(**kwargs))
 
 
-# three of the four f64 geometry fields that end the fixed header; read_header
+# the four f64 geometry fields that end the fixed header; read_header
 # reports any bad geometry at the first grid dimension, byte 52
-GEOMETRY_AT = {"lat0": HEADER_END - 32, "dlat": HEADER_END - 16,
-               "dlon": HEADER_END - 8}
+GEOMETRY_AT = {"lat0": HEADER_END - 32, "lon0": HEADER_END - 24,
+               "dlat": HEADER_END - 16, "dlon": HEADER_END - 8}
 BAD_GEOMETRY_OFFSET = 52
 
 

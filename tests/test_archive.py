@@ -408,31 +408,6 @@ def test_gap_raises_with_nearest_neighbors(tmp_path):
     assert err.value.nearest_after == T0 + timedelta(hours=4)
 
 
-def test_window_reports_gaps_and_skips_them(tmp_path):
-    arch = gapped_archive(tmp_path)
-    win = arch.read_window(T0, T0 + timedelta(hours=5),
-                           bbox=(40.0, 43.0, -120.0, -116.0))
-    assert win.gaps == [T0 + timedelta(hours=3)]
-    assert len(win.times) == 5
-    assert win.values.shape == (5, 6, 8)
-
-
-def test_gap_hours_never_walk_to_the_neighbors(tmp_path, monkeypatch):
-    """A window lists a gap hour without raising GapError, so it never
-    searches for the gap's neighbours; a direct read of a gap still does."""
-    arch = gapped_archive(tmp_path)
-
-    def no_walk(self, t):
-        raise AssertionError(f"walked to the neighbours of {t}")
-
-    monkeypatch.setattr(CuratedArchive, "_neighbors", no_walk)
-    win = arch.read_window(T0, T0 + timedelta(hours=5),
-                           bbox=(-90.0, 90.0, -180.0, 180.0))
-    assert win.gaps == [T0 + timedelta(hours=3)]
-    with pytest.raises(AssertionError, match="neighbours"):
-        arch.read_frame(T0 + timedelta(hours=3))
-
-
 def test_read_frame_holds_the_frame_once(tmp_path):
     """A frame is read straight into the array returned: no second copy of
     it is ever held."""
@@ -450,65 +425,14 @@ def test_read_frame_holds_the_frame_once(tmp_path):
     assert peak < 1.25 * frames[0].nbytes
 
 
-def test_window_full_extent_equals_read_frame(tmp_path):
-    frames = random_frames(4, seed=2)
-    arch = archive_from_frames(tmp_path, frames)
-    win = arch.read_window(T0, T0 + timedelta(hours=3),
-                           bbox=(-90.0, 90.0, -180.0, 180.0))
-    for i, t in enumerate(win.times):
-        frame, _ = arch.read_frame(t)
-        np.testing.assert_array_equal(win.values[i], frame.values)
-
-
-def test_window_single_cell_bbox(tmp_path):
-    frames = random_frames(2, seed=3)
-    arch = archive_from_frames(tmp_path, frames)
-    # bbox tight around grid node (row 2, col 3) = (41.0, -118.5)
-    win = arch.read_window(T0, T0 + timedelta(hours=1),
-                           bbox=(40.9, 41.1, -118.6, -118.4))
-    assert win.values.shape == (2, 1, 1)
-    assert win.latitudes.tolist() == [41.0]
-    assert win.longitudes.tolist() == [-118.5]
-    assert win.values[0, 0, 0] == frames[0][2, 3]
-
-
-def test_window_bbox_edges_on_grid_lines_are_included(tmp_path):
-    frames = random_frames(1, seed=4)
-    arch = archive_from_frames(tmp_path, frames)
-    # SMALL_GEOM's nodes lie at 40.0 + 0.5 i, -120.0 + 0.5 j; every edge is on one
-    win = arch.read_window(T0, T0, bbox=(40.5, 41.5, -119.0, -118.0))
-    assert win.latitudes.tolist() == [40.5, 41.0, 41.5]
-    assert win.longitudes.tolist() == [-119.0, -118.5, -118.0]
-    np.testing.assert_array_equal(win.values[0], frames[0][1:4, 2:5])
-    # level 1's nodes lie at 40.0 + 1.0 i, -120.0 + 1.0 j
-    win = arch.read_window(T0, T0, bbox=(41.0, 42.0, -119.0, -118.0), level=1)
-    assert win.latitudes.tolist() == [41.0, 42.0]
-    assert win.longitudes.tolist() == [-119.0, -118.0]
-    np.testing.assert_array_equal(win.values[0],
-                                  arch.read_frame(T0, 1)[0].values[1:3, 1:3])
-
-
 @pytest.mark.parametrize("level", [-1, 2], ids=["below-0", "levels"])
 def test_level_outside_the_readable_levels_is_refused(tmp_path, level):
     """Levels are derived on read, so the bounds check is all that keeps
     `levels` meaningful: without it, level -1 would return level-0 values on
-    a half-spacing grid and level `levels` would derive one level too many.
-    A window over a gap hour alone reads no frame and still refuses it."""
+    a half-spacing grid and level `levels` would derive one level too many."""
     arch = gapped_archive(tmp_path, levels=2)
-    gap = T0 + timedelta(hours=3)
-    refused = f"level {level} outside 0..1"
-    with pytest.raises(ArchiveError, match=refused):
+    with pytest.raises(ArchiveError, match=f"level {level} outside 0..1"):
         arch.read_frame(T0, level)
-    for t0, t1 in ((T0, T0 + timedelta(hours=5)), (gap, gap)):
-        with pytest.raises(ArchiveError, match=refused):
-            arch.read_window(t0, t1, bbox=(-90.0, 90.0, -180.0, 180.0),
-                             level=level)
-
-
-def test_window_empty_bbox_rejected(tmp_path):
-    arch = archive_from_frames(tmp_path, random_frames(1))
-    with pytest.raises(Exception, match="no grid points"):
-        arch.read_window(T0, T0, bbox=(0.0, 1.0, 0.0, 1.0))
 
 
 def test_read_cost_independent_of_archive_length(tmp_path):

@@ -359,9 +359,9 @@ def break_attempts(monkeypatch, broken, limit):
     real = fetcher._open_body
 
     @contextmanager
-    def open_body(endpoint, url, timeout):
+    def open_body(endpoint, url):
         opened.append(url)
-        with real(endpoint, url, timeout) as body:
+        with real(endpoint, url) as body:
             yield BreaksAfter(body, limit) if len(opened) in broken else body
 
     monkeypatch.setattr(fetcher, "_open_body", open_body)
@@ -375,7 +375,7 @@ def test_read_error_on_every_attempt_leaves_nothing(tmp_path, monkeypatch):
     opened = break_attempts(monkeypatch, {1, 2, 3}, limit)
     cache = tmp_path / "cache"
     rec = fetch_one(SourceEndpoint(str(tmp_path / "corpus")), FID, DAY, cache,
-                    retries=3, backoff=0.0)
+                    backoff=0.0)
     assert (rec.outcome, rec.bytes, rec.attempts) == ("io_error", 0, 3)
     assert len(opened) == 3
     assert cache_files(cache) == []
@@ -390,7 +390,7 @@ def test_read_error_on_first_attempt_only_commits_the_second(tmp_path,
     break_attempts(monkeypatch, {1}, read_header_bytes(body).header_bytes + 100)
     cache = tmp_path / "cache"
     rec = fetch_one(SourceEndpoint(str(tmp_path / "corpus")), FID, DAY, cache,
-                    retries=3, backoff=0.0)
+                    backoff=0.0)
     assert (rec.outcome, rec.bytes, rec.attempts) == ("downloaded", len(body), 2)
     assert cache_files(cache) == ["dispersion_20220302.gran"]
     assert (cache / FID / "dispersion_20220302.gran").read_bytes() == body

@@ -498,7 +498,8 @@ def test_writer_refuses_an_id_the_reader_would_not_return(forecast_id, message):
 
 @pytest.mark.parametrize("field, value", [
     ("lat0", math.nan), ("lat0", -math.inf), ("lat0", -91.0),
-    ("dlat", math.nan), ("dlon", math.nan), ("dlon", math.inf)])
+    ("dlat", math.nan), ("dlon", math.nan), ("dlon", math.inf),
+    ("dlat", 0.0), ("dlon", 0.0), ("lon0", 180.0), ("lat0", 90.0)])
 def test_geometry_rule_is_the_same_for_writer_and_reader(field, value):
     geom = dataclasses.replace(SMALL_GEOM, **{field: value})
     with pytest.raises(ValueError):
@@ -510,6 +511,19 @@ def test_geometry_rule_is_the_same_for_writer_and_reader(field, value):
     with pytest.raises(InvalidHeaderError, match="bad geometry") as err:
         read_header_bytes(body)
     assert err.value.offset == BAD_GEOMETRY_OFFSET
+
+
+@pytest.mark.parametrize("geom", [
+    GridGeometry(3, 4, -90.0, 0.0, 1.0, 1.0),
+    GridGeometry(3, 4, 88.0, 0.0, 1.0, 1.0),
+    GridGeometry(3, 4, 0.0, -180.0, 1.0, 1.0),
+], ids=["south-pole-origin", "top-row-at-90", "origin-at-minus-180"])
+def test_geometry_edges_are_accepted_and_read_back(geom):
+    """The grid's closed edges: latitudes in [-90, 90] from the origin to
+    the top row, and an origin longitude in [-180, 180)."""
+    assert geom.validate() is geom
+    g = simple_granule(geometry=geom)
+    assert read_header_bytes(granule_to_bytes(g)).geometry == geom
 
 
 def _replace_header(g, **changes):

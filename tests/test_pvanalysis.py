@@ -123,7 +123,7 @@ def test_truncated_chunk_excludes_day_naming_the_file(tmp_path):
 
 
 def make_agg(day, output=5.0, clear=True, smoky=False, pm=10.0):
-    return DailyAggregate(day, output, pm, 5.0, clear, smoky, 0.0)
+    return DailyAggregate(day, output, pm, 5.0, clear, smoky)
 
 
 def test_output_ratio_examples():
@@ -152,6 +152,36 @@ def test_pair_reference_prefers_nearest_prior():
 def test_pair_reference_none_outside_window():
     aggs = [make_agg(date(2022, 2, 20))]
     assert pair_reference(aggs, make_agg(date(2022, 3, 6), smoky=True)) is None
+
+
+@pytest.mark.parametrize("with_earlier_clear_day", [False, True])
+def test_clear_day_with_no_peak_output_is_never_a_reference(
+        tmp_path, with_earlier_clear_day):
+    """An outage over the whole peak window leaves a half-sine outside it,
+    and the clear-sky score, which sees only positive records, calls that
+    day clear. It has no output to take a ratio against, so it is skipped:
+    an earlier clear day in the window is paired instead, or none is."""
+    earlier, outage, smoky = (date(2022, 3, 2), date(2022, 3, 3),
+                              date(2022, 3, 4))
+    arch = archive_from_frames(
+        tmp_path, [np.full((6, 8), 40.0, dtype=np.float32)] * 72)
+    solar = [SolarRecord(r.timestamp, 0.0)
+             if 10 <= r.timestamp.hour < 16 else r
+             for r in half_sine_day(outage)]
+    assert classify_clear_sky(solar)[0]
+    solar += half_sine_day(smoky, scale=0.8)
+    days = [outage, smoky]
+    if with_earlier_clear_day:
+        solar += half_sine_day(earlier)
+        days.append(earlier)
+    report = run_analysis(arch, solar, dict.fromkeys(days, 5.0),
+                          {smoky: True}, SITE)
+    ratio = {r.day: r.ratio for r in report.rows}[smoky]
+    if with_earlier_clear_day:
+        assert ratio == pytest.approx(0.8, rel=1e-12)
+    else:
+        assert ratio is None
+    assert report.fit is None
 
 
 def test_ols_two_point_example():

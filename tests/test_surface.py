@@ -1,9 +1,12 @@
 """Every public function, class and method in `src/smokecurate` is reached:
 something in `src/` outside its own definition, or in `bench/`, names it.
+And every defaulted parameter of one is set: some call in `src/` or `bench/`
+passes it, by keyword or by position.
 
 The match is by name, as `ast` sees it: an identifier, an attribute, an
 imported name or a string constant equal to the name (the bench wraps
-functions by their names). Code only tests reach belongs in the tests.
+functions by their names). A call to a class is a call to its `__init__`.
+Code only tests reach, and settings only tests set, belong in the tests.
 
 The README's "Library layout" table has one row per module, so a module
 added or deleted cannot leave it stale.
@@ -17,9 +20,15 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 # Library-only API (no command or stage calls them), as the README lists it
-LIBRARY_ONLY = {"read_window", "read_original", "explain_pick"}
+LIBRARY_ONLY = {"read_original", "explain_pick"}
 # click calls these on the parameter types and groups that define them
 CLICK_PROTOCOL = {"convert", "invoke"}
+# defaulted parameters that no call in `src/` or `bench/` sets, with the reason
+UNSET_BY_DESIGN = {
+    # criterion 03 and the fetcher tests pass backoff=0.0 so that retries
+    # do not sleep; every command and the bench wait the default
+    "fetch_range(backoff)",
+}
 
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
@@ -69,6 +78,79 @@ def unreached(src: Path, bench: Path) -> list[str]:
 
 def test_every_public_name_is_reached():
     assert unreached(ROOT / "src" / "smokecurate", ROOT / "bench") == []
+
+
+def _defaulted(node) -> dict[str, int | None]:
+    """Each defaulted parameter of a function definition, mapped to its
+    position as a bound call counts it (the bound `self` or `cls` is
+    position 0 of a method), or to None for a keyword-only one."""
+    a = node.args
+    positional = a.posonlyargs + a.args
+    first = len(positional) - len(a.defaults)
+    params = {p.arg: i for i, p in enumerate(positional) if i >= first}
+    params.update((p.arg, None) for p, d in zip(a.kwonlyargs, a.kw_defaults)
+                  if d is not None)
+    return params
+
+
+def _sets(call: ast.Call, param: str, position: int | None, bound: int) -> bool:
+    """Whether `call` passes `param`; `bound` arguments precede its own."""
+    if any(k.arg in (param, None) for k in call.keywords):  # None: **kwargs
+        return True
+    if position is None:
+        return False
+    return (bound + len(call.args) > position
+            or any(isinstance(x, ast.Starred) for x in call.args))
+
+
+def _functions(tree: ast.Module):
+    """(the name its callers call, definition, bound arguments) of each
+    module-level function and method: a class's `__init__` is called by the
+    class's name, and every method but a staticmethod has one bound
+    argument."""
+    for node in tree.body:
+        if isinstance(node, _FUNCTIONS):
+            yield node.name, node, 0
+        elif isinstance(node, ast.ClassDef):
+            for m in node.body:
+                if isinstance(m, _FUNCTIONS):
+                    static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                 for d in m.decorator_list)
+                    yield (node.name if m.name == "__init__" else m.name,
+                           m, int(not static))
+
+
+def _callee(call: ast.Call) -> str | None:
+    f = call.func
+    return f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+
+
+def unset(src: Path, bench: Path) -> list[str]:
+    """`name(param)` of each defaulted parameter of a public function or
+    method under `src` that no call in `src` or `bench` passes."""
+    trees = [ast.parse(p.read_text(), str(p)) for p in sorted(src.rglob("*.py"))]
+    calls: dict[str | None, list[ast.Call]] = {}
+    for tree in trees + [ast.parse(p.read_text(), str(p))
+                         for p in sorted(bench.rglob("*.py"))]:
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Call):
+                calls.setdefault(_callee(n), []).append(n)
+    return [f"{name}({param})" for tree in trees
+            for name, node, bound in _functions(tree) if not name.startswith("_")
+            for param, position in _defaulted(node).items()
+            if not any(_sets(c, param, position, bound)
+                       for c in calls.get(name, []))]
+
+
+def test_every_defaulted_parameter_is_set():
+    assert sorted(unset(ROOT / "src" / "smokecurate", ROOT / "bench")) == \
+        sorted(UNSET_BY_DESIGN)
+
+
+def test_readme_names_the_library_only_api():
+    readme = (ROOT / "README.md").read_text()
+    sentence = readme.split("Library-only API", 1)[1].split("\n\n", 1)[0]
+    assert set(re.findall(r"`(\w+)`", sentence.split(".", 1)[0])) == LIBRARY_ONLY
 
 
 def layout_rows(readme: str) -> list[str]:
