@@ -290,6 +290,8 @@ def analyze(archive_dir, solar, cloud, flags, site, mode, cloud_max, out):
                    f"r2={f.r_squared:.6g},n={f.n_points}")
     else:
         click.echo("no fit (fewer than 2 usable smoky days)")
+    for e in report.excluded:
+        click.echo(f"excluded {e.day.isoformat()}: {e.reason}", err=True)
 
 
 @main.command()

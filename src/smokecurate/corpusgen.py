@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fetcher import ConfigError, embedded_init_hour
+from .fetcher import ConfigError, embedded_init_hour, run_path
 from .granule import GridGeometry, encode_granule, make_granule
 from .tables import write_table
 from .timecal import ISO_Z, UTC
@@ -306,7 +306,7 @@ def generate_corpus(spec: CorpusSpec, root: Path | str) -> CorpusManifest:
         if outcome == "missing":
             entries.append(ManifestEntry(fid, init, "missing", ""))
             continue
-        rel = f"{fid}/{init:%Y%m%d%H}/dispersion.gran"
+        rel = run_path(fid, init)
         if outcome == "html":
             parts = (HTML_BODY,)
         else:

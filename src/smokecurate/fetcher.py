@@ -16,16 +16,13 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from datetime import date, timedelta
+from datetime import date, datetime, timedelta
 from pathlib import Path
 from typing import BinaryIO, Iterator
 from urllib.parse import urlparse
 
 from .granule import GranuleError, validate_stream
 from .tables import write_table
-
-DEFAULT_TEMPLATE = "{forecast_id}/{yyyymmdd}{init}/dispersion.{ext}"
-PLACEHOLDERS = ("{forecast_id}", "{yyyymmdd}", "{init}", "{ext}")
 
 _ID_INIT_RE = re.compile(r"^[A-Z]{3}(\d{2})")
 RETRIES = 3          # attempts per granule before it is an io_error
@@ -45,14 +42,6 @@ class SourceEndpoint:
     """Download origin: an http(s) prefix or a local directory tree."""
 
     base: str
-    url_template: str = DEFAULT_TEMPLATE
-    ext: str = "gran"
-
-    def __post_init__(self):
-        for ph in PLACEHOLDERS:
-            if self.url_template.count(ph) != 1:
-                raise ConfigError(
-                    f"url template must contain {ph} exactly once: {self.url_template!r}")
 
     @property
     def is_http(self) -> bool:
@@ -94,16 +83,15 @@ def embedded_init_hour(forecast_id: str) -> int:
     return int(m.group(1))
 
 
-def build_url(endpoint: SourceEndpoint, forecast_id: str, day: date,
-              init_hour: int) -> str:
-    if embedded_init_hour(forecast_id) != init_hour:
-        raise ConfigError(f"init hour {init_hour} does not match forecast id "
-                          f"{forecast_id}")
-    rel = endpoint.url_template.format(forecast_id=forecast_id,
-                                       yyyymmdd=day.strftime("%Y%m%d"),
-                                       init=f"{init_hour:02d}",
-                                       ext=endpoint.ext)
-    return endpoint.base.rstrip("/") + "/" + rel
+def run_path(forecast_id: str, init: datetime) -> str:
+    """The portal's path of one run's granule, relative to its root."""
+    return f"{forecast_id}/{init:%Y%m%d%H}/dispersion.gran"
+
+
+def build_url(endpoint: SourceEndpoint, forecast_id: str, day: date) -> str:
+    """The URL of the run the forecast id publishes on `day`."""
+    init = datetime(day.year, day.month, day.day, embedded_init_hour(forecast_id))
+    return endpoint.base.rstrip("/") + "/" + run_path(forecast_id, init)
 
 
 @contextmanager
@@ -155,7 +143,7 @@ class _Tee:
 
 def fetch_one(endpoint: SourceEndpoint, forecast_id: str, day: date,
               cache_root: Path, backoff: float = 1.0) -> FetchRecord:
-    url = build_url(endpoint, forecast_id, day, embedded_init_hour(forecast_id))
+    url = build_url(endpoint, forecast_id, day)
     target = cache_root / forecast_id / f"dispersion_{day:%Y%m%d}.gran"
     reject = cache_root / "rejects" / forecast_id / f"dispersion_{day:%Y%m%d}.bin"
 

@@ -22,7 +22,6 @@ from .timecal import HOUR, ISO_Z
 @dataclass(frozen=True)
 class ScanRecord:
     path: Path
-    forecast_id: str
     status: str                    # ok | not_a_granule | truncated | invalid_header
     header: GranuleHeader | None = None
     geometry_class: str = "other"  # canonical | drift | other
@@ -90,23 +89,22 @@ def scan_cache(cache_root: Path | str,
 
 
 def _scan_one(path: Path, canonical, drift) -> ScanRecord:
-    fallback_id = path.parent.name
     try:
         with open(path, "rb") as f:
             header = read_header(f)
     except NotAGranuleError as e:
-        return ScanRecord(path, fallback_id, "not_a_granule", detail=str(e))
+        return ScanRecord(path, "not_a_granule", detail=str(e))
     except TruncatedError as e:
-        return ScanRecord(path, fallback_id, "truncated", detail=str(e))
+        return ScanRecord(path, "truncated", detail=str(e))
     except InvalidHeaderError as e:
-        return ScanRecord(path, fallback_id, "invalid_header", detail=str(e))
+        return ScanRecord(path, "invalid_header", detail=str(e))
     except OSError as e:
-        return ScanRecord(path, fallback_id, "not_a_granule", detail=str(e))
+        return ScanRecord(path, "not_a_granule", detail=str(e))
 
     # payload truncation is visible from the file size alone
     size = path.stat().st_size
     if size < header.expected_total_bytes:
-        return ScanRecord(path, fallback_id, "truncated",
+        return ScanRecord(path, "truncated",
                           detail=f"file is {size} bytes, expected "
                                  f"{header.expected_total_bytes}")
 
@@ -117,7 +115,7 @@ def _scan_one(path: Path, canonical, drift) -> ScanRecord:
         klass = "drift"
     else:
         klass = "other" if canonical is not None else "canonical"
-    return ScanRecord(path, header.forecast_id, "ok", header, klass)
+    return ScanRecord(path, "ok", header, klass)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .archive import ArchiveError, CuratedArchive
-from .query import ExtentError, SamplingMode, sample_series
+from .query import SamplingMode, sample_series
 from .tables import read_table, write_table
 from .timecal import UTC
 
@@ -33,10 +33,6 @@ class InsufficientDataError(ValueError):
 
 
 class EmptyJoinError(ValueError):
-    pass
-
-
-class PairingError(ValueError):
     pass
 
 
@@ -74,23 +70,28 @@ class RegressionFit:
     n_points: int
 
 
+def _in_peak(record: SolarRecord) -> bool:
+    return PEAK_START_HOUR <= record.timestamp.astimezone(LOCAL).hour < PEAK_END_HOUR
+
+
 def classify_clear_sky(records: Sequence[SolarRecord]) -> tuple[bool, float]:
     """Smoothness of one day's production curve.
 
-    Score is the normalized second-difference energy of the daylight
-    (positive-production) sequence; a day is clear when the score is at or
-    below DEFAULT_CLEAR_SKY_THRESHOLD. An all-zero day has no signal and is
-    never clear.
+    A day needs at least 8 peak-window records. Score is the normalized
+    second-difference energy of the daylight (positive-production) sequence;
+    a day is clear when the score is at or below DEFAULT_CLEAR_SKY_THRESHOLD.
+    A day with no positive peak-window record (all zero, or an outage over
+    the whole window) has no signal there and is never clear.
     """
-    in_window = [r for r in records
-                 if PEAK_START_HOUR <= r.timestamp.astimezone(LOCAL).hour < PEAK_END_HOUR]
-    if len(in_window) < 8:
+    peak = [r for r in records if _in_peak(r)]
+    if len(peak) < 8:
         raise InsufficientDataError(
-            f"need >= 8 peak-window records, got {len(in_window)}")
+            f"need >= 8 peak-window records, got {len(peak)}")
     ordered = sorted(records, key=lambda r: r.timestamp)
     daylight = [r.energy_kwh for r in ordered if r.energy_kwh > 0]
     denom = sum(e * e for e in daylight)
-    if len(daylight) < 3 or denom == 0:
+    if (len(daylight) < 3 or denom == 0
+            or not any(r.energy_kwh > 0 for r in peak)):
         return False, math.inf
     num = sum((daylight[i + 1] - 2 * daylight[i] + daylight[i - 1]) ** 2
               for i in range(1, len(daylight) - 1))
@@ -123,9 +124,9 @@ def daily_aggregates(solar: Iterable[SolarRecord],
     excluded: list[ExcludedDay] = []
     for day in sorted(by_day):
         records = by_day[day]
-        peak = [r for r in records
-                if PEAK_START_HOUR <= r.timestamp.astimezone(LOCAL).hour < PEAK_END_HOUR]
-        if len(peak) < 8:
+        try:
+            clear, _ = classify_clear_sky(records)
+        except InsufficientDataError:
             excluded.append(ExcludedDay(day, "insufficient_solar_records"))
             continue
         if day not in cloud:
@@ -138,14 +139,14 @@ def daily_aggregates(solar: Iterable[SolarRecord],
                       tzinfo=LOCAL).astimezone(UTC)
         try:
             series = sample_series(archive, t0, t1, lat, lon, mode)
-        except (ArchiveError, ExtentError) as e:
+        except ArchiveError as e:
             excluded.append(ExcludedDay(day, f"pm25_unavailable: {e}"))
             continue
         if series.gaps:
             excluded.append(ExcludedDay(day, "pm25_gap"))
             continue
 
-        clear, _ = classify_clear_sky(records)
+        peak = [r for r in records if _in_peak(r)]
         avg_output = 4.0 * sum(r.energy_kwh for r in peak) / len(peak)
         avg_pm25 = sum(v for _, v in series.entries) / len(series.entries)
         aggregates.append(DailyAggregate(
@@ -157,31 +158,13 @@ def daily_aggregates(solar: Iterable[SolarRecord],
     return aggregates, excluded
 
 
-def output_ratio(smoky_day: DailyAggregate,
-                 reference_clear_day: DailyAggregate) -> float:
-    """Smoky-day mean output over a paired clear-sky day's mean output."""
-    if not reference_clear_day.clear_sky:
-        raise ValueError(f"reference day {reference_clear_day.day} is not clear-sky")
-    if reference_clear_day.avg_output <= 0:
-        raise ValueError(f"reference day {reference_clear_day.day} has "
-                         "non-positive output")
-    apart = abs((smoky_day.day - reference_clear_day.day).days)
-    if apart > PAIRING_WINDOW_DAYS:
-        raise PairingError(f"days {apart} apart exceed the "
-                           f"{PAIRING_WINDOW_DAYS}-day pairing window")
-    return smoky_day.avg_output / reference_clear_day.avg_output
-
-
 def pair_reference(aggregates: list[DailyAggregate],
                    smoky_day: DailyAggregate) -> DailyAggregate | None:
-    """Nearest prior non-smoky clear-sky day with positive output within the
-    pairing window. The clear-sky score sees only a day's positive records,
-    so a day whose peak window produced nothing can score clear; it is
-    skipped, since no ratio can be taken against it."""
+    """Nearest prior non-smoky clear-sky day within the pairing window. A
+    clear-sky day produced in its peak window, so its output is positive."""
     best = None
     for agg in aggregates:
-        if (agg.day >= smoky_day.day or not agg.clear_sky or agg.smoky
-                or agg.avg_output <= 0):
+        if agg.day >= smoky_day.day or not agg.clear_sky or agg.smoky:
             continue
         if (smoky_day.day - agg.day).days > PAIRING_WINDOW_DAYS:
             continue
@@ -266,7 +249,7 @@ def run_analysis(archive: CuratedArchive,
         if agg.smoky:
             ref = pair_reference(aggregates, agg)
             if ref is not None:
-                ratio = output_ratio(agg, ref)
+                ratio = agg.avg_output / ref.avg_output
                 if agg.avg_cloud <= cloud_max:
                     fit_points.append((agg.avg_pm25, ratio, agg.avg_cloud))
                     used = True

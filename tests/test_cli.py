@@ -247,9 +247,12 @@ def write_analysis_inputs(path):
     (["plot", "--site", "36.0,-145.0", "--mode", "bogus"], 2,
      "Error: Invalid value for '--mode': unknown sampling mode 'bogus'"),
     (["analyze", "--site", "36.0"], 2, "Error: Invalid value for '--site'"),
+    (["analyze", "--site", "10,0"], 1,
+     "Error: analyze: (10.0, 0.0) outside archive extent"),
     (["analyze", "--site", "36.0,-145.0", "--solar", "{dir}/cloud.csv"], 1,
      "Error: analyze: {dir}/cloud.csv: missing column timestamp_iso"),
-], ids=["plot-site", "plot-mode", "analyze-site", "analyze-solar-header"])
+], ids=["plot-site", "plot-mode", "analyze-site", "analyze-site-extent",
+        "analyze-solar-header"])
 def test_bad_analysis_input_is_one_error_line(pipeline, runner, args,
                                               exit_code, message):
     inputs = write_analysis_inputs(pipeline)
@@ -261,6 +264,19 @@ def test_bad_analysis_input_is_one_error_line(pipeline, runner, args,
     errors = [l for l in result.output.splitlines() if l.startswith("Error:")]
     assert len(errors) == 1 and errors[0].startswith(message), result.output
     assert "Traceback" not in result.output
+
+
+def test_analyze_names_each_excluded_day(pipeline, runner):
+    inputs = write_analysis_inputs(pipeline)
+    shard = pipeline / "arch" / "L0" / "20220303.bin"
+    # keep the morning: the 16-22 UTC peak window of 2022-03-03 is cut off
+    shard.write_bytes(shard.read_bytes()[:shard.stat().st_size // 2])
+    result = run_ok(runner, ["analyze", *inputs, "--site", "36.0,-145.0",
+                             "--out", str(pipeline / "report.csv")])
+    assert result.stdout.startswith(("slope=", "no fit"))
+    [line] = result.stderr.splitlines()
+    assert line.startswith("excluded 2022-03-03: pm25_unavailable: ")
+    assert str(shard) in line
 
 
 @pytest.mark.parametrize("file, line, column, value, command, message", [

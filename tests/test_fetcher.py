@@ -41,23 +41,12 @@ def make_corpus(tmp_path, faults=FaultProfile(), days=(2, 5), seed=21,
 
 
 def test_build_url_pattern():
-    ep = SourceEndpoint("https://example.org/forecasts", ext="nc")
-    url = build_url(ep, "BSC00CA12-01", date(2021, 3, 4), 0)
+    ep = SourceEndpoint("https://example.org/forecasts")
+    url = build_url(ep, "BSC00CA12-01", date(2021, 3, 4))
     assert url == ("https://example.org/forecasts/BSC00CA12-01/"
-                   "2021030400/dispersion.nc")
-    url = build_url(ep, "BSC18CA12-01", date(2022, 3, 2), 18)
-    assert url.endswith("/2022030218/dispersion.nc")
-
-
-def test_build_url_rejects_mismatched_init():
-    ep = SourceEndpoint("https://example.org")
-    with pytest.raises(ConfigError):
-        build_url(ep, "BSC00CA12-01", date(2021, 3, 4), 6)
-
-
-def test_template_placeholder_validation():
-    with pytest.raises(ConfigError):
-        SourceEndpoint("x", url_template="{forecast_id}/{yyyymmdd}/file.{ext}")
+                   "2021030400/dispersion.gran")
+    url = build_url(ep, "BSC18CA12-01", date(2022, 3, 2))
+    assert url.endswith("/2022030218/dispersion.gran")
 
 
 def test_embedded_init_hour():
@@ -187,8 +176,7 @@ DAY = date(2022, 3, 2)
 
 def publish(root, body, forecast_id=FID):
     """Put `body` where the fetcher looks for (forecast_id, DAY) under root."""
-    path = Path(build_url(SourceEndpoint(str(root)), forecast_id, DAY,
-                          embedded_init_hour(forecast_id)))
+    path = Path(build_url(SourceEndpoint(str(root)), forecast_id, DAY))
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_bytes(body)
     return path

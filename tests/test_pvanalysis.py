@@ -8,10 +8,9 @@ from smokecurate.granule import make_granule
 from smokecurate.indexer import build_coverage, scan_cache
 from smokecurate.pvanalysis import (DEFAULT_CLEAR_SKY_THRESHOLD,
                                     FitError, InsufficientDataError,
-                                    PairingError, SolarRecord, DailyAggregate,
+                                    SolarRecord, DailyAggregate,
                                     classify_clear_sky, daily_aggregates,
-                                    fit_regression, output_ratio,
-                                    pair_reference, read_cloud_csv,
+                                    fit_regression, pair_reference, read_cloud_csv,
                                     read_flags_csv, read_solar_csv,
                                     run_analysis)
 from smokecurate.query import SamplingMode
@@ -126,18 +125,6 @@ def make_agg(day, output=5.0, clear=True, smoky=False, pm=10.0):
     return DailyAggregate(day, output, pm, 5.0, clear, smoky)
 
 
-def test_output_ratio_examples():
-    ref = make_agg(date(2022, 3, 2), output=5.0)
-    smoky = make_agg(date(2022, 3, 5), output=4.0, smoky=True)
-    assert output_ratio(smoky, ref) == pytest.approx(0.8)
-    with pytest.raises(ValueError, match="not clear"):
-        output_ratio(smoky, make_agg(date(2022, 3, 2), clear=False))
-    with pytest.raises(PairingError):
-        output_ratio(make_agg(date(2022, 3, 11), smoky=True), ref)
-    with pytest.raises(ValueError, match="non-positive"):
-        output_ratio(smoky, make_agg(date(2022, 3, 2), output=0.0))
-
-
 def test_pair_reference_prefers_nearest_prior():
     aggs = [make_agg(date(2022, 3, 1)),
             make_agg(date(2022, 3, 3)),
@@ -157,10 +144,10 @@ def test_pair_reference_none_outside_window():
 @pytest.mark.parametrize("with_earlier_clear_day", [False, True])
 def test_clear_day_with_no_peak_output_is_never_a_reference(
         tmp_path, with_earlier_clear_day):
-    """An outage over the whole peak window leaves a half-sine outside it,
-    and the clear-sky score, which sees only positive records, calls that
-    day clear. It has no output to take a ratio against, so it is skipped:
-    an earlier clear day in the window is paired instead, or none is."""
+    """An outage over the whole peak window leaves a smooth half-sine
+    outside it. The day has no peak output, so it is not clear: the report
+    says so, and an earlier clear day in the window is paired instead, or
+    none is."""
     earlier, outage, smoky = (date(2022, 3, 2), date(2022, 3, 3),
                               date(2022, 3, 4))
     arch = archive_from_frames(
@@ -168,7 +155,7 @@ def test_clear_day_with_no_peak_output_is_never_a_reference(
     solar = [SolarRecord(r.timestamp, 0.0)
              if 10 <= r.timestamp.hour < 16 else r
              for r in half_sine_day(outage)]
-    assert classify_clear_sky(solar)[0]
+    assert classify_clear_sky(solar) == (False, math.inf)
     solar += half_sine_day(smoky, scale=0.8)
     days = [outage, smoky]
     if with_earlier_clear_day:
@@ -182,6 +169,11 @@ def test_clear_day_with_no_peak_output_is_never_a_reference(
     else:
         assert ratio is None
     assert report.fit is None
+    out = tmp_path / "report.csv"
+    report.write_csv(out)
+    [row] = [l for l in out.read_text().splitlines()
+             if l.startswith(outage.isoformat())]
+    assert row.endswith(",,0,0")  # no output, no ratio, not clear, not used
 
 
 def test_ols_two_point_example():

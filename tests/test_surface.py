@@ -1,7 +1,8 @@
 """Every public function, class and method in `src/smokecurate` is reached:
 something in `src/` outside its own definition, or in `bench/`, names it.
-And every defaulted parameter of one is set: some call in `src/` or `bench/`
-passes it, by keyword or by position.
+And every defaulted parameter of one, and every defaulted field of a
+dataclass, is set: some call in `src/` or `bench/` passes it, by keyword or
+by position.
 
 The match is by name, as `ast` sees it: an identifier, an attribute, an
 imported name or a string constant equal to the name (the bench wraps
@@ -103,31 +104,44 @@ def _sets(call: ast.Call, param: str, position: int | None, bound: int) -> bool:
             or any(isinstance(x, ast.Starred) for x in call.args))
 
 
+def _fields(node: ast.ClassDef) -> dict[str, int]:
+    """Each field of a dataclass that has a default, mapped to its position
+    in the generated `__init__` (no dataclass with a defaulted field has a
+    dataclass base, so the class's own fields are all it takes)."""
+    fields = [s for s in node.body
+              if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)]
+    return {f.target.id: i for i, f in enumerate(fields) if f.value is not None}
+
+
 def _functions(tree: ast.Module):
-    """(the name its callers call, definition, bound arguments) of each
-    module-level function and method: a class's `__init__` is called by the
-    class's name, and every method but a staticmethod has one bound
-    argument."""
+    """(the name its callers call, defaulted parameters, bound arguments) of
+    each module-level function and method, and each dataclass's generated
+    `__init__`: a class's `__init__` is called by the class's name, and every
+    method but a staticmethod has one bound argument."""
     for node in tree.body:
         if isinstance(node, _FUNCTIONS):
-            yield node.name, node, 0
+            yield node.name, _defaulted(node), 0
         elif isinstance(node, ast.ClassDef):
+            if any(_callee(d) == "dataclass" for d in node.decorator_list):
+                yield node.name, _fields(node), 0
             for m in node.body:
                 if isinstance(m, _FUNCTIONS):
                     static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
                                  for d in m.decorator_list)
                     yield (node.name if m.name == "__init__" else m.name,
-                           m, int(not static))
+                           _defaulted(m), int(not static))
 
 
-def _callee(call: ast.Call) -> str | None:
-    f = call.func
+def _callee(node: ast.expr) -> str | None:
+    """The name a call, or a decorator with or without arguments, uses."""
+    f = node.func if isinstance(node, ast.Call) else node
     return f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
 
 
 def unset(src: Path, bench: Path) -> list[str]:
     """`name(param)` of each defaulted parameter of a public function or
-    method under `src` that no call in `src` or `bench` passes."""
+    method, or defaulted field of a public dataclass, under `src` that no
+    call in `src` or `bench` passes."""
     trees = [ast.parse(p.read_text(), str(p)) for p in sorted(src.rglob("*.py"))]
     calls: dict[str | None, list[ast.Call]] = {}
     for tree in trees + [ast.parse(p.read_text(), str(p))
@@ -136,8 +150,8 @@ def unset(src: Path, bench: Path) -> list[str]:
             if isinstance(n, ast.Call):
                 calls.setdefault(_callee(n), []).append(n)
     return [f"{name}({param})" for tree in trees
-            for name, node, bound in _functions(tree) if not name.startswith("_")
-            for param, position in _defaulted(node).items()
+            for name, defaulted, bound in _functions(tree) if not name.startswith("_")
+            for param, position in defaulted.items()
             if not any(_sets(c, param, position, bound)
                        for c in calls.get(name, []))]
 
