@@ -31,27 +31,25 @@ stored hours of provenance.csv, after checking that they and the manifest's
 stored frames long, and each frame read is one `readinto` of exactly one
 frame, straight into the array returned. An original starts after the
 day's earlier originals.
-A build first removes the old manifest, writes each shard to a `.tmp` file,
-publishes it with `os.replace` when the build moves to the next day, and
-writes the manifest last, so a failed build or rebuild leaves no readable
-archive. There is no format 1 reader: rebuild such an archive with
-build-archive. A rebuild into an existing directory leaves files it does not
-write (shards of days the new plan does not cover, and any `L1/`, `L2/`...
-shards), unread, and an archive opened before a rebuild keeps its offsets,
-so where the rebuild moved a day's gaps it reads another hour's frame.
+An archive is written once: the build writes a new sibling directory and
+renames it to its place, and refuses a directory that is not empty. So no
+file of another build is ever beside it, and the files an open archive
+reads never change. There is no format 1 reader: build such an archive
+again, into a new directory, with build-archive.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import shutil
 from contextlib import ExitStack, closing
 from dataclasses import asdict, dataclass
 from datetime import date, datetime
 from functools import lru_cache
 from itertools import groupby
 from pathlib import Path
-from typing import Iterator
+from typing import BinaryIO, Iterator
 
 import numpy as np
 
@@ -183,78 +181,83 @@ def _picked_frames(plan: SequencePlan
                 yield t, reader.header, values
 
 
-class _DayShards:
-    """Appends frames, in time order, to the shard of their UTC day under
-    `directory`. A day's shard is written as a `.tmp` file and published
-    with os.replace when the next day's first frame arrives, or when the
-    block exits without an exception; on an exception the open `.tmp` file
-    is closed and removed."""
+def _create(directory: Path, day: date) -> BinaryIO:
+    """The new, empty shard of `day` under `directory`, open for writing."""
+    directory.mkdir(exist_ok=True)
+    return open(directory / _shard_name(day), "xb")
 
-    def __init__(self, directory: Path):
-        self.directory = directory
-        self.name = ""
-        self.file = None
 
-    def append(self, name: str, values: np.ndarray) -> None:
-        if name != self.name:
-            self._close(publish=True)
-            self.directory.mkdir(exist_ok=True)
-            self.name = name
-            self.file = open(self.directory / f"{name}.tmp", "wb")
-        self.file.write(memoryview(np.ascontiguousarray(values, dtype="<f4")))
-
-    def _close(self, publish: bool) -> None:
-        if self.file is not None:
-            self.file.close()
-            self.file = None
-            tmp = self.directory / f"{self.name}.tmp"
-            if publish:
-                os.replace(tmp, self.directory / self.name)
-            else:
-                tmp.unlink()
-
-    def __enter__(self) -> "_DayShards":
-        return self
-
-    def __exit__(self, exc_type, *_) -> None:
-        self._close(publish=exc_type is None)
+def _write(shard: BinaryIO, values: np.ndarray) -> None:
+    """Append one frame to `shard`: a row-major little-endian float32 grid."""
+    shard.write(memoryview(np.ascontiguousarray(values, dtype="<f4")))
 
 
 def build_archive(plan: SequencePlan, canonical: GridGeometry,
                   out: Path | str, levels: int = 1) -> "CuratedArchive":
-    """Materialize a plan into the on-disk archive. An earlier build's
-    manifest is removed before the first shard is replaced and the new one
-    is written last, so an interrupted build or rebuild leaves no readable
-    archive behind; a build that fails leaves no `.tmp` shard. A `levels`
-    that `open` would refuse raises ValueError before `out` is touched."""
+    """Materialize a plan into a new archive at `out`, built in the sibling
+    directory `.{name}.building` and published with one rename; a failed
+    build removes that directory and leaves `out` as it was. A `levels`
+    that `open` would refuse is a ValueError, and an `out` that is not an
+    empty directory, or a building directory another build left, is an
+    ArchiveError naming it, each raised before anything is written."""
     _level_count(levels)
     canonical.validate()
     out = Path(out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "manifest.json").unlink(missing_ok=True)
+    if out.exists() and (not out.is_dir() or any(out.iterdir())):
+        raise ArchiveError(f"{out} exists and is not an empty directory: "
+                           f"an archive is written once; build into a new "
+                           f"directory")
+    building = out.with_name(f".{out.name}.building")
+    try:
+        building.mkdir(parents=True)
+    except FileExistsError as e:
+        raise ArchiveError(f"{building} exists: another build of {out} is "
+                           f"running or was interrupted") from e
+    try:
+        _write_archive(plan, canonical, building, levels)
+        try:
+            os.rename(building, out)
+        except OSError as e:
+            raise ArchiveError(f"{out}: build not published: "
+                               f"{e.strerror}") from e
+    except BaseException:
+        shutil.rmtree(building)
+        raise
+    return CuratedArchive.open(out)
 
+
+def _write_archive(plan: SequencePlan, canonical: GridGeometry, root: Path,
+                   levels: int) -> None:
+    """The shards, provenance.csv and then manifest.json of a plan's
+    archive, written into the empty directory `root`."""
     rows: list[list] = []  # provenance.csv
     originals: dict[GridGeometry, list[str]] = {}  # timesteps per source grid
-    with ExitStack() as stack:
-        picked = stack.enter_context(closing(_picked_frames(plan)))
-        level0 = stack.enter_context(_DayShards(out / "L0"))
-        original_shards = stack.enter_context(_DayShards(out / "originals"))
-        for t, h, values in picked:
-            name = _shard_name(t)
-            src = Frame(h.geometry, values)
-            frame = identity_or_resample(src, canonical)
-            if frame.resampled:
-                original_shards.append(name, src.values)
-                originals.setdefault(h.geometry, []).append(t.strftime(ISO_Z))
-            level0.append(name, frame.values)
-            tf, cd, wd, sd = map(calendar_to_julian,
-                                 (t, h.created, h.weather_init, h.smoke_init))
-            rows.append([tf.date, tf.time, cd.date, cd.time, wd.date, wd.time,
-                         sd.date, sd.time, h.forecast_id,
-                         "true" if frame.resampled else "false",
-                         h.weather_init.strftime(ISO_Z)])
+    with closing(_picked_frames(plan)) as picked:
+        # one open per day shard: opening and closing the shard for each
+        # frame made full-grid builds measurably slower
+        for day, frames in groupby(picked, key=lambda item: item[0].date()):
+            with ExitStack() as shards:
+                level0 = shards.enter_context(_create(root / "L0", day))
+                original = None
+                for t, h, values in frames:
+                    src = Frame(h.geometry, values)
+                    frame = identity_or_resample(src, canonical)
+                    if frame.resampled:
+                        if original is None:
+                            original = shards.enter_context(
+                                _create(root / "originals", day))
+                        _write(original, src.values)
+                        originals.setdefault(h.geometry, []).append(
+                            t.strftime(ISO_Z))
+                    _write(level0, frame.values)
+                    tf, cd, wd, sd = map(calendar_to_julian, (
+                        t, h.created, h.weather_init, h.smoke_init))
+                    rows.append([tf.date, tf.time, cd.date, cd.time, wd.date,
+                                 wd.time, sd.date, sd.time, h.forecast_id,
+                                 "true" if frame.resampled else "false",
+                                 h.weather_init.strftime(ISO_Z)])
 
-    write_table(out / "provenance.csv", PROVENANCE_COLUMNS, rows)
+    write_table(root / "provenance.csv", PROVENANCE_COLUMNS, rows)
     manifest = {
         "format_version": 2,
         "tool_version": __version__,
@@ -266,10 +269,7 @@ def build_archive(plan: SequencePlan, canonical: GridGeometry,
         "originals": [{"geometry": asdict(g), "timesteps": times}
                       for g, times in originals.items()],
     }
-    tmp = out / "manifest.json.tmp"
-    tmp.write_text(json.dumps(manifest, indent=1))
-    os.replace(tmp, out / "manifest.json")
-    return CuratedArchive.open(out)
+    (root / "manifest.json").write_text(json.dumps(manifest, indent=1))
 
 
 @lru_cache(maxsize=64)

@@ -1,9 +1,9 @@
 """Command-line entry point wiring the pipeline stages together:
 gen-corpus / fetch -> validate -> sequence -> build-archive -> query / analyze.
 
-Machine-readable outputs are CSV/JSON files. Of these only the archive
-manifest, the archive shards and the cached granules are written atomically
-(temp file, then rename). Logs go to stderr and are never meant to be parsed.
+Machine-readable outputs are CSV/JSON files. Of these only the archive and
+the cached granules are written atomically (a new directory or a temp file,
+then rename). Logs go to stderr and are never meant to be parsed.
 
 `--config FILE` holds flat `key = value` lines. A key is an option's long name
 without its dashes, and its value becomes that option's default in every
@@ -164,7 +164,7 @@ def gen_corpus(seed, root, start, end, ids, init_hours, horizon, scale,
 @click.option("--from", "start", required=True, type=DAY)
 @click.option("--to", "end", required=True, type=DAY)
 @click.option("--cache", required=True, type=click.Path())
-@click.option("--parallel", type=int, default=8)
+@click.option("--parallel", type=click.IntRange(min=1), default=8)
 @click.option("--report", default="fetch_report.csv", type=click.Path(),
               help="Fetch report CSV.")
 def fetch(base, ids, start, end, cache, parallel, report):
@@ -215,7 +215,8 @@ def sequence(cache, start, end, out, gaps, scale):
 
 @main.command("build-archive")
 @click.option("--plan", "plan_path", required=True, type=click.Path(exists=True))
-@click.option("--out", required=True, type=click.Path())
+@click.option("--out", required=True, type=click.Path(),
+              help="A new directory, or an empty one: an archive is written once.")
 @click.option("--levels", type=click.IntRange(min=1), default=3)
 @click.option("--scale", type=click.Choice(list(SCALES)), default="desk")
 def build_archive_cmd(plan_path, out, levels, scale):

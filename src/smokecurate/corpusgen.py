@@ -118,11 +118,7 @@ class ManifestEntry:
 
 @dataclass
 class CorpusManifest:
-    root: Path
     entries: list[ManifestEntry]
-
-    def by_outcome(self, outcome: str) -> list[ManifestEntry]:
-        return [e for e in self.entries if e.outcome == outcome]
 
     def write_csv(self, path: Path) -> None:
         write_table(path, ["forecast_id", "init_utc", "outcome", "path"],
@@ -325,6 +321,6 @@ def generate_corpus(spec: CorpusSpec, root: Path | str) -> CorpusManifest:
                 f.write(part)
         entries.append(ManifestEntry(fid, init, outcome, rel))
 
-    manifest = CorpusManifest(root, entries)
+    manifest = CorpusManifest(entries)
     manifest.write_csv(root / "manifest.csv")
     return manifest

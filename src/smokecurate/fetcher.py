@@ -52,7 +52,6 @@ class SourceEndpoint:
 class FetchRecord:
     forecast_id: str
     date: date
-    url: str
     outcome: str          # downloaded | not_found | invalid_content | io_error
     bytes: int
     attempts: int
@@ -151,7 +150,7 @@ def fetch_one(endpoint: SourceEndpoint, forecast_id: str, day: date,
         try:
             with open(target, "rb") as f:
                 validate_stream(f)
-            return FetchRecord(forecast_id, day, url, "downloaded", 0, 0)
+            return FetchRecord(forecast_id, day, "downloaded", 0, 0)
         except GranuleError:
             target.unlink()  # stale junk; refetch
 
@@ -170,19 +169,19 @@ def fetch_one(endpoint: SourceEndpoint, forecast_id: str, day: date,
                         tee.drain()  # rejects/ keeps the whole body
             if error_offset is None:
                 os.replace(tmp, target)
-                return FetchRecord(forecast_id, day, url, "downloaded",
-                                   tee.count, attempt)
+                return FetchRecord(forecast_id, day, "downloaded", tee.count,
+                                   attempt)
             reject.parent.mkdir(parents=True, exist_ok=True)
             os.replace(tmp, reject)
-            return FetchRecord(forecast_id, day, url, "invalid_content",
+            return FetchRecord(forecast_id, day, "invalid_content",
                                tee.count, attempt, error_offset)
         except NotFound:
             # absence is a documented steady state, not worth retrying
-            return FetchRecord(forecast_id, day, url, "not_found", 0, attempt)
+            return FetchRecord(forecast_id, day, "not_found", 0, attempt)
         except Exception:
             tmp.unlink(missing_ok=True)
             if attempt == RETRIES:
-                return FetchRecord(forecast_id, day, url, "io_error", 0, attempt)
+                return FetchRecord(forecast_id, day, "io_error", 0, attempt)
             time.sleep(backoff * 2 ** (attempt - 1))
 
 
@@ -198,7 +197,7 @@ def fetch_range(endpoint: SourceEndpoint, forecast_ids: list[str],
     jobs = [(fid, start + timedelta(days=i))
             for i in range((end - start).days + 1)
             for fid in forecast_ids]
-    with ThreadPoolExecutor(max_workers=max(1, parallel)) as pool:
+    with ThreadPoolExecutor(max_workers=parallel) as pool:
         records = list(pool.map(
             lambda job: fetch_one(endpoint, job[0], job[1], cache_root,
                                   backoff=backoff), jobs))

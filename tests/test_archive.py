@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from smokecurate import archive
 from smokecurate.archive import (PROVENANCE_COLUMNS, ArchiveError,
                                  BuildError, CuratedArchive, GapError,
                                  box_downsample, build_archive,
@@ -280,7 +281,7 @@ def test_day_shards_read_back_every_hour(tmp_path_factory, data):
                                 t - t.hour * HOUR)
     plan = SequencePlan(start, end, picks, gaps)
     arch = build_archive(plan, SMALL_GEOM, root / "arch", levels=levels)
-    assert not list(arch.root.rglob("*.tmp"))
+    assert not (root / ".arch.building").exists()
     assert sorted(p.name for p in (arch.root / "L0").glob("*")) == \
         sorted({f"{t:%Y%m%d}.bin" for t in stored})
     assert not list(arch.root.glob("L[1-9]*"))
@@ -559,27 +560,82 @@ def test_manifest_missing_a_gap_hour_is_refused(tmp_path):
         f"6 hours from 'start' to 'end', but 0 gaps and 5 stored")
 
 
-def test_failed_rebuild_leaves_no_readable_archive(tmp_path):
-    """A rebuild that moves a day's gaps and then aborts must not leave the
-    old manifest beside the new shards."""
+def tree_digests(root):
+    """sha256 of each file under `root`, by its path relative to `root`."""
+    return {p.relative_to(root): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def assert_nothing_published(out):
+    """A failed build leaves neither `out` nor its building directory."""
+    assert not out.exists()
+    assert not out.with_name(f".{out.name}.building").exists()
+
+
+def test_build_into_an_existing_archive_is_refused(tmp_path):
+    """An archive is written once: a build into an existing archive is
+    refused before it writes anything, so a reader opened on the archive
+    keeps reading its own hours."""
     frames = random_frames(4, seed=5)
-    cached_granule(tmp_path / "gapped", frames)
-    good = plan_hours(tmp_path / "gapped", 4)
-    del good.picks[T0 + HOUR]
-    good.gaps.append(T0 + HOUR)
-    arch = build_archive(good, SMALL_GEOM, tmp_path / "arch")
+    cached_granule(tmp_path / "cache", frames)
+    gapped = plan_hours(tmp_path / "cache", 4)
+    del gapped.picks[T0 + HOUR]
+    gapped.gaps.append(T0 + HOUR)
+    arch = build_archive(gapped, SMALL_GEOM, tmp_path / "arch")
+    before = tree_digests(arch.root)
+    with pytest.raises(ArchiveError) as err:
+        build_archive(plan_hours(tmp_path / "cache", 4), SMALL_GEOM,
+                      tmp_path / "arch")
+    assert str(err.value).startswith(
+        f"{tmp_path / 'arch'} exists and is not an empty directory")
+    assert tree_digests(arch.root) == before
     frame, _ = arch.read_frame(T0 + 2 * HOUR)
     np.testing.assert_array_equal(frame.values, frames[2])
-    # the new plan has no gap on 03-02 but a bad picked value on 03-03
-    cache = tmp_path / "bad"
-    cached_granule(cache, random_frames(30, seed=6))
-    poke_value(next(cache.rglob("*.gran")), frame=25, cell=0, value=np.nan)
-    with pytest.raises(BuildError):
-        build_archive(plan_hours(cache, 30), SMALL_GEOM, tmp_path / "arch")
-    assert (tmp_path / "arch" / "L0" / "20220302.bin").stat().st_size == \
-        24 * frames[0].nbytes  # the first day was published
-    with pytest.raises(ArchiveError, match="No such file"):
-        CuratedArchive.open(tmp_path / "arch")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["arch", "cache"]
+
+
+def test_build_into_an_empty_directory(tmp_path):
+    frames = random_frames(2, seed=5)
+    cached_granule(tmp_path / "cache", frames)
+    (tmp_path / "arch").mkdir()
+    arch = build_archive(plan_hours(tmp_path / "cache", 2), SMALL_GEOM,
+                         tmp_path / "arch")
+    frame, _ = arch.read_frame(T0 + HOUR)
+    np.testing.assert_array_equal(frame.values, frames[1])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["arch", "cache"]
+
+
+def test_leftover_building_directory_is_refused(tmp_path):
+    cached_granule(tmp_path / "cache", random_frames(2, seed=5))
+    building = tmp_path / ".arch.building"
+    building.mkdir()
+    with pytest.raises(ArchiveError) as err:
+        build_archive(plan_hours(tmp_path / "cache", 2), SMALL_GEOM,
+                      tmp_path / "arch")
+    assert str(err.value).startswith(f"{building} exists")
+    assert not (tmp_path / "arch").exists()
+    assert list(building.iterdir()) == []
+
+
+def test_out_filled_during_the_build_is_left_alone(tmp_path, monkeypatch):
+    """When `out` gains a file while the build runs, the publishing rename
+    fails: the build names `out`, leaves it as it is and removes its own
+    building directory."""
+    cached_granule(tmp_path / "cache", random_frames(2, seed=5))
+    out = tmp_path / "arch"
+    out.mkdir()
+    resample = archive.identity_or_resample
+
+    def resample_and_fill_out(src, canonical):
+        (out / "other.txt").write_text("another writer\n")
+        return resample(src, canonical)
+
+    monkeypatch.setattr(archive, "identity_or_resample", resample_and_fill_out)
+    with pytest.raises(ArchiveError) as err:
+        build_archive(plan_hours(tmp_path / "cache", 2), SMALL_GEOM, out)
+    assert str(err.value).startswith(f"{out}: build not published")
+    assert [p.name for p in out.iterdir()] == ["other.txt"]
+    assert not (tmp_path / ".arch.building").exists()
 
 
 def _manifest_with(edit):
@@ -713,8 +769,7 @@ def test_bad_value_in_picked_frame_aborts_build(tmp_path, bad):
     assert "timestep 2022-03-02T01:00:00Z" in message
     assert str(path) in message
     assert f"at byte {offset}" in message
-    assert not (tmp_path / "arch" / "manifest.json").exists()
-    assert not list((tmp_path / "arch").rglob("*.tmp"))
+    assert_nothing_published(tmp_path / "arch")
 
 
 def test_bad_value_in_unpicked_frame_builds_identical_archive(tmp_path):
@@ -743,7 +798,7 @@ def test_truncated_picked_granule_aborts_build(tmp_path):
         build_archive(plan, SMALL_GEOM, tmp_path / "arch")
     assert "timestep 2022-03-02T00:00:00Z" in str(err.value)
     assert str(path) in str(err.value)
-    assert not list((tmp_path / "arch").rglob("*.tmp"))
+    assert_nothing_published(tmp_path / "arch")
 
 
 def test_missing_picked_granule_aborts_build(tmp_path):
@@ -755,8 +810,7 @@ def test_missing_picked_granule_aborts_build(tmp_path):
     assert "timestep 2022-03-02T00:00:00Z" in str(err.value)
     assert str(path) in str(err.value)
     assert isinstance(err.value.__cause__, FileNotFoundError)
-    assert not (tmp_path / "arch" / "manifest.json").exists()
-    assert not list((tmp_path / "arch").rglob("*.tmp"))
+    assert_nothing_published(tmp_path / "arch")
 
 
 def test_frame_times_come_from_the_header_read(tmp_path, monkeypatch):

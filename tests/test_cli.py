@@ -314,6 +314,21 @@ def test_bad_csv_cell_names_file_and_line(pipeline, runner, file, line, column,
                                 message.format(dir=pipeline)), errors[0]
 
 
+def test_build_archive_into_an_existing_archive_is_one_error_line(pipeline,
+                                                                   runner):
+    out = pipeline / "arch"
+    manifest = (out / "manifest.json").read_bytes()
+    result = runner.invoke(main, ["build-archive", "--plan",
+                                  str(pipeline / "plan.csv"), "--out", str(out)],
+                           catch_exceptions=False)
+    assert result.exit_code == 1
+    errors = [l for l in result.output.splitlines() if l.startswith("Error:")]
+    assert errors == [f"Error: build-archive: {out} exists and is not an "
+                      f"empty directory: an archive is written once; build "
+                      f"into a new directory"], result.output
+    assert (out / "manifest.json").read_bytes() == manifest
+
+
 def test_validate_reads_no_quarantined_body(tmp_path, runner):
     ids = ["--ids", "BSC00CA12-01,BSC12CA12-01"]
     days = ["--from", "2022-03-02", "--to", "2022-03-05"]
@@ -339,8 +354,12 @@ def test_validate_reads_no_quarantined_body(tmp_path, runner):
       "--csv", "{tmp}/c"], "--from"),
     (["build-archive", "--plan", "{tmp}", "--out", "{tmp}/c", "--levels", "0"],
      "--levels"),
+    (["fetch", "--base", "{tmp}", "--ids", "BSC00CA12-01", "--from",
+      "2022-03-02", "--to", "2022-03-02", "--cache", "{tmp}/c",
+      "--report", "{tmp}/c/fetch_report.csv", "--parallel", "0"],
+     "--parallel"),
 ], ids=["sequence-to", "gen-corpus-from", "query-from-not-an-hour",
-        "build-archive-levels-0"])
+        "build-archive-levels-0", "fetch-parallel-0"])
 def test_bad_option_value_is_a_usage_error(tmp_path, runner, args, option):
     args = [a.format(tmp=tmp_path) for a in args]
     result = runner.invoke(main, args, catch_exceptions=False)

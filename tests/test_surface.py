@@ -2,7 +2,8 @@
 something in `src/` outside its own definition, or in `bench/`, names it.
 And every defaulted parameter of one, and every defaulted field of a
 dataclass, is set: some call in `src/` or `bench/` passes it, by keyword or
-by position.
+by position. And every field of a public dataclass is read: something in
+`src/` or `bench/` names it as an attribute or a string constant.
 
 The match is by name, as `ast` sees it: an identifier, an attribute, an
 imported name or a string constant equal to the name (the bench wraps
@@ -30,20 +31,31 @@ UNSET_BY_DESIGN = {
     # do not sleep; every command and the bench wait the default
     "fetch_range(backoff)",
 }
+# dataclass fields that nothing in `src/` or `bench/` reads, with the reason
+UNREAD_BY_DESIGN = {
+    # `explain_pick` returns them, and it is library-only: only tests read them
+    "RankedCandidate.candidate",
+    "RankedCandidate.selected",
+    # `bench/workloads.py` passes `scan_cache` the `canonical` and `drift`
+    # grids that only this label uses, so only a benchmark change can drop it
+    "ScanRecord.geometry_class",
+}
 
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
-def _names(node: ast.AST):
+def _names(node: ast.AST, bare: bool = True):
+    """The attributes and string constants `node` names, and with `bare`
+    its identifiers and imported names too."""
     for n in ast.walk(node):
-        if isinstance(n, ast.Name):
-            yield n.id
-        elif isinstance(n, ast.Attribute):
+        if isinstance(n, ast.Attribute):
             yield n.attr
-        elif isinstance(n, ast.alias):
-            yield n.name
         elif isinstance(n, ast.Constant) and isinstance(n.value, str):
             yield n.value
+        elif bare and isinstance(n, ast.Name):
+            yield n.id
+        elif bare and isinstance(n, ast.alias):
+            yield n.name
 
 
 def _definitions(tree: ast.Module):
@@ -159,6 +171,32 @@ def unset(src: Path, bench: Path) -> list[str]:
 def test_every_defaulted_parameter_is_set():
     assert sorted(unset(ROOT / "src" / "smokecurate", ROOT / "bench")) == \
         sorted(UNSET_BY_DESIGN)
+
+
+def _dataclass_fields(tree: ast.Module):
+    """(class, field) of each field of each public dataclass in a module."""
+    for node in tree.body:
+        if (isinstance(node, ast.ClassDef) and not node.name.startswith("_")
+                and any(_callee(d) == "dataclass" for d in node.decorator_list)):
+            yield from ((node.name, s.target.id) for s in node.body
+                        if isinstance(s, ast.AnnAssign)
+                        and isinstance(s.target, ast.Name))
+
+
+def unread(src: Path, bench: Path) -> list[str]:
+    """`Class.field` of each field of a public dataclass under `src` that
+    nothing in `src` or `bench` reads as an attribute or a string constant."""
+    trees = [ast.parse(p.read_text(), str(p)) for p in sorted(src.rglob("*.py"))]
+    names = {name for tree in trees + [ast.parse(p.read_text(), str(p))
+                                       for p in sorted(bench.rglob("*.py"))]
+             for name in _names(tree, bare=False)}
+    return [f"{cls}.{field}" for tree in trees
+            for cls, field in _dataclass_fields(tree) if field not in names]
+
+
+def test_every_dataclass_field_is_read():
+    assert sorted(unread(ROOT / "src" / "smokecurate", ROOT / "bench")) == \
+        sorted(UNREAD_BY_DESIGN)
 
 
 def test_readme_names_the_library_only_api():
