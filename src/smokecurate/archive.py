@@ -89,17 +89,12 @@ class GapError(ArchiveError):
 
 @dataclass(frozen=True)
 class ProvenanceRow:
-    tflag_date: int
-    tflag_time: int
-    cdate: int
-    ctime: int
-    wdate: int
-    wtime: int
-    sdate: int
-    stime: int
+    """The granule picked for a stored hour; its times are aware UTC."""
     forecast_id: str
+    created: datetime
+    weather_init: datetime
+    smoke_init: datetime
     resampled: bool
-    wrf_arw_init_time: str
 
 
 def level_shape(geom: GridGeometry, level: int) -> tuple[int, int]:
@@ -197,12 +192,16 @@ def build_archive(plan: SequencePlan, canonical: GridGeometry,
     """Materialize a plan into a new archive at `out`, built in the sibling
     directory `.{name}.building` and published with one rename; a failed
     build removes that directory and leaves `out` as it was. A `levels`
-    that `open` would refuse is a ValueError, and an `out` that is not an
-    empty directory, or a building directory another build left, is an
+    that `open` would refuse is a ValueError, and an `out` with no name of
+    its own (such as "." or "sub/.."), an `out` that is not an empty
+    directory, or a building directory another build left, is an
     ArchiveError naming it, each raised before anything is written."""
     _level_count(levels)
     canonical.validate()
     out = Path(out)
+    if out.name in ("", ".."):
+        raise ArchiveError(f"{out} does not end in a directory name: build "
+                           f"into a named new directory")
     if out.exists() and (not out.is_dir() or any(out.iterdir())):
         raise ArchiveError(f"{out} exists and is not an empty directory: "
                            f"an archive is written once; build into a new "
@@ -250,12 +249,9 @@ def _write_archive(plan: SequencePlan, canonical: GridGeometry, root: Path,
                         originals.setdefault(h.geometry, []).append(
                             t.strftime(ISO_Z))
                     _write(level0, frame.values)
-                    tf, cd, wd, sd = map(calendar_to_julian, (
-                        t, h.created, h.weather_init, h.smoke_init))
-                    rows.append([tf.date, tf.time, cd.date, cd.time, wd.date,
-                                 wd.time, sd.date, sd.time, h.forecast_id,
-                                 "true" if frame.resampled else "false",
-                                 h.weather_init.strftime(ISO_Z)])
+                    rows.append(_provenance_cells(t, ProvenanceRow(
+                        h.forecast_id, h.created, h.weather_init,
+                        h.smoke_init, frame.resampled)))
 
     write_table(root / "provenance.csv", PROVENANCE_COLUMNS, rows)
     manifest = {
@@ -272,30 +268,37 @@ def _write_archive(plan: SequencePlan, canonical: GridGeometry, root: Path,
     (root / "manifest.json").write_text(json.dumps(manifest, indent=1))
 
 
+def _provenance_cells(t: datetime, row: ProvenanceRow) -> list:
+    """Stored hour `t`'s provenance.csv cells, in PROVENANCE_COLUMNS order."""
+    tf, cd, wd, sd = map(calendar_to_julian, (
+        t, row.created, row.weather_init, row.smoke_init))
+    return [tf.date, tf.time, cd.date, cd.time, wd.date, wd.time, sd.date,
+            sd.time, row.forecast_id, "true" if row.resampled else "false",
+            row.weather_init.strftime(ISO_Z)]
+
+
 @lru_cache(maxsize=64)
-def _iso_z_text(stamp: JulianStamp) -> str:
-    # rows of one granule share a weather stamp; every open checks each row
-    return julian_to_calendar(stamp).strftime(ISO_Z)
+def _granule_time(date: str, time: str) -> datetime:
+    # the rows of one granule share its creation, weather and smoke stamps
+    return julian_to_calendar(JulianStamp(int(date), int(time)))
 
 
 def _provenance_entry(row: dict[str, str]) -> tuple[datetime, ProvenanceRow]:
-    """A provenance.csv row, keyed by its timestep. Every stamp must be
-    valid, `resampled` must be true or false, and `wrf_arw_init_time` must be
-    the weather stamp's ISO_Z text."""
-    tf, cd, wd, sd = (JulianStamp(int(row[f"{p}date"]), int(row[f"{p}time"]))
-                      for p in ("tflag_", "c", "w", "s"))
-    cd.validate()
-    sd.validate()
-    weather = _iso_z_text(wd)
+    """The inverse of `_provenance_cells`. Every stamp must decode,
+    `resampled` must be true or false, and `wrf_arw_init_time` must be the
+    weather stamp's ISO_Z text."""
+    t = julian_to_calendar(JulianStamp(int(row["tflag_date"]),
+                                       int(row["tflag_time"])))
+    created, weather, smoke = (_granule_time(row[f"{p}date"], row[f"{p}time"])
+                               for p in "cws")
     if row["resampled"] not in ("true", "false"):
         raise ValueError(f"resampled is {row['resampled']!r}, "
                          f"not true or false")
-    if row["wrf_arw_init_time"] != weather:
+    if row["wrf_arw_init_time"] != weather.strftime(ISO_Z):
         raise ValueError(f"wrf_arw_init_time {row['wrf_arw_init_time']!r} is "
-                         f"not the weather stamp's {weather}")
-    return julian_to_calendar(tf), ProvenanceRow(
-        tf.date, tf.time, cd.date, cd.time, wd.date, wd.time, sd.date, sd.time,
-        row["forecast_id"], row["resampled"] == "true", weather)
+                         f"not the weather stamp's {weather.strftime(ISO_Z)}")
+    return t, ProvenanceRow(row["forecast_id"], created, weather, smoke,
+                            row["resampled"] == "true")
 
 
 def _level_count(levels: int) -> int:
@@ -372,7 +375,8 @@ class CuratedArchive:
         """Open the archive at `root`. A missing, unreadable or malformed
         manifest or provenance file raises ArchiveError naming the file and
         the key or line at fault; gaps and stored hours that do not cover
-        the range exactly once name both files."""
+        the range exactly once, or resampled hours that are not exactly the
+        hours with a stored original, name both files."""
         root = Path(root)
         path = root / "manifest.json"
         try:
@@ -418,6 +422,13 @@ class CuratedArchive:
         slots = _day_slots(dict.fromkeys(provenance, 1))
         originals = value("originals",
                           lambda groups: _original_slots(groups, slots))
+        resampled = {t for t, row in provenance.items() if row.resampled}
+        if resampled != originals.keys():
+            t = min(resampled ^ originals.keys())
+            raise ArchiveError(
+                f"{path} and {table} disagree: {t.strftime(ISO_Z)} "
+                + ("is resampled but has no original" if t in resampled
+                   else "has an original but is not resampled"))
         return cls(root, geometry, start, end, levels, gaps, provenance,
                    slots, originals)
 

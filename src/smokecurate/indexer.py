@@ -101,9 +101,9 @@ def _scan_one(path: Path, canonical, drift) -> ScanRecord:
     except OSError as e:
         return ScanRecord(path, "not_a_granule", detail=str(e))
 
-    # payload truncation is visible from the file size alone
+    # a short payload, or bytes past it, is visible from the file size alone
     size = path.stat().st_size
-    if size < header.expected_total_bytes:
+    if size != header.expected_total_bytes:
         return ScanRecord(path, "truncated",
                           detail=f"file is {size} bytes, expected "
                                  f"{header.expected_total_bytes}")

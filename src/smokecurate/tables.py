@@ -24,8 +24,8 @@ def read_table(path: Path | str, columns: Sequence[str],
                parse: Callable[[dict[str, str]], T]) -> list[T]:
     """`parse(row)` for each row of the table at `path`, whose header must
     name every one of `columns`. A row that cannot be split, that has fewer
-    cells than the header or that `parse` rejects (TypeError or ValueError)
-    raises ValueError naming the file and the line."""
+    or more cells than the header or that `parse` rejects (TypeError or
+    ValueError) raises ValueError naming the file and the line."""
     with open(path, newline="") as f:
         reader = csv.DictReader(f)
         try:
@@ -35,6 +35,8 @@ def read_table(path: Path | str, columns: Sequence[str],
                 for row in reader:
                     if None in row.values():  # DictReader's short-row filler
                         raise ValueError("fewer cells than the header names")
+                    if None in row:  # DictReader's key for a long row's rest
+                        raise ValueError("more cells than the header names")
                     parsed.append(parse(row))
                 return parsed
         except (csv.Error, TypeError, ValueError) as e:

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from smokecurate import archive
 from smokecurate.archive import (PROVENANCE_COLUMNS, ArchiveError,
                                  BuildError, CuratedArchive, GapError,
-                                 box_downsample, build_archive,
+                                 ProvenanceRow, box_downsample, build_archive,
                                  level_geometry, level_shape)
 from smokecurate.corpusgen import (DESK_DRIFT_GEOMETRY, DESK_GEOMETRY,
                                    CorpusSpec, FaultProfile, generate_corpus)
@@ -21,6 +21,7 @@ from smokecurate.granule import (GridGeometry, make_granule, parse_granule,
 from smokecurate.indexer import PlannedFrame, build_coverage, scan_cache
 from smokecurate.regrid import Frame, identity_or_resample
 from smokecurate.sequencer import SequencePlan, plan_sequence
+from smokecurate.tables import read_table, write_table
 from smokecurate.timecal import (HOUR, UTC, JulianStamp, calendar_to_julian,
                                  hour_range)
 
@@ -319,14 +320,42 @@ def test_provenance_preserves_original_stamps(tmp_path):
     arch = archive_from_frames(tmp_path, random_frames(2))
     row = arch.provenance[T0 + timedelta(hours=1)]
     assert row.forecast_id == "BSC00CA12-01"
-    assert (row.sdate, row.stime) == (2022061, 0)        # smoke init T0
-    assert (row.cdate, row.ctime) == (2022061, 10000)    # created T0+1h
-    assert (row.wdate, row.wtime) == (2022060, 180000)   # weather T0-6h
-    assert row.wrf_arw_init_time == "2022-03-01T18:00:00Z"
+    assert row.smoke_init == T0
+    assert row.created == T0 + HOUR
+    assert row.weather_init == T0 - 6 * HOUR
+    assert {t.tzinfo for t in (row.smoke_init, row.created,
+                               row.weather_init)} == {UTC}
     assert not row.resampled
-    header = (tmp_path / "arch_single" / "provenance.csv") \
-        .read_text().splitlines()[0]
+    # the stamps stay integers in the file: tflag, creation, weather, smoke
+    header, _, line = (tmp_path / "arch_single" / "provenance.csv") \
+        .read_text().splitlines()
     assert header == ",".join(PROVENANCE_COLUMNS)
+    assert line == ("2022061,10000,2022061,10000,2022060,180000,2022061,0,"
+                    "BSC00CA12-01,false,2022-03-01T18:00:00Z")
+
+
+second_times = st.datetimes(datetime(1, 1, 1), datetime(9999, 12, 31, 23, 59, 59),
+                            timezones=st.just(UTC)).map(
+    lambda t: t.replace(microsecond=0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(t=second_times, created=second_times, weather_init=second_times,
+       smoke_init=second_times,
+       forecast_id=st.text(st.characters(min_codepoint=32, max_codepoint=126)),
+       resampled=st.booleans())
+def test_provenance_cells_read_back_as_written(tmp_path_factory, t, created,
+                                               weather_init, smoke_init,
+                                               forecast_id, resampled):
+    """`_provenance_entry` is the inverse of `_provenance_cells` through
+    the one table format, for any second-resolution UTC times of years
+    1-9999 and any printable ASCII forecast id, commas and quotes too."""
+    row = ProvenanceRow(forecast_id, created, weather_init, smoke_init,
+                        resampled)
+    path = tmp_path_factory.mktemp("prov") / "provenance.csv"
+    write_table(path, PROVENANCE_COLUMNS, [archive._provenance_cells(t, row)])
+    assert read_table(path, PROVENANCE_COLUMNS,
+                      archive._provenance_entry) == [(t, row)]
 
 
 def test_drift_frames_marked_and_originals_kept(tmp_path):
@@ -617,6 +646,22 @@ def test_leftover_building_directory_is_refused(tmp_path):
     assert list(building.iterdir()) == []
 
 
+@pytest.mark.parametrize("out", [".", "sub/.."])
+def test_out_with_no_name_is_refused(tmp_path, monkeypatch, out):
+    """An `out` that does not end in a directory's own name has no sibling
+    to build in; it is refused before anything is created."""
+    cached_granule(tmp_path / "cache", random_frames(2, seed=5))
+    plan = plan_hours(tmp_path / "cache", 2)
+    (tmp_path / "work").mkdir()
+    monkeypatch.chdir(tmp_path / "work")
+    with pytest.raises(ArchiveError) as err:
+        build_archive(plan, SMALL_GEOM, out)
+    assert str(err.value) == (f"{out} does not end in a directory name: "
+                              f"build into a named new directory")
+    assert list((tmp_path / "work").iterdir()) == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cache", "work"]
+
+
 def test_out_filled_during_the_build_is_left_alone(tmp_path, monkeypatch):
     """When `out` gains a file while the build runs, the publishing rename
     fails: the build names `out`, leaves it as it is and removes its own
@@ -714,13 +759,23 @@ def _truncate(name):
     (_manifest_with(lambda m: m.update(gaps=["2022-03-09T00:00:00Z"])),
      "manifest.json", "disagree: 2022-03-09T00:00:00Z is not an hour of "
      "the range"),
+    (_provenance_cell("wrf_arw_init_time", "2022-03-01T18:00:00Z,x"),
+     "provenance.csv", "line 3: more cells than the header names"),
+    (_provenance_cell("resampled", "true"), "manifest.json",
+     "provenance.csv disagree: 2022-03-02T01:00:00Z is resampled but has no "
+     "original"),
+    (_manifest_with(lambda m: m.update(originals=[
+        {"geometry": m["geometry"], "timesteps": ["2022-03-02T01:00:00Z"]}])),
+     "manifest.json", "provenance.csv disagree: 2022-03-02T01:00:00Z has an "
+     "original but is not resampled"),
 ], ids=["truncated-manifest", "no-gaps", "bad-start", "text-nrows",
         "text-levels", "boolean-levels", "tflag-time-out-of-range", "non-integer-stamp",
         "creation-stamp-out-of-range", "resampled-not-boolean",
         "weather-text-not-stamp", "renamed-column",
         "no-provenance", "no-manifest", "format-1", "end-before-start",
         "original-not-stored", "original-without-grid", "gap-is-stored",
-        "far-end", "gap-out-of-range"])
+        "far-end", "gap-out-of-range", "extra-cell", "resampled-no-original",
+        "original-not-resampled"])
 def test_damaged_archive_open_names_file_and_place(tmp_path, damage, file,
                                                    where):
     root = archive_from_frames(tmp_path, random_frames(3)).root
@@ -820,6 +875,8 @@ def test_frame_times_come_from_the_header_read(tmp_path, monkeypatch):
     cached_granule(tmp_path / "cache", random_frames(6, seed=5))
     records = scan_cache(tmp_path / "cache")
     tflag = [calendar_to_julian(T0 + i * HOUR) for i in range(6)]
+    weather = calendar_to_julian(T0 - 6 * HOUR)
+    archive._granule_time.cache_clear()  # earlier tests decoded these stamps
     calls = []
     original = JulianStamp.validate
     monkeypatch.setattr(JulianStamp, "validate",
@@ -827,12 +884,13 @@ def test_frame_times_come_from_the_header_read(tmp_path, monkeypatch):
     plan = plan_sequence(build_coverage(records), T0, T0 + timedelta(hours=5))
     assert calls == []
     arch = build_archive(plan, SMALL_GEOM, tmp_path / "arch")
-    assert [JulianStamp(r.tflag_date, r.tflag_time)
-            for r in arch.provenance.values()] == tflag
+    assert list(map(calendar_to_julian, arch.provenance)) == tflag
     # tflag[0] and tflag[1] are also the smoke init and creation stamps,
-    # which the header read validates once more, and open once per row
+    # which the header read validates once more; open decodes the granule's
+    # creation, weather and smoke stamps once, for all six rows
     counts = Counter(calls)
-    assert [counts[stamp] for stamp in tflag] == [3 + 6, 3 + 6] + [2] * 4
+    assert [counts[stamp] for stamp in tflag] == [2 + 2, 2 + 2] + [2] * 4
+    assert counts[weather] == 2
 
 
 def read_chars():

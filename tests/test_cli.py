@@ -329,6 +329,20 @@ def test_build_archive_into_an_existing_archive_is_one_error_line(pipeline,
     assert (out / "manifest.json").read_bytes() == manifest
 
 
+def test_build_archive_into_the_working_directory_is_one_error_line(
+        pipeline, runner, monkeypatch):
+    (pipeline / "here").mkdir()
+    monkeypatch.chdir(pipeline / "here")
+    result = runner.invoke(main, ["build-archive", "--plan",
+                                  str(pipeline / "plan.csv"), "--out", "."],
+                           catch_exceptions=False)
+    assert result.exit_code == 1
+    errors = [l for l in result.output.splitlines() if l.startswith("Error:")]
+    assert errors == ["Error: build-archive: . does not end in a directory "
+                      "name: build into a named new directory"], result.output
+    assert list((pipeline / "here").iterdir()) == []
+
+
 def test_validate_reads_no_quarantined_body(tmp_path, runner):
     ids = ["--ids", "BSC00CA12-01,BSC12CA12-01"]
     days = ["--from", "2022-03-02", "--to", "2022-03-05"]
@@ -446,10 +460,62 @@ def test_plot_shares_query_and_analyze_outputs(pipeline, runner):
 # sha256 of each file the pipeline below writes, taken with the run's
 # temporary directory spelled "<tmp>"
 PINNED_OUTPUTS = {
+    "arch/L0/20220303.bin":
+        "a0a47fa3826778b327a6672685cd349b0c49ef813d5dbfaa9b7c26f8f274c093",
+    "arch/L0/20220304.bin":
+        "dc96b3237d19ccb42c3cd84a6497d0c5399b37703482854406552dff30bee7d3",
+    "arch/L0/20220305.bin":
+        "3dc9df0905fb30974551ae9c5e09478574df6ced2e59daf0860ae8171bd46453",
     "arch/manifest.json":
         "a6760e270393eecd4ebf9eb880bba20a96eadd12641d026f4ed094138dd8c4f6",
+    "arch/originals/20220303.bin":
+        "7fcff0a70aa09943ef940349866196b65ccca6f68d38d64613225bb86ac17c54",
     "arch/provenance.csv":
         "7e0ba8c173ada0562462f39a9f2972f4bfbc5d2b07b807a75796b79ec2037eb1",
+    "cache/BSC00CA12-01/dispersion_20220303.gran":
+        "a2dd77b3f34e2b2486ba927301c9bc807eab525243989e0956b20feee1fd1ea8",
+    "cache/BSC00CA12-01/dispersion_20220304.gran":
+        "c1e40e5f1d9c8b8dc043b468db625103f1498b31ec829cafca1706a252f15ff8",
+    "cache/BSC12CA12-01/dispersion_20220304.gran":
+        "a6b4fdf55bc8d29124a90ee99d0ec3f48f1d2cb58a04ddc13ab49bc4a36ec974",
+    "cache/BSC12CA12-01/dispersion_20220305.gran":
+        "1ebd9e8b6b425c4c0ba8b87c7c85f0a22ceb37b8f514f85d49240d757633e55b",
+    "cache/rejects/BSC00CA12-01/dispersion_20220302.bin":
+        "f4d0ec033f561490e15449e1137bbcbad0a1c7b2b1e072f815acef1c5f5c4cb0",
+    "cache/rejects/BSC12CA12-01/dispersion_20220302.bin":
+        "eee0df270f0942e56763767017020de1ab947bcdc864c770044e6f3770dd3d99",
+    "cache/rejects/BSC12CA12-01/dispersion_20220303.bin":
+        "eee0df270f0942e56763767017020de1ab947bcdc864c770044e6f3770dd3d99",
+    "corpus/BSC00CA12-01/2022030200/dispersion.gran":
+        "f4d0ec033f561490e15449e1137bbcbad0a1c7b2b1e072f815acef1c5f5c4cb0",
+    "corpus/BSC00CA12-01/2022030212/dispersion.gran":
+        "3113c993f4e1b7f978e3020c6913ac619309429a84818f51cb036bae82186ed0",
+    "corpus/BSC00CA12-01/2022030300/dispersion.gran":
+        "a2dd77b3f34e2b2486ba927301c9bc807eab525243989e0956b20feee1fd1ea8",
+    "corpus/BSC00CA12-01/2022030312/dispersion.gran":
+        "15dac1bbc5bbd3639dd568d5f9b23889015b1ddbf6d5d02421f9a8086595daf8",
+    "corpus/BSC00CA12-01/2022030400/dispersion.gran":
+        "c1e40e5f1d9c8b8dc043b468db625103f1498b31ec829cafca1706a252f15ff8",
+    "corpus/BSC00CA12-01/2022030412/dispersion.gran":
+        "cf01781ebd374fffdb77b5a71e04dc92ee4d352edc654d5b54d65ce27b8df479",
+    "corpus/BSC00CA12-01/2022030512/dispersion.gran":
+        "e2e0e4fe5c9a04f066fbe25f1c19ee048e61f88f65e9dff60595913316b0e5db",
+    "corpus/BSC12CA12-01/2022030200/dispersion.gran":
+        "e2385af46088a72fbc311a5007bf7500632c9a4ee699293822f0e81759f0d5ab",
+    "corpus/BSC12CA12-01/2022030212/dispersion.gran":
+        "eee0df270f0942e56763767017020de1ab947bcdc864c770044e6f3770dd3d99",
+    "corpus/BSC12CA12-01/2022030300/dispersion.gran":
+        "eee0df270f0942e56763767017020de1ab947bcdc864c770044e6f3770dd3d99",
+    "corpus/BSC12CA12-01/2022030312/dispersion.gran":
+        "eee0df270f0942e56763767017020de1ab947bcdc864c770044e6f3770dd3d99",
+    "corpus/BSC12CA12-01/2022030400/dispersion.gran":
+        "67ddc9582ac1a9ce02c98e7ded49b8445e43bfb21cca2998e91fec0f0fa2d863",
+    "corpus/BSC12CA12-01/2022030412/dispersion.gran":
+        "a6b4fdf55bc8d29124a90ee99d0ec3f48f1d2cb58a04ddc13ab49bc4a36ec974",
+    "corpus/BSC12CA12-01/2022030500/dispersion.gran":
+        "9cdcae945307b50f1f09988402773ecbfc3119c05996bcf53c87ff23c00f9bf5",
+    "corpus/BSC12CA12-01/2022030512/dispersion.gran":
+        "1ebd9e8b6b425c4c0ba8b87c7c85f0a22ceb37b8f514f85d49240d757633e55b",
     "corpus/manifest.csv":
         "49336bde261c847ae59aab76ea434be3bd254fa2a9ce723641e94d088836b6ca",
     "fetch_report.csv":
@@ -474,7 +540,8 @@ PINNED_OUTPUTS = {
 def test_every_written_table_is_pinned(tmp_path, runner):
     """gen-corpus -> fetch -> validate -> sequence -> build-archive -> query
     -> analyze -> plot over a faulty, drifting desk corpus; every CSV and
-    JSON written is byte-pinned."""
+    JSON written, and every granule and shard (the corpus, the cache and its
+    rejects, the archive's `L0/` and `originals/`), is byte-pinned."""
     ids = ["--ids", "BSC00CA12-01,BSC12CA12-01"]
     days = ["--from", "2022-03-02", "--to", "2022-03-05"]
     hours = ["--from", "2022-03-02T00:00:00Z", "--to", "2022-03-05T23:00:00Z"]
@@ -511,7 +578,7 @@ def test_every_written_table_is_pinned(tmp_path, runner):
     run_ok(runner, ["plot", *inputs,
                     "--out-prefix", str(tmp_path / "plot")])
     written = sorted(p for p in tmp_path.rglob("*")
-                     if p.suffix in (".csv", ".json")
+                     if p.suffix in (".csv", ".json", ".gran", ".bin")
                      and p.name not in ("solar.csv", "cloud.csv", "flags.csv"))
     digests = {
         str(p.relative_to(tmp_path)): hashlib.sha256(

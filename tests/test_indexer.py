@@ -57,6 +57,21 @@ def test_scan_flags_payload_truncation_via_size(tmp_path):
     assert record.status == "truncated"
 
 
+def test_scan_flags_bytes_past_the_declared_size(tmp_path):
+    """A cache file longer than its granule is not ok: a fetch's
+    `validate_stream` rejects the same bytes as truncated at the declared
+    length, so the scan calls it truncated too, naming both sizes."""
+    data = granule_to_bytes(simple_granule(ntimes=3))
+    cache = tmp_path / "cache"
+    (cache / "BSC00CA12-01").mkdir(parents=True)
+    (cache / "BSC00CA12-01" / "dispersion_20220302.gran").write_bytes(
+        data + bytes(17))
+    [record] = scan_cache(cache)
+    assert record.status == "truncated"
+    assert record.detail == (f"file is {len(data) + 17} bytes, expected "
+                             f"{len(data)}")
+
+
 def test_scan_flags_non_finite_origin(tmp_path):
     cache = tmp_path / "cache"
     (cache / "BSC00CA12-01").mkdir(parents=True)

@@ -185,7 +185,10 @@ def test_plan_read_from_csv_holds_only_csv_columns(tmp_path, sched_corpus):
      2, "timestep_utc 2022-03-04T00:30:00Z is not an exact hour"),
     (lambda rows: rows.__setitem__(-1, rows[-1].replace("T03:00:00Z,", "T03:00:01Z,", 1)),
      4, "timestep_utc 2022-03-04T03:00:01Z is not an exact hour"),
-], ids=["duplicate-hour", "first-not-an-hour", "last-not-an-hour"])
+    (lambda rows: rows.__setitem__(2, rows[2] + ",1"), 3,
+     "more cells than the header names"),
+], ids=["duplicate-hour", "first-not-an-hour", "last-not-an-hour",
+        "extra-cell"])
 def test_plan_csv_bad_timestep_names_file_and_line(tmp_path, sched_corpus,
                                                    edit, line, message):
     t = datetime(2022, 3, 4, 1, tzinfo=UTC)
