@@ -58,8 +58,8 @@ from .granule import FrameReader, GranuleError, GranuleHeader, GridGeometry
 from .regrid import Frame, identity_or_resample
 from .sequencer import SequencePlan
 from .tables import read_table, write_table
-from .timecal import (HOUR, ISO_Z, JulianStamp, calendar_to_julian, hour_count,
-                      is_hour_step, julian_to_calendar, parse_iso_z)
+from .timecal import (HOUR, JulianStamp, calendar_to_julian, format_iso_z,
+                      hour_count, is_hour_step, julian_to_calendar, parse_iso_z)
 
 PROVENANCE_COLUMNS = ["tflag_date", "tflag_time", "cdate", "ctime", "wdate",
                       "wtime", "sdate", "stime", "forecast_id", "resampled",
@@ -165,13 +165,13 @@ def _picked_frames(plan: SequencePlan
                         headers[path] = reader.header
                     values = reader.read_frame(pick.frame_index)
                 except (OSError, GranuleError, IndexError) as e:
-                    raise BuildError(f"timestep {t.strftime(ISO_Z)}: picked "
+                    raise BuildError(f"timestep {format_iso_z(t)}: picked "
                                      f"granule {path} failed to parse: {e}") from e
                 at = reader.header.first_frame + pick.frame_index * HOUR
                 if at != t:
-                    raise BuildError(f"timestep {t.strftime(ISO_Z)}: frame "
+                    raise BuildError(f"timestep {format_iso_z(t)}: frame "
                                      f"{pick.frame_index} of {path} carries "
-                                     f"tflag {at.strftime(ISO_Z)}, not the "
+                                     f"tflag {format_iso_z(at)}, not the "
                                      f"planned timestep")
                 yield t, reader.header, values
 
@@ -247,7 +247,7 @@ def _write_archive(plan: SequencePlan, canonical: GridGeometry, root: Path,
                                 _create(root / "originals", day))
                         _write(original, src.values)
                         originals.setdefault(h.geometry, []).append(
-                            t.strftime(ISO_Z))
+                            format_iso_z(t))
                     _write(level0, frame.values)
                     rows.append(_provenance_cells(t, ProvenanceRow(
                         h.forecast_id, h.created, h.weather_init,
@@ -258,10 +258,10 @@ def _write_archive(plan: SequencePlan, canonical: GridGeometry, root: Path,
         "format_version": 2,
         "tool_version": __version__,
         "geometry": asdict(canonical),
-        "start": plan.start.strftime(ISO_Z),
-        "end": plan.end.strftime(ISO_Z),
+        "start": format_iso_z(plan.start),
+        "end": format_iso_z(plan.end),
         "levels": levels,
-        "gaps": [t.strftime(ISO_Z) for t in plan.gaps],
+        "gaps": [format_iso_z(t) for t in plan.gaps],
         "originals": [{"geometry": asdict(g), "timesteps": times}
                       for g, times in originals.items()],
     }
@@ -274,7 +274,7 @@ def _provenance_cells(t: datetime, row: ProvenanceRow) -> list:
         t, row.created, row.weather_init, row.smoke_init))
     return [tf.date, tf.time, cd.date, cd.time, wd.date, wd.time, sd.date,
             sd.time, row.forecast_id, "true" if row.resampled else "false",
-            row.weather_init.strftime(ISO_Z)]
+            format_iso_z(row.weather_init)]
 
 
 @lru_cache(maxsize=64)
@@ -294,9 +294,9 @@ def _provenance_entry(row: dict[str, str]) -> tuple[datetime, ProvenanceRow]:
     if row["resampled"] not in ("true", "false"):
         raise ValueError(f"resampled is {row['resampled']!r}, "
                          f"not true or false")
-    if row["wrf_arw_init_time"] != weather.strftime(ISO_Z):
+    if row["wrf_arw_init_time"] != format_iso_z(weather):
         raise ValueError(f"wrf_arw_init_time {row['wrf_arw_init_time']!r} is "
-                         f"not the weather stamp's {weather.strftime(ISO_Z)}")
+                         f"not the weather stamp's {format_iso_z(weather)}")
     return t, ProvenanceRow(row["forecast_id"], created, weather, smoke,
                             row["resampled"] == "true")
 
@@ -314,10 +314,10 @@ def _cover_fault(start: datetime, end: datetime, gaps: set[datetime],
     stray = sorted(t for t in gaps | stored
                    if not (is_hour_step(t) and start <= t <= end))
     if stray:
-        return f"{stray[0].strftime(ISO_Z)} is not an hour of the range"
+        return f"{format_iso_z(stray[0])} is not an hour of the range"
     both = gaps & stored
     if both:
-        return f"{min(both).strftime(ISO_Z)} is both a gap and stored"
+        return f"{format_iso_z(min(both))} is both a gap and stored"
     hours = hour_count(start, end)
     if len(gaps) + len(stored) != hours:
         return (f"{hours} hours from 'start' to 'end', but {len(gaps)} gaps "
@@ -426,7 +426,7 @@ class CuratedArchive:
         if resampled != originals.keys():
             t = min(resampled ^ originals.keys())
             raise ArchiveError(
-                f"{path} and {table} disagree: {t.strftime(ISO_Z)} "
+                f"{path} and {table} disagree: {format_iso_z(t)} "
                 + ("is resampled but has no original" if t in resampled
                    else "has an original but is not resampled"))
         return cls(root, geometry, start, end, levels, gaps, provenance,
@@ -460,7 +460,7 @@ class CuratedArchive:
             raise ArchiveError(f"shard {path} unreadable: {e}") from e
         if got != values.nbytes:
             raise ArchiveError(f"shard {path} is {actual} bytes, not "
-                               f"{shard_size}; hour {t.strftime(ISO_Z)} "
+                               f"{shard_size}; hour {format_iso_z(t)} "
                                f"not read")
         return values
 

@@ -26,7 +26,7 @@ from . import corpusgen, fetcher, indexer, pvanalysis, sequencer
 from .archive import CuratedArchive, build_archive
 from .query import SamplingMode, sample_series
 from .tables import write_table
-from .timecal import ISO_Z, UTC, is_hour_step, parse_iso_z
+from .timecal import UTC, format_iso_z, is_hour_step, parse_iso_z
 
 SCALES = {
     "desk": (corpusgen.DESK_GEOMETRY, corpusgen.DESK_DRIFT_GEOMETRY),
@@ -124,7 +124,7 @@ def _histogram(outcomes) -> str:
 
 
 def _series_rows(series) -> list[tuple[str, str]]:
-    return [(t.strftime(ISO_Z), f"{v:.6g}") for t, v in series.entries]
+    return [(format_iso_z(t), f"{v:.6g}") for t, v in series.entries]
 
 
 @main.command("gen-corpus")

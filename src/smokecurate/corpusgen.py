@@ -20,7 +20,7 @@ import numpy as np
 from .fetcher import ConfigError, embedded_init_hour, run_path
 from .granule import GridGeometry, encode_granule, make_granule
 from .tables import write_table
-from .timecal import ISO_Z, UTC
+from .timecal import UTC, format_iso_z
 
 DEFAULT_FORECAST_IDS = ("BSC00CA12-01", "BSC06CA12-01",
                         "BSC12CA12-01", "BSC18CA12-01")
@@ -122,7 +122,7 @@ class CorpusManifest:
 
     def write_csv(self, path: Path) -> None:
         write_table(path, ["forecast_id", "init_utc", "outcome", "path"],
-                    ([e.forecast_id, e.init.strftime(ISO_Z), e.outcome, e.path]
+                    ([e.forecast_id, format_iso_z(e.init), e.outcome, e.path]
                      for e in self.entries))
 
 

@@ -4,7 +4,9 @@ layout.
 Bodies are streamed into a temp file through one bounded buffer and checked
 on the way (header, payload values, exact length); only a body that passes is
 renamed into the cache, so no HTML page, truncated body or NaN payload can
-ever land there. A body that fails is copied whole into `rejects/`.
+ever land there. A body that fails is copied whole into `rejects/`. A body
+that ends before its Content-Length is a network fault, not bad content: it
+is retried like any other I/O error, and never quarantined.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .tables import write_table
 _ID_INIT_RE = re.compile(r"^[A-Z]{3}(\d{2})")
 RETRIES = 3          # attempts per granule before it is an io_error
 TIMEOUT_S = 30.0     # per HTTP connect and read
+BACKOFF_S = 1.0      # wait before the second attempt; doubles after each
 
 
 class ConfigError(ValueError):
@@ -97,14 +100,24 @@ def build_url(endpoint: SourceEndpoint, forecast_id: str, day: date) -> str:
 def _open_body(endpoint: SourceEndpoint, url: str) -> Iterator[BinaryIO]:
     """The body at `url` as a stream; raises NotFound for a missing object."""
     if endpoint.is_http:
-        import requests
+        # imported here, so a local-path fetch loads no HTTP or TLS code
+        from http.client import IncompleteRead
+        from urllib.error import HTTPError
+        from urllib.request import urlopen
 
-        with requests.get(url, stream=True, timeout=TIMEOUT_S) as resp:
-            if resp.status_code == 404:
-                raise NotFound(url)
-            resp.raise_for_status()
-            resp.raw.decode_content = True
-            yield resp.raw
+        try:
+            resp = urlopen(url, timeout=TIMEOUT_S)
+        except HTTPError as e:
+            e.close()
+            if e.code == 404:
+                raise NotFound(url) from None
+            raise
+        with resp:
+            yield resp
+            # http.client ends a body cut short silently, leaving `length`
+            # at the count of bytes that never came
+            if resp.length:
+                raise IncompleteRead(b"", resp.length)
         return
     path = Path(url)
     if not path.is_file():
@@ -141,7 +154,7 @@ class _Tee:
 
 
 def fetch_one(endpoint: SourceEndpoint, forecast_id: str, day: date,
-              cache_root: Path, backoff: float = 1.0) -> FetchRecord:
+              cache_root: Path) -> FetchRecord:
     url = build_url(endpoint, forecast_id, day)
     target = cache_root / forecast_id / f"dispersion_{day:%Y%m%d}.gran"
     reject = cache_root / "rejects" / forecast_id / f"dispersion_{day:%Y%m%d}.bin"
@@ -182,12 +195,12 @@ def fetch_one(endpoint: SourceEndpoint, forecast_id: str, day: date,
             tmp.unlink(missing_ok=True)
             if attempt == RETRIES:
                 return FetchRecord(forecast_id, day, "io_error", 0, attempt)
-            time.sleep(backoff * 2 ** (attempt - 1))
+            time.sleep(BACKOFF_S * 2 ** (attempt - 1))
 
 
 def fetch_range(endpoint: SourceEndpoint, forecast_ids: list[str],
                 start: date, end: date, cache_root: Path | str,
-                parallel: int = 8, backoff: float = 1.0) -> FetchReport:
+                parallel: int = 8) -> FetchReport:
     """Download every (forecast_id, day) in the range; idempotent on re-run."""
     if start > end:
         raise ValueError("start after end")
@@ -199,7 +212,6 @@ def fetch_range(endpoint: SourceEndpoint, forecast_ids: list[str],
             for fid in forecast_ids]
     with ThreadPoolExecutor(max_workers=parallel) as pool:
         records = list(pool.map(
-            lambda job: fetch_one(endpoint, job[0], job[1], cache_root,
-                                  backoff=backoff), jobs))
+            lambda job: fetch_one(endpoint, job[0], job[1], cache_root), jobs))
     records.sort(key=lambda r: (r.forecast_id, r.date))
     return FetchReport(records)

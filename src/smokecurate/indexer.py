@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .granule import (GranuleHeader, GridGeometry, InvalidHeaderError,
                       NotAGranuleError, TruncatedError, read_header)
-from .timecal import HOUR, ISO_Z
+from .timecal import HOUR, format_iso_z
 
 
 @dataclass(frozen=True)
@@ -67,10 +67,10 @@ class CoverageIndex:
     def dump_json(self, path: Path | str) -> None:
         out = {}
         for t in self.timesteps():
-            out[t.strftime(ISO_Z)] = [
+            out[format_iso_z(t)] = [
                 {"path": str(c.path), "forecast_id": c.forecast_id,
                  "frame_index": c.frame_index,
-                 "smoke_init": c.smoke_init.strftime(ISO_Z)}
+                 "smoke_init": format_iso_z(c.smoke_init)}
                 for c in self.by_timestep[t]]
         Path(path).write_text(json.dumps(out, indent=1))
 

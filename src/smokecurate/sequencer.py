@@ -14,7 +14,7 @@ from pathlib import Path
 from .granule import GridGeometry
 from .indexer import CandidateFrame, CoverageIndex, PlannedFrame
 from .tables import read_table, write_table
-from .timecal import ISO_Z, hour_range, is_hour_step, parse_iso_z
+from .timecal import format_iso_z, hour_range, is_hour_step, parse_iso_z
 
 
 @dataclass
@@ -76,15 +76,15 @@ def write_plan_csv(plan: SequencePlan, path: Path | str,
     def row(t: datetime) -> list:
         c = plan.picks.get(t)
         if c is None:
-            return [t.strftime(ISO_Z)] + [""] * (len(PLAN_COLUMNS) - 1)
-        return [t.strftime(ISO_Z), c.forecast_id, str(c.path), c.frame_index,
-                c.smoke_init.strftime(ISO_Z),
+            return [format_iso_z(t)] + [""] * (len(PLAN_COLUMNS) - 1)
+        return [format_iso_z(t), c.forecast_id, str(c.path), c.frame_index,
+                format_iso_z(c.smoke_init),
                 int(canonical is not None and c.geometry != canonical)]
     write_table(path, PLAN_COLUMNS, map(row, plan.timesteps()))
 
 
 def write_gaps_csv(plan: SequencePlan, path: Path | str) -> None:
-    write_table(path, ["timestep_utc"], ([t.strftime(ISO_Z)] for t in plan.gaps))
+    write_table(path, ["timestep_utc"], ([format_iso_z(t)] for t in plan.gaps))
 
 
 def read_plan_csv(path: Path | str) -> SequencePlan:

@@ -70,6 +70,12 @@ def calendar_to_julian(dt: datetime) -> JulianStamp:
                        dt.hour * 10000 + dt.minute * 100 + dt.second)
 
 
+def format_iso_z(t: datetime) -> str:
+    """The ISO_Z text of a UTC datetime, its year zero-padded to 4 digits
+    (`strftime` writes year 500 as `500`, which `parse_iso_z` refuses)."""
+    return t.replace(tzinfo=None).isoformat(timespec="seconds") + "Z"
+
+
 def parse_iso_z(text: str) -> datetime:
     """The aware UTC datetime that an ISO_Z text names."""
     return datetime.strptime(text, ISO_Z).replace(tzinfo=UTC)

@@ -134,7 +134,7 @@ def test_criterion_03_fault_detection_complete(random_corpora, tmp_path):
 
         cache = tmp_path / f"cache{n:02}"
         rep = fetch_range(SourceEndpoint(str(root)), list(IDS),
-                          spec.start_date, spec.end_date, cache, backoff=0.0)
+                          spec.start_date, spec.end_date, cache)
         by_key = {(e.forecast_id, e.init.date()): e.outcome
                   for e in manifest.entries
                   if e.init.hour == embedded_init_hour(e.forecast_id)}

@@ -334,6 +334,19 @@ def test_provenance_preserves_original_stamps(tmp_path):
                     "BSC00CA12-01,false,2022-03-01T18:00:00Z")
 
 
+def test_archive_of_year_500_opens(tmp_path):
+    start = datetime(500, 3, 2, tzinfo=UTC)
+    frames = random_frames(2)
+    arch = archive_from_frames(tmp_path, frames, start=start)
+    manifest = json.loads((tmp_path / "arch_single" / "manifest.json")
+                          .read_text())
+    assert (manifest["start"], manifest["end"]) == ("0500-03-02T00:00:00Z",
+                                                    "0500-03-02T01:00:00Z")
+    np.testing.assert_array_equal(arch.read_frame(start + HOUR)[0].values,
+                                  frames[1])
+    assert arch.provenance[start].weather_init == start - 6 * HOUR
+
+
 second_times = st.datetimes(datetime(1, 1, 1), datetime(9999, 12, 31, 23, 59, 59),
                             timezones=st.just(UTC)).map(
     lambda t: t.replace(microsecond=0))

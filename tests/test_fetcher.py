@@ -7,7 +7,8 @@ import tracemalloc
 from contextlib import contextmanager
 from datetime import date
 from functools import partial
-from http.server import SimpleHTTPRequestHandler, ThreadingHTTPServer
+from http.server import (BaseHTTPRequestHandler, SimpleHTTPRequestHandler,
+                         ThreadingHTTPServer)
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,12 @@ from conftest import (BAD_GEOMETRY_OFFSET, SMALL_GEOM, granule_to_bytes,
                       with_geometry_field)
 
 IDS = ("BSC00CA12-01", "BSC06CA12-01")
+
+
+@pytest.fixture(autouse=True)
+def no_backoff(monkeypatch):
+    """Retries do not wait."""
+    monkeypatch.setattr(fetcher, "BACKOFF_S", 0.0)
 
 
 def make_corpus(tmp_path, faults=FaultProfile(), days=(2, 5), seed=21,
@@ -59,7 +66,7 @@ def test_fetch_clean_corpus(tmp_path):
     spec, manifest = make_corpus(tmp_path)
     ep = SourceEndpoint(str(tmp_path / "corpus"))
     report = fetch_range(ep, list(IDS), spec.start_date, spec.end_date,
-                         tmp_path / "cache", backoff=0.0)
+                         tmp_path / "cache")
     assert len(report.records) == 2 * 4
     assert all(r.outcome == "downloaded" for r in report.records)
     # every committed file is a valid granule
@@ -76,7 +83,7 @@ def test_fetch_missing_reported_not_found(tmp_path):
                                  seed=4)
     ep = SourceEndpoint(str(tmp_path / "corpus"))
     report = fetch_range(ep, list(IDS), spec.start_date, spec.end_date,
-                         tmp_path / "cache", backoff=0.0)
+                         tmp_path / "cache")
     missing = {(e.forecast_id, e.init.date()) for e in manifest.entries
                if e.outcome == "missing"
                and e.init.hour == embedded_init_hour(e.forecast_id)}
@@ -94,7 +101,7 @@ def test_fetch_quarantines_invalid_content(tmp_path):
                                  seed=6)
     ep = SourceEndpoint(str(tmp_path / "corpus"))
     report = fetch_range(ep, list(IDS), spec.start_date, spec.end_date,
-                         tmp_path / "cache", backoff=0.0)
+                         tmp_path / "cache")
     bad = {(e.forecast_id, e.init.date()) for e in manifest.entries
            if e.outcome in ("html", "truncated")
            and e.init.hour == embedded_init_hour(e.forecast_id)}
@@ -114,9 +121,9 @@ def test_fetch_idempotent_second_run(tmp_path):
     spec, _ = make_corpus(tmp_path)
     ep = SourceEndpoint(str(tmp_path / "corpus"))
     fetch_range(ep, list(IDS), spec.start_date, spec.end_date,
-                tmp_path / "cache", backoff=0.0)
+                tmp_path / "cache")
     again = fetch_range(ep, list(IDS), spec.start_date, spec.end_date,
-                        tmp_path / "cache", backoff=0.0)
+                        tmp_path / "cache")
     assert all(r.outcome == "downloaded" for r in again.records)
     assert sum(r.bytes for r in again.records) == 0
     assert all(r.attempts == 0 for r in again.records)
@@ -126,7 +133,7 @@ def test_fetch_accounting_partitions_requests(tmp_path):
     spec, _ = make_corpus(tmp_path, faults=FaultProfile(0.3, 0.2, 0.2), seed=8)
     ep = SourceEndpoint(str(tmp_path / "corpus"))
     report = fetch_range(ep, list(IDS), spec.start_date, spec.end_date,
-                         tmp_path / "cache", backoff=0.0)
+                         tmp_path / "cache")
     days = (spec.end_date - spec.start_date).days + 1
     assert len(report.records) == len(IDS) * days
     keys = {(r.forecast_id, r.date) for r in report.records}
@@ -139,7 +146,7 @@ def test_fetch_report_csv(tmp_path):
     spec, _ = make_corpus(tmp_path)
     ep = SourceEndpoint(str(tmp_path / "corpus"))
     report = fetch_range(ep, list(IDS), spec.start_date, spec.end_date,
-                         tmp_path / "cache", backoff=0.0)
+                         tmp_path / "cache")
     out = tmp_path / "fetch_report.csv"
     report.write_csv(out)
     lines = out.read_text().splitlines()
@@ -149,25 +156,16 @@ def test_fetch_report_csv(tmp_path):
 
 def test_fetch_over_http(tmp_path):
     spec, _ = make_corpus(tmp_path, days=(2, 3))
-    handler = partial(SimpleHTTPRequestHandler,
-                      directory=str(tmp_path / "corpus"))
-    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
-        base = f"http://127.0.0.1:{server.server_address[1]}"
+    with http_portal(tmp_path / "corpus") as base:
         report = fetch_range(SourceEndpoint(base), list(IDS),
                              spec.start_date, spec.end_date,
-                             tmp_path / "cache_http", backoff=0.0)
+                             tmp_path / "cache_http")
         assert all(r.outcome == "downloaded" for r in report.records)
         # a day with no run on the portal comes back as not_found
         miss = fetch_range(SourceEndpoint(base), ["BSC00CA12-01"],
                            date(2022, 4, 1), date(2022, 4, 1),
-                           tmp_path / "cache_http", backoff=0.0)
+                           tmp_path / "cache_http")
         assert miss.records[0].outcome == "not_found"
-    finally:
-        server.shutdown()
-        server.server_close()
 
 
 FID = "BSC00CA12-01"
@@ -215,8 +213,7 @@ def test_bad_payload_value_is_rejected_whole(tmp_path, two_buffer_body,
     body = with_value(two_buffer_body, offset, value)
     publish(tmp_path / "corpus", body)
     cache = tmp_path / "cache"
-    rec = fetch_one(SourceEndpoint(str(tmp_path / "corpus")), FID, DAY, cache,
-                    backoff=0.0)
+    rec = fetch_one(SourceEndpoint(str(tmp_path / "corpus")), FID, DAY, cache)
     assert rec.outcome == "invalid_content"
     assert rec.bytes == len(body)
     assert cache_files(cache) == []        # nothing committed, no temp file
@@ -231,8 +228,7 @@ def test_body_longer_than_declared_is_rejected(tmp_path):
     body = valid + b"\0" * 8
     publish(tmp_path / "corpus", body)
     cache = tmp_path / "cache"
-    rec = fetch_one(SourceEndpoint(str(tmp_path / "corpus")), FID, DAY, cache,
-                    backoff=0.0)
+    rec = fetch_one(SourceEndpoint(str(tmp_path / "corpus")), FID, DAY, cache)
     assert rec.outcome == "invalid_content"
     assert rec.bytes == len(body)
     assert rec.error_offset == len(valid)
@@ -244,8 +240,7 @@ def test_non_finite_origin_is_rejected_at_the_geometry_offset(tmp_path):
     body = with_geometry_field(simple_granule_bytes(), "lat0", float("nan"))
     publish(tmp_path / "corpus", body)
     cache = tmp_path / "cache"
-    rec = fetch_one(SourceEndpoint(str(tmp_path / "corpus")), FID, DAY, cache,
-                    backoff=0.0)
+    rec = fetch_one(SourceEndpoint(str(tmp_path / "corpus")), FID, DAY, cache)
     assert rec.outcome == "invalid_content"
     with pytest.raises(InvalidHeaderError, match="bad geometry") as err:
         read_header_bytes(body)
@@ -255,8 +250,11 @@ def test_non_finite_origin_is_rejected_at_the_geometry_offset(tmp_path):
 
 
 @contextmanager
-def http_portal(directory):
-    handler = partial(SimpleHTTPRequestHandler, directory=str(directory))
+def http_portal(directory=None, handler=None):
+    """A local HTTP server: files under `directory`, or `handler`'s
+    answers. Yields its base URL."""
+    if handler is None:
+        handler = partial(SimpleHTTPRequestHandler, directory=str(directory))
     server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -276,14 +274,62 @@ def test_nan_payload_rejected_over_http(tmp_path):
     publish(tmp_path / "corpus", body)
     cache = tmp_path / "cache"
     with http_portal(tmp_path / "corpus") as base:
-        report = fetch_range(SourceEndpoint(base), [FID], DAY, DAY, cache,
-                             backoff=0.0)
+        report = fetch_range(SourceEndpoint(base), [FID], DAY, DAY, cache)
     (rec,) = report.records
     assert rec.outcome == "invalid_content"
     assert rec.bytes == len(body)
     assert rec.error_offset == offset
     assert cache_files(cache) == []
     assert reject_path(cache).read_bytes() == body
+
+
+def answering(served, status, body, length):
+    """A handler class that answers every GET with `status` and the bytes
+    of `body`, declaring a Content-Length of `length`, then closes the
+    connection; it appends each request's path to `served`."""
+
+    class Handler(BaseHTTPRequestHandler):
+        def do_GET(self):
+            served.append(self.path)
+            self.send_response(status)
+            self.send_header("Content-Length", str(length))
+            self.end_headers()
+            self.wfile.write(body)
+
+        def log_message(self, *args):
+            pass
+
+    return Handler
+
+
+def fetch_over(handler, cache):
+    with http_portal(handler=handler) as base:
+        return fetch_one(SourceEndpoint(base), FID, DAY, cache)
+
+
+def test_body_shorter_than_its_content_length_is_retried(tmp_path):
+    """A connection that ends mid-body is a network fault: every attempt
+    is retried and none is committed or quarantined."""
+    body = simple_granule_bytes(ntimes=3)
+    served = []
+    cache = tmp_path / "cache"
+    rec = fetch_over(answering(served, 200, body[:len(body) // 2], len(body)),
+                     cache)
+    assert (rec.outcome, rec.bytes, rec.attempts) == ("io_error", 0, 3)
+    assert len(served) == 3
+    assert cache_files(cache) == []
+    assert not list(cache.rglob("*.tmp"))
+    assert not (cache / "rejects").exists()
+
+
+def test_server_error_on_every_attempt_is_an_io_error(tmp_path):
+    served = []
+    cache = tmp_path / "cache"
+    rec = fetch_over(answering(served, 500, b"oops", 4), cache)
+    assert (rec.outcome, rec.bytes, rec.attempts) == ("io_error", 0, 3)
+    assert len(served) == 3
+    assert cache_files(cache) == []
+    assert not (cache / "rejects").exists()
 
 
 def test_fetch_report_csv_gives_the_fault_offset(tmp_path):
@@ -293,7 +339,7 @@ def test_fetch_report_csv_gives_the_fault_offset(tmp_path):
     other = "BSC06CA12-01"
     publish(tmp_path / "corpus", simple_granule_bytes(forecast_id=other), other)
     report = fetch_range(SourceEndpoint(str(tmp_path / "corpus")), [FID, other],
-                         DAY, DAY, tmp_path / "cache", backoff=0.0)
+                         DAY, DAY, tmp_path / "cache")
     out = tmp_path / "fetch_report.csv"
     report.write_csv(out)
     with open(out, newline="") as f:
@@ -314,7 +360,7 @@ def test_fetch_holds_one_buffer_not_the_body(tmp_path):
     tracemalloc.start()
     try:
         rec = fetch_one(SourceEndpoint(str(tmp_path / "corpus")), FID, DAY,
-                        tmp_path / "cache", backoff=0.0)
+                        tmp_path / "cache")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -362,8 +408,7 @@ def test_read_error_on_every_attempt_leaves_nothing(tmp_path, monkeypatch):
     limit = read_header_bytes(body).header_bytes + 100
     opened = break_attempts(monkeypatch, {1, 2, 3}, limit)
     cache = tmp_path / "cache"
-    rec = fetch_one(SourceEndpoint(str(tmp_path / "corpus")), FID, DAY, cache,
-                    backoff=0.0)
+    rec = fetch_one(SourceEndpoint(str(tmp_path / "corpus")), FID, DAY, cache)
     assert (rec.outcome, rec.bytes, rec.attempts) == ("io_error", 0, 3)
     assert len(opened) == 3
     assert cache_files(cache) == []
@@ -377,8 +422,7 @@ def test_read_error_on_first_attempt_only_commits_the_second(tmp_path,
     publish(tmp_path / "corpus", body)
     break_attempts(monkeypatch, {1}, read_header_bytes(body).header_bytes + 100)
     cache = tmp_path / "cache"
-    rec = fetch_one(SourceEndpoint(str(tmp_path / "corpus")), FID, DAY, cache,
-                    backoff=0.0)
+    rec = fetch_one(SourceEndpoint(str(tmp_path / "corpus")), FID, DAY, cache)
     assert (rec.outcome, rec.bytes, rec.attempts) == ("downloaded", len(body), 2)
     assert cache_files(cache) == ["dispersion_20220302.gran"]
     assert (cache / FID / "dispersion_20220302.gran").read_bytes() == body
@@ -391,7 +435,6 @@ def test_cached_granule_with_bad_payload_is_fetched_again(tmp_path):
     stale = cache / FID / "dispersion_20220302.gran"
     stale.parent.mkdir(parents=True)
     stale.write_bytes(with_value(valid, len(valid) - 4, np.nan))
-    rec = fetch_one(SourceEndpoint(str(tmp_path / "corpus")), FID, DAY, cache,
-                    backoff=0.0)
+    rec = fetch_one(SourceEndpoint(str(tmp_path / "corpus")), FID, DAY, cache)
     assert (rec.outcome, rec.bytes, rec.attempts) == ("downloaded", len(valid), 1)
     assert stale.read_bytes() == valid

@@ -471,17 +471,17 @@ def test_validate_stream_accepts_exactly_complete_parseable_bodies(data):
 def test_validate_stream_reads_the_payload_in_bounded_pieces():
     data = simple_granule_bytes(ntimes=5)
     info = read_header_bytes(data)
-    requests = []
+    asked = []
 
     class Recording(io.BytesIO):
         def readinto(self, buf):
-            requests.append(len(buf))
+            asked.append(len(buf))
             return super().readinto(buf)
 
     with mock.patch.object(granule, "STREAM_BUFFER_BYTES", 256):
         validate_stream(Recording(data))
-    assert max(requests) == 256
-    assert sum(requests) == info.expected_payload_bytes
+    assert max(asked) == 256
+    assert sum(asked) == info.expected_payload_bytes
 
 
 @pytest.mark.parametrize("forecast_id, message", [

@@ -11,13 +11,18 @@ functions by their names). A call to a class is a call to its `__init__`.
 Code only tests reach, and settings only tests set, belong in the tests.
 
 The README's "Library layout" table has one row per module, so a module
-added or deleted cannot leave it stale.
+added or deleted cannot leave it stale. And the packages `src/` imports
+from outside the standard library are exactly the runtime dependencies
+`pyproject.toml` declares.
 """
 
 import ast
 import re
+import sys
 from collections import Counter
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -26,11 +31,7 @@ LIBRARY_ONLY = {"read_original", "explain_pick"}
 # click calls these on the parameter types and groups that define them
 CLICK_PROTOCOL = {"convert", "invoke"}
 # defaulted parameters that no call in `src/` or `bench/` sets, with the reason
-UNSET_BY_DESIGN = {
-    # criterion 03 and the fetcher tests pass backoff=0.0 so that retries
-    # do not sleep; every command and the bench wait the default
-    "fetch_range(backoff)",
-}
+UNSET_BY_DESIGN: set[str] = set()
 # dataclass fields that nothing in `src/` or `bench/` reads, with the reason
 UNREAD_BY_DESIGN = {
     # `explain_pick` returns them, and it is library-only: only tests read them
@@ -215,3 +216,28 @@ def test_readme_layout_has_one_row_per_module():
     modules = {p.stem for p in (ROOT / "src" / "smokecurate").rglob("*.py")}
     assert sorted(layout_rows((ROOT / "README.md").read_text())) == \
         sorted(modules - {"__init__"})
+
+
+def third_party_imports(src: Path) -> set[str]:
+    """The top-level package of each absolute import under `src` that is
+    neither in the standard library nor `smokecurate` itself."""
+    tops = set()
+    for p in src.rglob("*.py"):
+        for n in ast.walk(ast.parse(p.read_text(), str(p))):
+            if isinstance(n, ast.Import):
+                tops.update(a.name.split(".")[0] for a in n.names)
+            elif isinstance(n, ast.ImportFrom) and n.level == 0:
+                tops.add(n.module.split(".")[0])
+    return tops - set(sys.stdlib_module_names) - {"smokecurate"}
+
+
+def test_imports_are_the_declared_dependencies():
+    """Each declared runtime dependency is imported, and nothing else from
+    outside the standard library is, so a package installed on one machine
+    cannot become an undeclared dependency (each one's import name is its
+    distribution name)."""
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    declared = {re.match(r"[\w.-]+", d).group().lower().replace("-", "_")
+                for d in project["dependencies"]}
+    assert third_party_imports(ROOT / "src" / "smokecurate") == declared

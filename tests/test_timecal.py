@@ -3,9 +3,9 @@ from datetime import datetime, timedelta
 import pytest
 from hypothesis import given, strategies as st
 
-from smokecurate.timecal import (HOUR, UTC, EncodingError, JulianStamp,
-                                 calendar_to_julian, hour_range,
-                                 julian_to_calendar)
+from smokecurate.timecal import (HOUR, ISO_Z, UTC, EncodingError, JulianStamp,
+                                 calendar_to_julian, format_iso_z, hour_range,
+                                 julian_to_calendar, parse_iso_z)
 
 
 def test_first_day_of_year():
@@ -92,3 +92,15 @@ def test_hour_range_rejects_reversed_and_unaligned():
         hour_range(t0, t0 - HOUR)
     with pytest.raises(ValueError):
         hour_range(t0.replace(minute=30), t0 + HOUR)
+
+
+@pytest.mark.parametrize("year, text", [(1, "0001-02-03T04:05:06Z"),
+                                        (999, "0999-02-03T04:05:06Z"),
+                                        (1000, "1000-02-03T04:05:06Z"),
+                                        (9999, "9999-02-03T04:05:06Z")])
+def test_iso_z_text_reads_back_at_every_year_width(year, text):
+    t = datetime(year, 2, 3, 4, 5, 6, tzinfo=UTC)
+    assert format_iso_z(t) == text
+    assert parse_iso_z(format_iso_z(t)) == t
+    if year >= 1000:  # the text of every pinned table: strftime's own
+        assert format_iso_z(t) == t.strftime(ISO_Z)
