@@ -20,17 +20,17 @@ On-disk layout (format_version 2):
 
 Only level 0 is stored; `levels` is the number of readable levels. A
 level-L read costs one level-0 frame plus L box averages, each
-`box_downsample` then a cast to float32. Format 2 archives once stored
-levels 1 and up as `L{level}/` shards made by the same chain, so a reader
-ignores those shards and derives bit-identical values.
-Gap hours take no bytes, so a stored hour's frame starts at its slot times
-the frame size, its slot being the number of stored hours before it on its
-UTC day. `CuratedArchive.open` computes every slot once from the
-stored hours of provenance.csv, after checking that they and the manifest's
-`gaps` cover `start`..`end` exactly once. A shard must be exactly its day's
-stored frames long, and each frame read is one `readinto` of exactly one
-frame, straight into the array returned. An original starts after the
-day's earlier originals.
+`box_downsample` (pad, then pair) then a cast to float32. Format 2 archives
+once stored levels 1 and up as `L{level}/` shards made by the same chain,
+so a reader ignores those shards and derives bit-identical values.
+Every stored frame, level 0 or original, has one slot record: (shard name,
+byte offset, grid, shard bytes). `_day_slots` builds them from each hour's
+grid: a day's frames lie back to back in hour order, and gap hours take no
+bytes. `CuratedArchive.open` builds every slot once, after checking that
+provenance.csv's stored hours and the manifest's `gaps` cover
+`start`..`end` exactly once. A read is one `readinto` of exactly its slot's
+frame, straight into the array returned, from a shard that must be exactly
+the slot's shard bytes long.
 An archive is written once: the build writes a new sibling directory and
 renames it to its place, and refuses a directory that is not empty. So no
 file of another build is ever beside it, and the files an open archive
@@ -47,7 +47,7 @@ from contextlib import ExitStack, closing
 from dataclasses import asdict, dataclass
 from datetime import date, datetime
 from functools import lru_cache
-from itertools import groupby
+from itertools import accumulate, groupby
 from pathlib import Path
 from typing import BinaryIO, Iterator
 
@@ -64,6 +64,8 @@ from .timecal import (HOUR, JulianStamp, calendar_to_julian, format_iso_z,
 PROVENANCE_COLUMNS = ["tflag_date", "tflag_time", "cdate", "ctime", "wdate",
                       "wtime", "sdate", "stime", "forecast_id", "resampled",
                       "wrf_arw_init_time"]
+# where a stored frame lies: shard name, byte offset, grid, shard bytes
+Slot = tuple[str, int, GridGeometry, int]
 
 
 class ArchiveError(Exception):
@@ -71,8 +73,9 @@ class ArchiveError(Exception):
 
 
 class BuildError(ArchiveError):
-    """A picked granule could not be opened, or its header or picked frame
-    failed to parse during materialization."""
+    """A picked granule could not be opened, its header or picked frame
+    failed to parse during materialization, or its grid disagrees with the
+    plan's resampled_needed."""
 
 
 class GapError(ArchiveError):
@@ -98,49 +101,28 @@ class ProvenanceRow:
 
 
 def level_shape(geom: GridGeometry, level: int) -> tuple[int, int]:
-    rows, cols = geom.nrows, geom.ncols
-    for _ in range(level):
-        rows = (rows + 1) // 2
-        cols = (cols + 1) // 2
-    return rows, cols
+    # halving `level` times, rounding up, is one division rounding up
+    return -(-geom.nrows // 2 ** level), -(-geom.ncols // 2 ** level)
 
 
 def level_geometry(geom: GridGeometry, level: int) -> GridGeometry:
-    rows, cols = level_shape(geom, level)
     f = 2 ** level
-    return GridGeometry(rows, cols, geom.lat0, geom.lon0,
+    return GridGeometry(*level_shape(geom, level), geom.lat0, geom.lon0,
                         geom.dlat * f, geom.dlon * f)
 
 
 def box_downsample(values: np.ndarray) -> np.ndarray:
-    """2x2 box average with edge-partial cells, in float64.
+    """2x2 box average in float64: an odd last row or column is repeated,
+    then each block [[a, b], [c, d]] sums as (a+b)+(c+d) and divides by 4.
 
-    Each block [[a, b], [c, d]] sums as (a+b)+(c+d) and divides by 4; an
-    edge-partial pair sums as (a+b) and divides by 2; an odd corner is copied.
-    The order is fixed, so a block's result does not depend on the array's
-    size. Strided views of the input are summed into the output (plus one
-    output-sized temporary for (c+d)); the input is never copied or padded."""
-    v = np.asarray(values)
-    rows, cols = v.shape
-    hr, hc = rows // 2, cols // 2
-    out = np.empty(((rows + 1) // 2, (cols + 1) // 2))
-    even, odd = slice(0, 2 * hc, 2), slice(1, 2 * hc, 2)
-    top, bottom = v[0:2 * hr:2], v[1:2 * hr:2]
-    full = out[:hr, :hc]
-    np.add(top[:, even], top[:, odd], out=full, dtype=np.float64)
-    full += np.add(bottom[:, even], bottom[:, odd], dtype=np.float64)
-    full /= 4
-    if cols % 2:
-        right = out[:hr, hc]
-        np.add(top[:, -1], bottom[:, -1], out=right, dtype=np.float64)
-        right /= 2
-    if rows % 2:
-        last = out[hr, :hc]
-        np.add(v[-1, even], v[-1, odd], out=last, dtype=np.float64)
-        last /= 2
-        if cols % 2:
-            out[hr, hc] = v[-1, -1]
-    return out
+    Doubling and quartering are exact in float64, so a repeated edge pair
+    gives exactly (a+b)/2 and a repeated odd corner is copied. The order is
+    fixed, so a block's result does not depend on the array's size."""
+    rows, cols = np.shape(values)
+    v = np.pad(np.asarray(values, dtype=np.float64),
+               ((0, rows % 2), (0, cols % 2)), mode="edge")
+    return ((v[0::2, 0::2] + v[0::2, 1::2])
+            + (v[1::2, 0::2] + v[1::2, 1::2])) / 4
 
 
 def _shard_name(day: date) -> str:
@@ -241,6 +223,13 @@ def _write_archive(plan: SequencePlan, canonical: GridGeometry, root: Path,
                 for t, h, values in frames:
                     src = Frame(h.geometry, values)
                     frame = identity_or_resample(src, canonical)
+                    needed = plan.resampled_needed
+                    if needed is not None and frame.resampled != (t in needed):
+                        raise BuildError(
+                            f"timestep {format_iso_z(t)}: plan says "
+                            f"resampled_needed {int(t in needed)}, but granule "
+                            f"{plan.picks[t].path} is on grid {h.geometry} "
+                            f"and the canonical grid is {canonical}")
                     if frame.resampled:
                         if original is None:
                             original = shards.enter_context(
@@ -325,25 +314,23 @@ def _cover_fault(start: datetime, end: datetime, gaps: set[datetime],
     return None
 
 
-def _day_slots(sizes: dict[datetime, int]) -> dict[datetime, tuple[str, int, int]]:
-    """Shard name, offset and shard size of each hour, from each hour's
-    size: a day's frames lie back to back in hour order in its shard, and
-    an hour not in `sizes` takes no room."""
+def _day_slots(grids: dict[datetime, GridGeometry]) -> dict[datetime, Slot]:
+    """The slot of each hour, from each hour's grid: a day's frames lie
+    back to back in hour order in its shard, each the size of its own grid,
+    and an hour not in `grids` takes no room."""
     slots = {}
-    for day, times in groupby(sorted(sizes), key=datetime.date):
+    for day, times in groupby(sorted(grids), key=datetime.date):
         times = list(times)
-        offset, total = 0, sum(sizes[t] for t in times)
-        for t in times:
-            slots[t] = (_shard_name(day), offset, total)
-            offset += sizes[t]
+        sizes = [grids[t].nrows * grids[t].ncols * 4 for t in times]
+        name, total = _shard_name(day), sum(sizes)
+        for t, offset in zip(times, accumulate(sizes, initial=0)):
+            slots[t] = (name, offset, grids[t], total)
     return slots
 
 
-def _original_slots(groups: list[dict], stored: dict[datetime, tuple]
-                    ) -> dict[datetime, tuple[str, int, GridGeometry, int]]:
-    """Shard name, byte offset, grid and the shard's size of each stored
-    original, from the manifest's groups of timesteps by grid; each
-    original is the size of its own grid."""
+def _original_grids(groups: list[dict], stored: dict[datetime, ProvenanceRow]
+                    ) -> dict[datetime, GridGeometry]:
+    """Each stored original's grid, from the manifest's groups by grid."""
     grids = {}
     for group in groups:
         grid = GridGeometry(**group["geometry"]).validate()
@@ -352,9 +339,7 @@ def _original_slots(groups: list[dict], stored: dict[datetime, tuple]
             if t not in stored:
                 raise ValueError(f"{text} is not a stored timestep")
             grids[t] = grid
-    sizes = {t: grid.nrows * grid.ncols * 4 for t, grid in grids.items()}
-    return {t: (name, offset, grids[t], size)
-            for t, (name, offset, size) in _day_slots(sizes).items()}
+    return grids
 
 
 @dataclass
@@ -366,9 +351,8 @@ class CuratedArchive:
     levels: int
     gaps: set[datetime]
     provenance: dict[datetime, ProvenanceRow]
-    # stored hour -> shard, slot, the day's stored-hour count
-    slots: dict[datetime, tuple[str, int, int]]
-    originals: dict[datetime, tuple[str, int, GridGeometry, int]]
+    slots: dict[datetime, Slot]  # stored hour -> its level-0 frame
+    originals: dict[datetime, Slot]  # resampled hour -> its original
 
     @classmethod
     def open(cls, root: Path | str) -> "CuratedArchive":
@@ -419,9 +403,9 @@ class CuratedArchive:
         fault = _cover_fault(start, end, gaps, set(provenance))
         if fault:
             raise ArchiveError(f"{path} and {table} disagree: {fault}")
-        slots = _day_slots(dict.fromkeys(provenance, 1))
-        originals = value("originals",
-                          lambda groups: _original_slots(groups, slots))
+        slots = _day_slots(dict.fromkeys(provenance, geometry))
+        originals = _day_slots(value(
+            "originals", lambda groups: _original_grids(groups, provenance)))
         resampled = {t for t, row in provenance.items() if row.resampled}
         if resampled != originals.keys():
             t = min(resampled ^ originals.keys())
@@ -442,13 +426,14 @@ class CuratedArchive:
         return (max((s for s in self.provenance if s < t), default=None),
                 min((s for s in self.provenance if s > t), default=None))
 
-    def _read(self, path: Path, offset: int, shape: tuple[int, int],
-              shard_size: int, t: datetime) -> np.ndarray:
-        """The float32 frame of `shape` at byte `offset` of the shard at
-        `path`, read straight into the array returned. A shard that is not
-        exactly `shard_size` bytes raises ArchiveError naming the shard,
-        both sizes and the hour."""
-        values = np.empty(shape, dtype="<f4")
+    def _read(self, directory: str, t: datetime, slot: Slot) -> np.ndarray:
+        """Hour `t`'s float32 frame in its `slot` of a shard under
+        `directory`, read straight into the array returned. A shard that is
+        not exactly the slot's shard size raises ArchiveError naming the
+        shard, both sizes and the hour."""
+        name, offset, grid, shard_size = slot
+        path = self.root / directory / name
+        values = np.empty((grid.nrows, grid.ncols), dtype="<f4")
         got = 0
         try:
             with open(path, "rb", buffering=0) as f:
@@ -474,15 +459,11 @@ class CuratedArchive:
         self._check_range(t)
         if t in self.gaps:
             raise GapError(t, *self._neighbors(t))
-        g = self.geometry
-        name, slot, count = self.slots[t]
-        size = g.nrows * g.ncols * 4
-        values = self._read(self.root / "L0" / name, slot * size,
-                            (g.nrows, g.ncols), count * size, t)
+        values = self._read("L0", t, self.slots[t])
         for _ in range(level):
             values = box_downsample(values).astype(np.float32)
         row = self.provenance[t]
-        return (Frame(level_geometry(g, level), values,
+        return (Frame(level_geometry(self.geometry, level), values,
                       resampled=row.resampled), row)
 
     def read_original(self, t: datetime) -> np.ndarray | None:
@@ -491,6 +472,4 @@ class CuratedArchive:
         self._check_range(t)
         if t not in self.originals:
             return None
-        name, offset, grid, shard_size = self.originals[t]
-        return self._read(self.root / "originals" / name, offset,
-                          (grid.nrows, grid.ncols), shard_size, t)
+        return self._read("originals", t, self.originals[t])

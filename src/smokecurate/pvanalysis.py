@@ -116,8 +116,9 @@ def daily_aggregates(solar: Iterable[SolarRecord],
 
     by_day: dict[date, list[SolarRecord]] = {}
     for rec in solar:
-        if rec.energy_kwh < 0:
-            raise ValueError(f"negative energy at {rec.timestamp}")
+        if not (math.isfinite(rec.energy_kwh) and rec.energy_kwh >= 0):
+            raise ValueError(f"energy {rec.energy_kwh} at {rec.timestamp} is "
+                             f"not finite and non-negative")
         by_day.setdefault(rec.timestamp.astimezone(LOCAL).date(), []).append(rec)
 
     aggregates: list[DailyAggregate] = []
@@ -275,10 +276,18 @@ def read_solar_csv(path: Path | str) -> list[SolarRecord]:
 
 
 def read_cloud_csv(path: Path | str) -> dict[date, float]:
-    return dict(read_table(path, ["date", "avg_cloud_pct"], lambda r: (
-        date.fromisoformat(r["date"]), float(r["avg_cloud_pct"]))))
+    def cloud(row):
+        pct = float(row["avg_cloud_pct"])
+        if not 0 <= pct <= 100:  # nan too
+            raise ValueError(f"avg_cloud_pct {pct} is not within 0..100")
+        return date.fromisoformat(row["date"]), pct
+    return dict(read_table(path, ["date", "avg_cloud_pct"], cloud))
 
 
 def read_flags_csv(path: Path | str) -> dict[date, bool]:
-    return dict(read_table(path, ["date", "smoky"], lambda r: (
-        date.fromisoformat(r["date"]), r["smoky"].strip() in ("1", "true"))))
+    def flag(row):
+        smoky = row["smoky"].strip()
+        if smoky not in ("0", "1", "false", "true"):
+            raise ValueError(f"smoky is {smoky!r}, not 0, 1, false or true")
+        return date.fromisoformat(row["date"]), smoky in ("1", "true")
+    return dict(read_table(path, ["date", "smoky"], flag))

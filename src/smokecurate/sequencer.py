@@ -24,6 +24,8 @@ class SequencePlan:
     picks: dict[datetime, PlannedFrame]
     gaps: list[datetime]
     index: CoverageIndex | None = field(repr=False, default=None)
+    # hours a plan CSV marks resampled_needed; None from plan_sequence
+    resampled_needed: set[datetime] | None = field(repr=False, default=None)
 
     def timesteps(self) -> list[datetime]:
         return hour_range(self.start, self.end)
@@ -70,16 +72,16 @@ PLAN_COLUMNS = ["timestep_utc", "forecast_id", "path", "frame_index",
 
 
 def write_plan_csv(plan: SequencePlan, path: Path | str,
-                   canonical: GridGeometry | None = None) -> None:
+                   canonical: GridGeometry) -> None:
     """One row per sequenced hour; a gap's row leaves the pick columns
-    empty, so the plan's range and gaps read back with its picks."""
+    empty, so the plan's range and gaps read back with its picks, and a
+    pick's resampled_needed is 1 when its grid is not `canonical`."""
     def row(t: datetime) -> list:
         c = plan.picks.get(t)
         if c is None:
             return [format_iso_z(t)] + [""] * (len(PLAN_COLUMNS) - 1)
         return [format_iso_z(t), c.forecast_id, str(c.path), c.frame_index,
-                format_iso_z(c.smoke_init),
-                int(canonical is not None and c.geometry != canonical)]
+                format_iso_z(c.smoke_init), int(c.geometry != canonical)]
     write_table(path, PLAN_COLUMNS, map(row, plan.timesteps()))
 
 
@@ -91,9 +93,11 @@ def read_plan_csv(path: Path | str) -> SequencePlan:
     """Rebuild a plan from its CSV: it runs from its first to its last row,
     an hour whose pick columns are empty (or that has no row) is a gap,
     picks hold only the CSV's columns, and the plan has no candidate index.
-    A timestep that is not an exact hour, or that two rows list, raises
-    ValueError naming the file and the line."""
+    A timestep that is not an exact hour, or that two rows list, or a pick's
+    resampled_needed other than 0 or 1, raises ValueError naming the file
+    and the line."""
     seen: set[datetime] = set()
+    resampled_needed: set[datetime] = set()
 
     def plan_row(row: dict[str, str]) -> tuple[datetime, PlannedFrame | None]:
         t = parse_iso_z(row["timestep_utc"])
@@ -103,14 +107,20 @@ def read_plan_csv(path: Path | str) -> SequencePlan:
         seen.add(t)
         if not any(row[c] for c in PLAN_COLUMNS[1:5]):
             return t, None  # a gap
+        if row["resampled_needed"] not in ("0", "1"):
+            raise ValueError(f"resampled_needed is "
+                             f"{row['resampled_needed']!r}, not 0 or 1")
+        if row["resampled_needed"] == "1":
+            resampled_needed.add(t)
         return t, PlannedFrame(Path(row["path"]), row["forecast_id"],
                                int(row["frame_index"]),
                                parse_iso_z(row["smoke_init_utc"]))
 
-    rows = dict(read_table(path, PLAN_COLUMNS[:5], plan_row))
+    rows = dict(read_table(path, PLAN_COLUMNS, plan_row))
     picks = {t: pick for t, pick in rows.items() if pick is not None}
     if not picks:
         raise ValueError(f"plan {path} contains no picks")
     start, end = min(rows), max(rows)
     gaps = [t for t in hour_range(start, end) if t not in picks]
-    return SequencePlan(start, end, picks, gaps)
+    return SequencePlan(start, end, picks, gaps,
+                        resampled_needed=resampled_needed)

@@ -567,6 +567,38 @@ def test_wrong_size_original_raises_archive_error(tmp_path):
         assert f"{size - 4} bytes, not {size}" in str(err.value)
 
 
+def test_originals_on_two_grids_in_one_day(tmp_path):
+    """Originals on two grids share their day's shard: each one starts
+    after the day's earlier originals and is the size of its own grid."""
+    other = GridGeometry(nrows=7, ncols=9, lat0=39.5, lon0=-120.5,
+                         dlat=0.5, dlon=0.5)
+    run = tmp_path / "cache" / "BSC00CA12-01"
+    run.mkdir(parents=True)
+    sources = {}
+    for name, geom, init in (("dispersion_20220302.gran", DRIFT_GEOM, T0),
+                             ("newer.gran", other, T0 + 2 * HOUR)):
+        frames = random_frames(2, geom, seed=init.hour)
+        g = make_granule("BSC00CA12-01", created=init + HOUR,
+                         weather_init=init - 6 * HOUR, smoke_init=init,
+                         geometry=geom, frames=frames)
+        (run / name).write_bytes(granule_to_bytes(g))
+        sources.update((init + k * HOUR, f) for k, f in enumerate(frames))
+    arch = build_archive(plan_hours(tmp_path / "cache", 4), SMALL_GEOM,
+                         tmp_path / "arch")
+    for t, source in sources.items():
+        original = arch.read_original(t)
+        assert original.shape == source.shape
+        assert original.tobytes() == source.tobytes()
+    s1, s2 = (4 * g.nrows * g.ncols for g in (DRIFT_GEOM, other))
+    shard = arch.root / "originals" / "20220302.bin"
+    assert shard.stat().st_size == 2 * s1 + 2 * s2
+    manifest = json.loads((arch.root / "manifest.json").read_text())
+    assert [(GridGeometry(**group["geometry"]), group["timesteps"])
+            for group in manifest["originals"]] == [
+        (DRIFT_GEOM, ["2022-03-02T00:00:00Z", "2022-03-02T01:00:00Z"]),
+        (other, ["2022-03-02T02:00:00Z", "2022-03-02T03:00:00Z"])]
+
+
 def test_shard_with_an_extra_frame_raises_archive_error(tmp_path):
     frames = random_frames(3)
     arch = archive_from_frames(tmp_path, frames)

@@ -6,6 +6,7 @@ from datetime import date, datetime, time, timedelta, timezone
 import pytest
 from click.testing import CliRunner
 
+from smokecurate import corpusgen
 from smokecurate.cli import main
 
 from conftest import BAD_GEOMETRY_OFFSET, simple_granule_bytes, with_geometry_field
@@ -292,8 +293,22 @@ def test_analyze_names_each_excluded_day(pipeline, runner):
      "{dir}/cloud.csv line 2: could not convert string to float: ''"),
     ("flags.csv", 2, 1, None, "analyze",
      "{dir}/flags.csv line 3: fewer cells than the header names"),
+    ("plan.csv", 1, 5, "yes", "build-archive",
+     "{dir}/plan.csv line 2: resampled_needed is 'yes', not 0 or 1"),
+    ("flags.csv", 2, 1, "True", "analyze",
+     "{dir}/flags.csv line 3: smoky is 'True', not 0, 1, false or true"),
+    ("flags.csv", 2, 1, "yes", "analyze",
+     "{dir}/flags.csv line 3: smoky is 'yes', not 0, 1, false or true"),
+    ("cloud.csv", 1, 1, "nan", "analyze",
+     "{dir}/cloud.csv line 2: avg_cloud_pct nan is not within 0..100"),
+    ("cloud.csv", 1, 1, "-5", "analyze",
+     "{dir}/cloud.csv line 2: avg_cloud_pct -5.0 is not within 0..100"),
+    ("cloud.csv", 1, 1, "250", "analyze",
+     "{dir}/cloud.csv line 2: avg_cloud_pct 250.0 is not within 0..100"),
 ], ids=["plan-renamed-column", "plan-frame-index", "plan-timestep",
-        "solar-energy", "cloud-empty", "flags-short-row"])
+        "solar-energy", "cloud-empty", "flags-short-row",
+        "plan-resampled-needed", "flags-capitalized", "flags-yes",
+        "cloud-nan", "cloud-negative", "cloud-above-100"])
 def test_bad_csv_cell_names_file_and_line(pipeline, runner, file, line, column,
                                           value, command, message):
     inputs = write_analysis_inputs(pipeline)
@@ -327,6 +342,30 @@ def test_build_archive_into_an_existing_archive_is_one_error_line(pipeline,
                       f"empty directory: an archive is written once; build "
                       f"into a new directory"], result.output
     assert (out / "manifest.json").read_bytes() == manifest
+
+
+def test_build_archive_on_another_grid_than_the_plan_is_one_error_line(
+        pipeline, runner):
+    """A plan sequenced at desk scale and built at full scale would resample
+    every hour the plan says needs none, into a full grid that holds values
+    only in the desk grid's corner and zero, which reads as clean air,
+    everywhere else. The build refuses it and publishes nothing."""
+    out = pipeline / "arch_full"
+    result = runner.invoke(main, ["build-archive", "--plan",
+                                  str(pipeline / "plan.csv"), "--out",
+                                  str(out), "--scale", "full"],
+                           catch_exceptions=False)
+    assert result.exit_code == 1
+    errors = [l for l in result.output.splitlines() if l.startswith("Error:")]
+    assert len(errors) == 1, result.output
+    assert errors[0].startswith(
+        "Error: build-archive: timestep 2022-03-02T00:00:00Z: plan says "
+        f"resampled_needed 0, but granule {pipeline / 'cache'}"), errors[0]
+    assert errors[0].endswith(
+        f"is on grid {corpusgen.DESK_GEOMETRY} and the canonical grid is "
+        f"{corpusgen.FULL_GEOMETRY}"), errors[0]
+    assert not out.exists()
+    assert not (pipeline / ".arch_full.building").exists()
 
 
 def test_build_archive_into_the_working_directory_is_one_error_line(

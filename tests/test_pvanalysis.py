@@ -84,6 +84,21 @@ def test_constant_day_aggregates_exactly(tmp_path):
     assert agg.clear_sky  # perfectly flat curve has zero curvature
 
 
+@pytest.mark.parametrize("energy", [-1.0, math.nan, math.inf])
+def test_energy_that_is_not_finite_and_non_negative_is_refused(tmp_path,
+                                                               energy):
+    """A nan peak record would otherwise leave the day clear with a nan
+    average output, and every smoky day paired with it a nan ratio."""
+    arch = archive_from_frames(
+        tmp_path, [np.full((6, 8), 10.0, dtype=np.float32) for _ in range(24)])
+    solar = flat_day(date(2022, 3, 2))
+    solar[16] = SolarRecord(solar[16].timestamp, energy)  # 10:00 local
+    with pytest.raises(ValueError) as err:
+        daily_aggregates(solar, {date(2022, 3, 2): 5.0}, arch, SITE)
+    assert str(err.value) == (f"energy {energy} at {solar[16].timestamp} is "
+                              f"not finite and non-negative")
+
+
 def test_pm25_gap_in_peak_window_drops_day(tmp_path):
     # archive covers the whole day except 19 UTC == 13:00 local
     cache = tmp_path / "cache"

@@ -156,6 +156,7 @@ def test_plan_csv_round_trip(tmp_path, faulty_corpus_spec):
     back = read_plan_csv(tmp_path / "plan.csv")
     assert plan.gaps[-1] == plan.end  # a trailing gap the picks alone lose
     assert (back.start, back.end, back.gaps) == (plan.start, plan.end, plan.gaps)
+    assert back.resampled_needed == set()  # every pick is on SMALL_GEOM
     assert set(back.picks) == set(plan.picks)
     for t in plan.picks:
         assert back.picks[t].path == plan.picks[t].path
@@ -166,7 +167,7 @@ def test_plan_csv_round_trip(tmp_path, faulty_corpus_spec):
 def test_plan_read_from_csv_holds_only_csv_columns(tmp_path, sched_corpus):
     t = datetime(2022, 3, 4, 1, tzinfo=UTC)
     plan = make_plan(sched_corpus, t, t + timedelta(hours=2))
-    write_plan_csv(plan, tmp_path / "plan.csv")
+    write_plan_csv(plan, tmp_path / "plan.csv", SMALL_GEOM)
     back = read_plan_csv(tmp_path / "plan.csv")
     assert back.index is None
     for s, pick in back.picks.items():
@@ -193,7 +194,8 @@ def test_plan_csv_bad_timestep_names_file_and_line(tmp_path, sched_corpus,
                                                    edit, line, message):
     t = datetime(2022, 3, 4, 1, tzinfo=UTC)
     path = tmp_path / "plan.csv"
-    write_plan_csv(make_plan(sched_corpus, t, t + timedelta(hours=2)), path)
+    write_plan_csv(make_plan(sched_corpus, t, t + timedelta(hours=2)), path,
+                   SMALL_GEOM)
     rows = path.read_text().splitlines()
     edit(rows)
     path.write_text("\n".join(rows) + "\n")
