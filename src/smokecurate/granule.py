@@ -50,8 +50,12 @@ _TFLAG_ENTRY = struct.Struct("<II")
 HEADER_END = _PREAMBLE.size + _HEADER.size        # 96 bytes
 
 # Payload bytes `validate_stream` reads and checks at a time; a multiple of 4,
-# so each buffer holds whole float32 values.
-STREAM_BUFFER_BYTES = 8 << 20
+# so each buffer holds whole float32 values. 1 MiB fits a core's 2 MiB L2
+# cache, so a piece's copy, its min and max scans and its write read it from
+# L2, not L3. The fetch stage of a full-grid curate (8 granules of 138 MB,
+# 2 pool threads on a 2-core host) took a median 0.44 s at 8 MiB, 0.38 s at
+# 2 MiB, 0.37 s at 1 MiB, 0.40 s at 512 KiB and 0.47 s at 256 KiB.
+STREAM_BUFFER_BYTES = 1 << 20
 
 
 class GranuleError(Exception):

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import threading
+import time
 import tracemalloc
 from collections import Counter
 from datetime import date, datetime, timedelta
@@ -9,15 +11,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from smokecurate import archive
+from smokecurate import archive, granule
 from smokecurate.archive import (PROVENANCE_COLUMNS, ArchiveError,
                                  BuildError, CuratedArchive, GapError,
                                  ProvenanceRow, box_downsample, build_archive,
                                  level_geometry, level_shape)
 from smokecurate.corpusgen import (DESK_DRIFT_GEOMETRY, DESK_GEOMETRY,
                                    CorpusSpec, FaultProfile, generate_corpus)
-from smokecurate.granule import (GridGeometry, make_granule, parse_granule,
-                                 read_header_bytes)
+from smokecurate.granule import (FrameReader, GridGeometry, make_granule,
+                                 parse_granule, read_header_bytes)
 from smokecurate.indexer import PlannedFrame, build_coverage, scan_cache
 from smokecurate.regrid import Frame, identity_or_resample
 from smokecurate.sequencer import SequencePlan, plan_sequence
@@ -870,6 +872,94 @@ def test_bad_value_in_picked_frame_aborts_build(tmp_path, bad):
     assert str(path) in message
     assert f"at byte {offset}" in message
     assert_nothing_published(tmp_path / "arch")
+
+
+def pool_of(monkeypatch, width):
+    """Build every archive `width` days at a time, whatever its frame size:
+    on a pool of `width` threads, or in the calling thread when 1."""
+    monkeypatch.setattr(archive, "PARALLEL_FRAME_BYTES", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(width)),
+                        raising=False)
+
+
+def slow_days(monkeypatch, delays):
+    """Delay each frame read of a UTC day in `delays` by its seconds, so
+    that on a pool a slowed day finishes after the later ones."""
+    read = FrameReader.read_frame
+
+    def slow_read(self, index):
+        time.sleep(delays.get(
+            (self.header.first_frame + index * HOUR).date(), 0))
+        return read(self, index)
+
+    monkeypatch.setattr(FrameReader, "read_frame", slow_read)
+
+
+@pytest.mark.parametrize("width", [1, 4])
+def test_earliest_bad_day_aborts_a_pooled_build(tmp_path, monkeypatch, width):
+    """Picks over 4 UTC days with a NaN frame in day 2 (its last hour) and
+    in day 3 (its first), day 2 slowed so that day 3 fails first and day 4
+    slowed more so that it still runs: the build names day 2's timestep and
+    byte, as a serial build does, and returns only once every day has
+    stopped, with nothing published."""
+    pool_of(monkeypatch, width)
+    slow_days(monkeypatch, {date(2022, 3, 3): 0.005, date(2022, 3, 5): 0.02})
+    path = cached_granule(tmp_path / "cache", random_frames(96, seed=5))
+    offset = poke_value(path, frame=47, cell=9, value=np.nan)
+    poke_value(path, frame=48, cell=0, value=np.nan)
+    plan = plan_hours(tmp_path / "cache", 96)
+    threads = threading.active_count()
+    with pytest.raises(BuildError) as err:
+        build_archive(plan, SMALL_GEOM, tmp_path / "arch")
+    assert str(err.value) == (
+        f"timestep 2022-03-03T23:00:00Z: picked granule {path} failed to "
+        f"parse: payload value non-finite or negative (at byte {offset})")
+    assert threading.active_count() == threads
+    assert_nothing_published(tmp_path / "arch")
+
+
+def test_archive_bytes_do_not_depend_on_the_pool_width(tmp_path, monkeypatch):
+    """A 4-day plan with drift-grid picks (so originals are written), gap
+    hours, and a last run whose picks cross midnight builds the same files,
+    names and bytes, on one thread and on four, where the first day
+    finishes last."""
+    spec = CorpusSpec(start_date=date(2022, 3, 2), end_date=date(2022, 3, 5),
+                      forecast_ids=("BSC00CA12-01",), init_hours=(0,),
+                      horizon_hours=30, geometry=DESK_GEOMETRY,
+                      drift_geometry=DESK_DRIFT_GEOMETRY,
+                      drift_cutoff=date(2022, 3, 4), seed=17)
+    generate_corpus(spec, tmp_path / "c")
+    index = build_coverage(scan_cache(tmp_path / "c"))
+    times = index.timesteps()
+    plan = plan_sequence(index, times[0], times[-1])
+    for t in (times[5], times[30], times[31]):
+        del plan.picks[t]
+    plan.gaps = sorted([*plan.gaps, times[5], times[30], times[31]])
+    last_run = {p.path for t, p in plan.picks.items() if t.day == 6}
+    assert len(last_run) == 1
+    assert {t.day for t, p in plan.picks.items() if p.path in last_run} == \
+        {5, 6}
+
+    headers_read = []
+    read_header = granule.read_header
+    monkeypatch.setattr(granule, "read_header",
+                        lambda f: headers_read.append(f.name) or read_header(f))
+    slow_days(monkeypatch, {date(2022, 3, 2): 0.005})
+    trees = []
+    for width in (1, 4):
+        pool_of(monkeypatch, width)
+        headers_read.clear()
+        build_archive(plan, DESK_GEOMETRY, tmp_path / f"arch{width}")
+        trees.append(tree_digests(tmp_path / f"arch{width}"))
+        # each picked granule's header is read once, by one of the days
+        assert sorted(headers_read) == \
+            sorted({str(p.path) for p in plan.picks.values()})
+    assert trees[0] == trees[1]
+    names = {str(name) for name in trees[0]}
+    assert {"originals/20220302.bin", "originals/20220303.bin",
+            "L0/20220306.bin", "manifest.json"} <= names
+    manifest = json.loads((tmp_path / "arch1" / "manifest.json").read_text())
+    assert len(manifest["gaps"]) == 3
 
 
 def test_bad_value_in_unpicked_frame_builds_identical_archive(tmp_path):

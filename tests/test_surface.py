@@ -11,9 +11,10 @@ functions by their names). A call to a class is a call to its `__init__`.
 Code only tests reach, and settings only tests set, belong in the tests.
 
 The README's "Library layout" table has one row per module, so a module
-added or deleted cannot leave it stale. And the packages `src/` imports
-from outside the standard library are exactly the runtime dependencies
-`pyproject.toml` declares.
+added or deleted cannot leave it stale, and every code name the README
+cites resolves, so a name renamed or deleted cannot stay in its prose. And
+the packages `src/` imports from outside the standard library are exactly
+the runtime dependencies `pyproject.toml` declares.
 """
 
 import ast
@@ -41,6 +42,10 @@ UNREAD_BY_DESIGN = {
     # grids that only this label uses, so only a benchmark change can drop it
     "ScanRecord.geometry_class",
 }
+
+# standard-library names the README cites that are neither a module name
+# nor named by the code in `src/`, `bench/` or `tests/`
+README_STDLIB_NAMES: set[str] = set()
 
 _FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
@@ -216,6 +221,42 @@ def test_readme_layout_has_one_row_per_module():
     modules = {p.stem for p in (ROOT / "src" / "smokecurate").rglob("*.py")}
     assert sorted(layout_rows((ROOT / "README.md").read_text())) == \
         sorted(modules - {"__init__"})
+
+
+def _code_names(paths) -> set[str]:
+    """Every name the code in `paths` defines or uses: its identifiers,
+    attributes, imported names and string constants, and the names of its
+    definitions, parameters and keyword arguments."""
+    names = set()
+    for p in paths:
+        tree = ast.parse(p.read_text(), str(p))
+        names.update(part for name in _names(tree) for part in name.split("."))
+        for n in ast.walk(tree):
+            if isinstance(n, (*_FUNCTIONS, ast.ClassDef)):
+                names.add(n.name)
+            elif isinstance(n, (ast.arg, ast.keyword)) and n.arg:
+                names.add(n.arg)
+    return names
+
+
+def stale_readme_names(readme: str, root: Path) -> list[str]:
+    """Each name in a backticked span of `readme` (fenced blocks aside) that
+    has a `_` or is CamelCase, yet is no name the code under `src/`,
+    `bench/` or `tests/` defines or uses, no module or repository file name
+    and no entry of README_STDLIB_NAMES."""
+    code = [p for d in ("src", "bench", "tests") for p in (root / d).rglob("*.py")]
+    known = (_code_names(code) | {p.stem for p in code}
+             | {p.stem for p in root.iterdir()}
+             | set(sys.stdlib_module_names) | README_STDLIB_NAMES)
+    prose = re.sub(r"^```.*?^```", "", readme, flags=re.MULTILINE | re.DOTALL)
+    cited = {word for span in re.findall(r"`([^`\n]+)`", prose)
+             for word in re.findall(r"[A-Za-z_]\w*", span)
+             if "_" in word or re.search(r"[a-z][A-Z]", word)}
+    return sorted(cited - known)
+
+
+def test_readme_code_names_resolve():
+    assert stale_readme_names((ROOT / "README.md").read_text(), ROOT) == []
 
 
 def third_party_imports(src: Path) -> set[str]:
