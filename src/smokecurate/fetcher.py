@@ -1,12 +1,25 @@
 """Portal URL construction and validated bulk download into the cache
 layout.
 
-Bodies are streamed into a temp file through one bounded buffer and checked
-on the way (header, payload values, exact length); only a body that passes is
-renamed into the cache, so no HTML page, truncated body or NaN payload can
-ever land there. A body that fails is copied whole into `rejects/`. A body
-that ends before its Content-Length is a network fault, not bad content: it
-is retried like any other I/O error, and never quarantined.
+Each body is put under a temp name and checked (header, payload values,
+exact length) by reading it once through one bounded buffer; only a body
+that passes is renamed into the cache, so no HTML page, truncated body or NaN
+payload can ever land there. A body that fails is renamed whole into
+`rejects/`. A body that ends before its Content-Length is a network fault,
+not bad content: it is retried like any other I/O error, and never
+quarantined.
+
+Link, else copy. A local portal file is hard-linked to the temp name, and
+checked by reading the file it was opened as; the link is kept only if it
+names that same inode, so the published inode is always the one whose bytes
+were checked. Where no link can be made (another file system, a refused or
+unsupported link, a body with no file descriptor) or the link names another
+inode, and for every HTTP body, the body is copied into a temp file that is
+created new, while it is checked. A linked cache file is the portal's file
+under a second name, with its owner and mode: renaming over or deleting
+either name leaves the other intact, but writing into either in place
+changes both. The portal layout (`run_path`) gives each run its own path, so
+a portal that only adds runs never writes into a linked file.
 """
 
 from __future__ import annotations
@@ -153,6 +166,34 @@ class _Tee:
             pass
 
 
+def _link_body(body: BinaryIO, source: Path, tmp: Path) -> bool:
+    """Hard-link `source`, the file open as `body`, to the new name `tmp`.
+
+    False, with `tmp` absent, where the link cannot be made or names another
+    inode than the open body (a file renamed over `source` since it was
+    opened): the caller then copies from the open body.
+    """
+    try:
+        opened = os.fstat(body.fileno())
+        os.link(source, tmp)
+    except OSError:
+        return False
+    if os.path.samestat(opened, os.stat(tmp)):
+        return True
+    tmp.unlink()
+    return False
+
+
+def _fault_offset(body: BinaryIO) -> int | None:
+    """The byte offset of the first fault in `body`, None for a sound
+    granule."""
+    try:
+        validate_stream(body)
+    except GranuleError as e:
+        return e.offset
+    return None
+
+
 def fetch_one(endpoint: SourceEndpoint, forecast_id: str, day: date,
               cache_root: Path) -> FetchRecord:
     url = build_url(endpoint, forecast_id, day)
@@ -168,26 +209,30 @@ def fetch_one(endpoint: SourceEndpoint, forecast_id: str, day: date,
             target.unlink()  # stale junk; refetch
 
     tmp = target.with_suffix(".tmp")
+    source = None if endpoint.is_http else Path(url)
     for attempt in range(1, RETRIES + 1):
         try:
             with _open_body(endpoint, url) as body:
                 target.parent.mkdir(parents=True, exist_ok=True)
-                with open(tmp, "wb") as sink:
-                    tee = _Tee(body, sink)
-                    try:
-                        validate_stream(tee)
-                        error_offset = None
-                    except GranuleError as e:
-                        error_offset = e.offset
-                        tee.drain()  # rejects/ keeps the whole body
+                # a leftover temp file may be a link to a portal file
+                tmp.unlink(missing_ok=True)
+                if source is not None and _link_body(body, source, tmp):
+                    error_offset = _fault_offset(body)
+                    size = os.fstat(body.fileno()).st_size
+                else:
+                    with open(tmp, "xb") as sink:
+                        tee = _Tee(body, sink)
+                        error_offset = _fault_offset(tee)
+                        if error_offset is not None:
+                            tee.drain()  # rejects/ keeps the whole body
+                    size = tee.count
             if error_offset is None:
                 os.replace(tmp, target)
-                return FetchRecord(forecast_id, day, "downloaded", tee.count,
-                                   attempt)
+                return FetchRecord(forecast_id, day, "downloaded", size, attempt)
             reject.parent.mkdir(parents=True, exist_ok=True)
             os.replace(tmp, reject)
-            return FetchRecord(forecast_id, day, "invalid_content",
-                               tee.count, attempt, error_offset)
+            return FetchRecord(forecast_id, day, "invalid_content", size,
+                               attempt, error_offset)
         except NotFound:
             # absence is a documented steady state, not worth retrying
             return FetchRecord(forecast_id, day, "not_found", 0, attempt)

@@ -1,7 +1,11 @@
 import csv
+import errno
 import gc
 import io
+import os
+import shutil
 import struct
+import tempfile
 import threading
 import tracemalloc
 from contextlib import contextmanager
@@ -438,3 +442,163 @@ def test_cached_granule_with_bad_payload_is_fetched_again(tmp_path):
     rec = fetch_one(SourceEndpoint(str(tmp_path / "corpus")), FID, DAY, cache)
     assert (rec.outcome, rec.bytes, rec.attempts) == ("downloaded", len(valid), 1)
     assert stale.read_bytes() == valid
+
+
+REAL_LINK = os.link
+
+
+def refuse_links(monkeypatch, err=errno.EXDEV):
+    """Make every hard link fail with `err`, as across file systems."""
+    def link(src, dst, *args, **kwargs):
+        raise OSError(err, os.strerror(err))
+
+    monkeypatch.setattr(fetcher.os, "link", link)
+
+
+@pytest.fixture(params=["link", "copy"])
+def route(request, monkeypatch):
+    """Fetch by hard link where the file system allows it, or by copy."""
+    if request.param == "copy":
+        refuse_links(monkeypatch)
+    return request.param
+
+
+def tree(root):
+    """Every file under `root`, by relative path, with its bytes."""
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_leftover_temp_file_linked_to_the_portal_is_not_written(tmp_path,
+                                                                 route):
+    body = simple_granule_bytes(ntimes=3)
+    portal = publish(tmp_path / "corpus", body)
+    cache = tmp_path / "cache"
+    tmp = cache / FID / "dispersion_20220302.tmp"
+    tmp.parent.mkdir(parents=True)
+    REAL_LINK(portal, tmp)
+    rec = fetch_one(SourceEndpoint(str(tmp_path / "corpus")), FID, DAY, cache)
+    assert (rec.outcome, rec.bytes, rec.attempts) == ("downloaded", len(body), 1)
+    assert portal.read_bytes() == body
+    assert cache_files(cache) == ["dispersion_20220302.gran"]
+    assert (cache / FID / "dispersion_20220302.gran").read_bytes() == body
+
+
+def test_local_fetch_links_granules_and_rejects_to_the_portal(tmp_path):
+    valid = simple_granule_bytes(ntimes=3)
+    other = "BSC06CA12-01"
+    good = publish(tmp_path / "corpus", valid, other)
+    bad = publish(tmp_path / "corpus", with_value(valid, len(valid) - 4, -1.0))
+    cache = tmp_path / "cache"
+    report = fetch_range(SourceEndpoint(str(tmp_path / "corpus")), [FID, other],
+                         DAY, DAY, cache)
+    assert [r.outcome for r in report.records] == ["invalid_content",
+                                                   "downloaded"]
+    assert os.path.samefile(good, cache / other / "dispersion_20220302.gran")
+    assert os.path.samefile(bad, reject_path(cache))
+    assert cache_files(cache) == []
+
+
+def test_http_fetch_writes_its_own_copies(tmp_path):
+    valid = simple_granule_bytes(ntimes=3)
+    other = "BSC06CA12-01"
+    publish(tmp_path / "corpus", valid, other)
+    publish(tmp_path / "corpus", with_value(valid, len(valid) - 4, -1.0))
+    cache = tmp_path / "cache"
+    with http_portal(tmp_path / "corpus") as base:
+        report = fetch_range(SourceEndpoint(base), [FID, other], DAY, DAY, cache)
+    assert [r.outcome for r in report.records] == ["invalid_content",
+                                                   "downloaded"]
+    files = [p for p in cache.rglob("*") if p.is_file()]
+    assert len(files) == 2
+    assert all(p.stat().st_nlink == 1 for p in files)
+
+
+def test_link_to_another_inode_is_dropped_for_a_copy_of_the_body(tmp_path,
+                                                                monkeypatch):
+    """A file renamed over the portal path after the open: the link names
+    the new file, so the fetch publishes a copy of the body it validated."""
+    body = simple_granule_bytes(ntimes=3)
+    publish(tmp_path / "corpus", body)
+    intruder = tmp_path / "intruder.gran"
+    intruder.write_bytes(simple_granule_bytes(ntimes=2))
+    monkeypatch.setattr(fetcher.os, "link",
+                        lambda src, dst: REAL_LINK(intruder, dst))
+    cache = tmp_path / "cache"
+    rec = fetch_one(SourceEndpoint(str(tmp_path / "corpus")), FID, DAY, cache)
+    assert (rec.outcome, rec.bytes) == ("downloaded", len(body))
+    committed = cache / FID / "dispersion_20220302.gran"
+    assert committed.read_bytes() == body
+    assert committed.stat().st_nlink == 1
+    assert intruder.stat().st_nlink == 1
+    assert cache_files(cache) == ["dispersion_20220302.gran"]
+
+
+@pytest.mark.parametrize("err", [errno.EXDEV, errno.EPERM, errno.EMLINK,
+                                 errno.EOPNOTSUPP])
+def test_refused_link_falls_back_to_a_copy(tmp_path, monkeypatch, err):
+    body = simple_granule_bytes(ntimes=3)
+    portal = publish(tmp_path / "corpus", body)
+    refuse_links(monkeypatch, err)
+    cache = tmp_path / "cache"
+    rec = fetch_one(SourceEndpoint(str(tmp_path / "corpus")), FID, DAY, cache)
+    assert (rec.outcome, rec.bytes, rec.attempts) == ("downloaded", len(body), 1)
+    committed = cache / FID / "dispersion_20220302.gran"
+    assert committed.read_bytes() == body
+    assert not os.path.samefile(portal, committed)
+
+
+def test_linked_and_copied_fetches_agree(tmp_path, monkeypatch):
+    spec, manifest = make_corpus(
+        tmp_path, faults=FaultProfile(missing_run_rate=0.2, html_rate=0.2,
+                                      truncation_rate=0.2), seed=9)
+    assert {e.outcome for e in manifest.entries
+            if e.init.hour == embedded_init_hour(e.forecast_id)} == \
+        {"missing", "html", "truncated", "ok"}
+    ep = SourceEndpoint(str(tmp_path / "corpus"))
+    linked = fetch_range(ep, list(IDS), spec.start_date, spec.end_date,
+                         tmp_path / "linked")
+    refuse_links(monkeypatch)
+    copied = fetch_range(ep, list(IDS), spec.start_date, spec.end_date,
+                         tmp_path / "copied")
+    assert {r.outcome for r in linked.records} == \
+        {"downloaded", "not_found", "invalid_content"}
+    assert linked == copied
+    assert tree(tmp_path / "linked") == tree(tmp_path / "copied")
+    assert all(p.stat().st_nlink == 2 for p in (tmp_path / "linked").rglob("*")
+               if p.is_file())
+    assert all(p.stat().st_nlink == 1 for p in (tmp_path / "copied").rglob("*")
+               if p.is_file())
+
+
+SHM = Path("/dev/shm")
+
+
+@pytest.fixture
+def other_device_dir(tmp_path):
+    """A directory on another file system than `tmp_path`."""
+    if not SHM.is_dir():
+        pytest.skip("no /dev/shm to hold a portal on another file system")
+    if SHM.stat().st_dev == tmp_path.stat().st_dev:
+        pytest.skip("/dev/shm is on the same file system as the test's tmp_path")
+    path = Path(tempfile.mkdtemp(dir=SHM, prefix="smokecurate-portal-"))
+    try:
+        yield path
+    finally:
+        shutil.rmtree(path)
+
+
+def test_fetch_across_file_systems_copies(tmp_path, other_device_dir):
+    body = simple_granule_bytes(ntimes=3)
+    portal = publish(other_device_dir, body)
+    publish(other_device_dir, b"<html>not a granule</html>", "BSC06CA12-01")
+    cache = tmp_path / "cache"
+    report = fetch_range(SourceEndpoint(str(other_device_dir)),
+                         [FID, "BSC06CA12-01"], DAY, DAY, cache)
+    assert [(r.outcome, r.bytes) for r in report.records] == \
+        [("downloaded", len(body)), ("invalid_content", 26)]
+    committed = cache / FID / "dispersion_20220302.gran"
+    assert committed.read_bytes() == body
+    assert committed.stat().st_dev != portal.stat().st_dev
+    reject = cache / "rejects" / "BSC06CA12-01" / "dispersion_20220302.bin"
+    assert reject.read_bytes() == b"<html>not a granule</html>"
