@@ -2,16 +2,15 @@
 resolution pyramid derived on read, and per-timestep provenance.
 
 The build reads each picked granule's header once and then only its picked
-frames. It builds each UTC day's shards as one task: on a pool of one thread
-per CPU this process may run on when a canonical level-0 frame has at least
-PARALLEL_FRAME_BYTES, where copies, reductions and resamples, which release
-the GIL, take a frame's time, and on one thread below that, where Python code
-does. Each running day holds one frame plus its resample temporaries and has
-one granule open. A non-finite or negative value, a truncation or a header
-fault in a picked frame aborts the build with a BuildError naming the
-earliest such timestep, the granule and the byte offset, whatever the pool
-width; a bad value in a frame nobody picked is never read and does not stop
-the build.
+frames. It builds each UTC day's shards as one task, on as many threads as
+`granule.pool_width`, the one width rule, gives the canonical grid: one per
+CPU this process may run on when a level-0 frame has at least
+PARALLEL_FRAME_BYTES, else the calling thread. Each running day holds one
+frame plus its resample temporaries and has one granule open. A non-finite
+or negative value, a truncation or a header fault in a picked frame aborts
+the build with a BuildError naming the earliest such timestep, the granule
+and the byte offset, whatever the pool width; a bad value in a frame nobody
+picked is never read and does not stop the build.
 
 On-disk layout (format_version 2):
     manifest.json          geometry, time range, levels, gaps, the grid and
@@ -62,7 +61,8 @@ from typing import BinaryIO, Iterator
 import numpy as np
 
 from . import __version__
-from .granule import FrameReader, GranuleError, GranuleHeader, GridGeometry
+from .granule import (FrameReader, GranuleError, GranuleHeader, GridGeometry,
+                      pool_width)
 from .indexer import PlannedFrame
 from .regrid import Frame, identity_or_resample
 from .sequencer import SequencePlan
@@ -75,14 +75,6 @@ PROVENANCE_COLUMNS = ["tflag_date", "tflag_time", "cdate", "ctime", "wdate",
                       "wrf_arw_init_time"]
 # where a stored frame lies: shard name, byte offset, grid, shard bytes
 Slot = tuple[str, int, GridGeometry, int]
-# A canonical level-0 frame of at least this many bytes builds the days on a
-# pool of one thread per CPU this process may run on. At the full 381x1081 grid (1.6 MB) a frame's time
-# goes to copies, reductions and resamples, which release the GIL; at the desk
-# 20x40 grid (3.2 KB) it goes to Python code, which threads only take turns at.
-# A 3-day build on 2 threads took, against 1 thread on a 2-core host, 1.50x
-# the time at 3.2 KB frames, 1.11x at 32 KiB, 0.95x at 128 KiB, 0.90x at
-# 256 KiB and 0.65x at 1.6 MB.
-PARALLEL_FRAME_BYTES = 256 << 10
 
 
 class ArchiveError(Exception):
@@ -251,12 +243,7 @@ def _write_archive(plan: SequencePlan, canonical: GridGeometry, root: Path,
     stopped."""
     days = {day: list(picks) for day, picks in groupby(
         sorted(plan.picks.items()), key=lambda item: item[0].date())}
-    width = 1
-    if canonical.nrows * canonical.ncols * 4 >= PARALLEL_FRAME_BYTES:
-        # one thread per CPU this process may run on; the affinity mask is a
-        # system call, where os.cpu_count() reads a sysfs file on Linux
-        width = (len(os.sched_getaffinity(0))
-                 if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
+    width = pool_width(canonical)
     headers = _Headers()
     rows: list[list] = []  # provenance.csv
     originals: dict[GridGeometry, list[str]] = {}  # timesteps per source grid

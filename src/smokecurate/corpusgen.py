@@ -5,20 +5,34 @@ Each run's field is the shared "true" puff field plus a perturbation whose
 amplitude grows linearly with lead time, so runs initialized closer to a
 timestep really are better estimates of it. Each hour's true field is computed
 once per corpus and shared by every run that covers the hour.
+
+A run's grid work runs on as many threads as `granule.pool_width` gives its
+grid: one per CPU this process may run on when a float32 frame has at least
+PARALLEL_FRAME_BYTES (the full grid), else the calling thread (the desk
+grid). The pool computes the run's missing true fields, one hour per task,
+and fills its perturbed float32 frames, one lead per task; the RNG draws
+stay in the calling thread in their serial order, so every granule, the
+manifest and every injected fault are the same bytes at any width. The
+generator holds about `horizon_hours` float64 true fields of the corpus
+grid, the run's float32 payload, and one float64 frame temporary per
+thread. The pool lives for one `generate_corpus` call.
 """
 
 from __future__ import annotations
 
 import hashlib
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta
+from functools import partial
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .fetcher import ConfigError, embedded_init_hour, run_path
-from .granule import GridGeometry, encode_granule, make_granule
+from .granule import GridGeometry, encode_granule, make_granule, pool_width
 from .tables import write_table
 from .timecal import UTC, format_iso_z
 
@@ -210,9 +224,10 @@ class TrueFields:
     reads the top-left slice of the corpus-grid field; any other run grid gets
     fields of its own.
 
-    Runs arrive init-major, so starting a run drops every field before its
-    init (and every field on another grid): at most `horizon_hours` fields
-    are held at once."""
+    Runs arrive init-major, so each run's `run_fields` drops every field
+    before its init (and every field on another grid), then computes the
+    run's hours not yet held: at most `horizon_hours` fields are held at
+    once."""
 
     def __init__(self, spec: CorpusSpec, sources: Sequence[PuffSource],
                  wind: tuple[float, float]):
@@ -222,44 +237,41 @@ class TrueFields:
         self._grid: GridGeometry | None = None
         self._fields: dict[datetime, np.ndarray] = {}
 
-    def start_run(self, init: datetime, geom: GridGeometry) -> None:
+    def run_fields(self, init: datetime, geom: GridGeometry,
+                   pmap: Callable) -> list[np.ndarray]:
+        """The true fields of the run at `init` on `geom`, in lead order. The
+        hours not yet held are computed in hour order through `pmap`: `map`,
+        or a pool's."""
         grid = self._spec.geometry if _is_window(geom, self._spec.geometry) else geom
         if grid != self._grid:
             self._grid = grid
             self._fields.clear()
         for t in [t for t in self._fields if t < init]:
             del self._fields[t]
-
-    def at(self, t: datetime, geom: GridGeometry) -> np.ndarray:
-        """The true field at `t` on `geom`, the grid of the current run."""
-        field = self._fields.get(t)
-        if field is None:
-            field = puff_field(self._sources, self._wind, t, self._grid)
-            self._fields[t] = field
-        return field[:geom.nrows, :geom.ncols]
+        hours = [init + timedelta(hours=lead)
+                 for lead in range(self._spec.horizon_hours)]
+        missing = [t for t in hours if t not in self._fields]
+        self._fields.update(zip(missing, pmap(
+            partial(puff_field, self._sources, self._wind, geom=grid), missing)))
+        return [self._fields[t][:geom.nrows, :geom.ncols] for t in hours]
 
 
 def build_run_granule(spec: CorpusSpec, fid: str, init: datetime,
                       sources: Sequence[PuffSource],
                       wind: tuple[float, float],
-                      truths: TrueFields | None = None):
+                      truths: TrueFields | None = None,
+                      pmap: Callable = map):
     """Granule for one scheduled run: true field + lead-time perturbation.
     `truths` shares true fields across the runs of one corpus; without it the
-    run computes its own."""
+    run computes its own. `pmap` runs the grid work, one hour or lead per
+    call: `map` in this thread, or a pool's."""
     geom = _run_geometry(spec, init)
     if truths is None:
         truths = TrueFields(spec, sources, wind)
-    truths.start_run(init, geom)
+    fields = truths.run_fields(init, geom, pmap)
     rng = _run_rng(spec, fid, init)
-    # each clipped, perturbed frame goes straight into the float32 payload
-    pm25 = np.empty((spec.horizon_hours, geom.nrows, geom.ncols), dtype=np.float32)
-    frame = np.empty((geom.nrows, geom.ncols))
-    for lead in range(spec.horizon_hours):
-        truth = truths.at(init + timedelta(hours=lead), geom)
-        eta = float(rng.uniform(-1.0, 1.0))
-        np.multiply(truth, 1.0 + PERTURB_PER_LEAD_HOUR * lead * eta, out=frame)
-        np.maximum(frame, 0.0, out=frame)
-        pm25[lead] = frame
+    factors = [1.0 + PERTURB_PER_LEAD_HOUR * lead * float(rng.uniform(-1.0, 1.0))
+               for lead in range(spec.horizon_hours)]
     # The stream whose embedded hour matches the init publishes last, so the
     # creation stamp breaks same-init ties in favor of the native stream.
     try:
@@ -268,6 +280,22 @@ def build_run_granule(spec: CorpusSpec, fid: str, init: datetime,
         native = False
     created = init + timedelta(minutes=60 + (30 if native else 0)
                                + int(rng.integers(0, 30)))
+
+    # each clipped, perturbed frame goes straight into the float32 payload,
+    # through a float64 temporary of the thread's own
+    pm25 = np.empty((spec.horizon_hours, geom.nrows, geom.ncols), dtype=np.float32)
+    temps = threading.local()
+
+    def fill(out: np.ndarray, truth: np.ndarray, factor: float) -> None:
+        frame = getattr(temps, "frame", None)
+        if frame is None:
+            frame = temps.frame = np.empty(truth.shape)
+        np.multiply(truth, factor, out=frame)
+        np.maximum(frame, 0.0, out=frame)
+        out[...] = frame
+
+    for _ in pmap(fill, pm25, fields, factors):
+        pass
     return make_granule(fid, created=created, weather_init=init - timedelta(hours=6),
                         smoke_init=init, geometry=geom, frames=pm25)
 
@@ -295,31 +323,37 @@ def generate_corpus(spec: CorpusSpec, root: Path | str) -> CorpusManifest:
 
     sources, wind = make_world(spec)
     truths = TrueFields(spec, sources, wind)
+    widths = {grid: pool_width(grid) for grid in
+              (spec.geometry, spec.drift_geometry) if grid is not None}
     entries = []
-    for fid, init in spec.scheduled_runs():
-        rng = _run_rng(spec, fid, init)
-        outcome = _run_outcome(spec, rng)
-        if outcome == "missing":
-            entries.append(ManifestEntry(fid, init, "missing", ""))
-            continue
-        rel = run_path(fid, init)
-        if outcome == "html":
-            parts = (HTML_BODY,)
-        else:
-            # the granule draws from its own RNG, so skipping html runs
-            # changes no other run's bytes
-            head, payload = encode_granule(
-                build_run_granule(spec, fid, init, sources, wind, truths))
-            if outcome == "truncated":
-                # cut inside the payload so the header region stays intact
-                payload = payload[:int(rng.integers(0, len(payload)))]
-            parts = (head, payload)
-        target = root / rel
-        target.parent.mkdir(parents=True, exist_ok=True)
-        with open(target, "wb") as f:
-            for part in parts:
-                f.write(part)
-        entries.append(ManifestEntry(fid, init, outcome, rel))
+    # a pool starts its threads on first use, so a desk corpus starts none;
+    # leaving the `with` joins them
+    with ThreadPoolExecutor(max(widths.values())) as pool:
+        for fid, init in spec.scheduled_runs():
+            rng = _run_rng(spec, fid, init)
+            outcome = _run_outcome(spec, rng)
+            if outcome == "missing":
+                entries.append(ManifestEntry(fid, init, "missing", ""))
+                continue
+            rel = run_path(fid, init)
+            if outcome == "html":
+                parts = (HTML_BODY,)
+            else:
+                # the granule draws from its own RNG, so skipping html runs
+                # changes no other run's bytes
+                pmap = pool.map if widths[_run_geometry(spec, init)] > 1 else map
+                head, payload = encode_granule(build_run_granule(
+                    spec, fid, init, sources, wind, truths, pmap))
+                if outcome == "truncated":
+                    # cut inside the payload so the header region stays intact
+                    payload = payload[:int(rng.integers(0, len(payload)))]
+                parts = (head, payload)
+            target = root / rel
+            target.parent.mkdir(parents=True, exist_ok=True)
+            with open(target, "wb") as f:
+                for part in parts:
+                    f.write(part)
+            entries.append(ManifestEntry(fid, init, outcome, rel))
 
     manifest = CorpusManifest(entries)
     manifest.write_csv(root / "manifest.csv")

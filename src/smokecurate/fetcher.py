@@ -194,6 +194,14 @@ def _fault_offset(body: BinaryIO) -> int | None:
     return None
 
 
+def _publish(tmp: Path, dest: Path) -> None:
+    """Rename `tmp` to `dest`. Where both already name one file (a re-fetch
+    links the portal file that an earlier fetch linked into `rejects/`),
+    POSIX rename does nothing and succeeds, so the temp name is removed."""
+    os.replace(tmp, dest)
+    tmp.unlink(missing_ok=True)
+
+
 def fetch_one(endpoint: SourceEndpoint, forecast_id: str, day: date,
               cache_root: Path) -> FetchRecord:
     url = build_url(endpoint, forecast_id, day)
@@ -227,10 +235,10 @@ def fetch_one(endpoint: SourceEndpoint, forecast_id: str, day: date,
                             tee.drain()  # rejects/ keeps the whole body
                     size = tee.count
             if error_offset is None:
-                os.replace(tmp, target)
+                _publish(tmp, target)
                 return FetchRecord(forecast_id, day, "downloaded", size, attempt)
             reject.parent.mkdir(parents=True, exist_ok=True)
-            os.replace(tmp, reject)
+            _publish(tmp, reject)
             return FetchRecord(forecast_id, day, "invalid_content", size,
                                attempt, error_offset)
         except NotFound:

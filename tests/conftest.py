@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import builtins
+import os
 import struct
 from collections import Counter
 from contextlib import contextmanager
@@ -12,6 +13,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from smokecurate import granule
 from smokecurate.archive import build_archive
 from smokecurate.corpusgen import CorpusSpec, FaultProfile
 from smokecurate.granule import (HEADER_END, GridGeometry, encode_granule,
@@ -24,6 +26,15 @@ SMALL_GEOM = GridGeometry(nrows=6, ncols=8, lat0=40.0, lon0=-120.0,
                           dlat=0.5, dlon=0.5)
 T0 = datetime(2022, 3, 2, 0, tzinfo=UTC)
 
+
+
+def pool_of(monkeypatch, width):
+    """Run the grid work of every archive build and corpus `width` frames at
+    a time, whatever their frame size: on a pool of `width` threads, or in
+    the calling thread when 1."""
+    monkeypatch.setattr(granule, "PARALLEL_FRAME_BYTES", 0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(width)),
+                        raising=False)
 
 def simple_granule(ntimes=4, geometry=SMALL_GEOM, forecast_id="BSC00CA12-01",
                    init=T0, fill=None):

@@ -28,7 +28,7 @@ from smokecurate.timecal import (HOUR, UTC, JulianStamp, calendar_to_julian,
                                  hour_range)
 
 from conftest import (SMALL_GEOM, T0, archive_from_frames, count_reads,
-                      granule_to_bytes)
+                      granule_to_bytes, pool_of)
 
 # on the canonical SMALL_GEOM's origin and spacing, one row and column short
 DRIFT_GEOM = GridGeometry(nrows=5, ncols=7, lat0=40.0, lon0=-120.0,
@@ -872,14 +872,6 @@ def test_bad_value_in_picked_frame_aborts_build(tmp_path, bad):
     assert str(path) in message
     assert f"at byte {offset}" in message
     assert_nothing_published(tmp_path / "arch")
-
-
-def pool_of(monkeypatch, width):
-    """Build every archive `width` days at a time, whatever its frame size:
-    on a pool of `width` threads, or in the calling thread when 1."""
-    monkeypatch.setattr(archive, "PARALLEL_FRAME_BYTES", 0)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(width)),
-                        raising=False)
 
 
 def slow_days(monkeypatch, delays):

@@ -1,4 +1,6 @@
 import hashlib
+import sys
+import threading
 import weakref
 from datetime import date, datetime, timedelta
 
@@ -16,7 +18,7 @@ from smokecurate.granule import (ForecastGranule, GridGeometry, NotAGranuleError
                                  read_header_bytes)
 from smokecurate.timecal import UTC
 
-from conftest import SMALL_GEOM, granule_to_bytes
+from conftest import SMALL_GEOM, granule_to_bytes, pool_of
 
 
 def tree_digest(root):
@@ -305,8 +307,7 @@ def test_bodies_equal_runs_built_without_shared_fields(tmp_path, drift):
     assert grids == {drift, DESK_GEOMETRY}
 
 
-def test_each_true_field_is_computed_once_and_a_horizon_at_most_is_held(
-        tmp_path, monkeypatch):
+def fields_computed_once_with_a_horizon_at_most_held(tmp_path, monkeypatch):
     spec = CorpusSpec(start_date=date(2022, 3, 2), end_date=date(2022, 3, 4),
                       forecast_ids=DEFAULT_FORECAST_IDS,
                       init_hours=(0, 6, 12, 18), horizon_hours=12,
@@ -330,3 +331,68 @@ def test_each_true_field_is_computed_once_and_a_horizon_at_most_is_held(
     # the drift runs read a window of the corpus-grid field
     assert {geom for _, geom, _ in calls} == {DESK_GEOMETRY}
     assert max(live) <= spec.horizon_hours
+
+
+def test_each_true_field_is_computed_once_and_a_horizon_at_most_is_held(
+        tmp_path, monkeypatch):
+    fields_computed_once_with_a_horizon_at_most_held(tmp_path, monkeypatch)
+
+
+def test_pooled_true_fields_are_computed_once_and_a_horizon_at_most_is_held(
+        tmp_path, monkeypatch):
+    pool_of(monkeypatch, 4)
+    fields_computed_once_with_a_horizon_at_most_held(tmp_path, monkeypatch)
+
+
+FAULTY_DRIFT_SPEC = CorpusSpec(
+    start_date=date(2022, 3, 2), end_date=date(2022, 3, 5),
+    forecast_ids=("BSC00CA12-01", "BSC06CA12-01"), init_hours=(0, 6),
+    horizon_hours=12, geometry=DESK_GEOMETRY,
+    drift_geometry=DESK_DRIFT_GEOMETRY, drift_cutoff=date(2022, 3, 4),
+    fault_profile=FaultProfile(0.15, 0.15, 0.3), seed=37)
+
+
+def test_corpus_bytes_do_not_depend_on_the_pool_width(tmp_path, monkeypatch):
+    """Widths 1 and 4 write the same tree; at 4 the grid work runs on the
+    pool's threads, which are gone once generate_corpus returns. More threads
+    than cores and a short switch interval make a shared temporary or an
+    out-of-order write show."""
+    workers = set()
+    original = corpusgen.puff_field
+
+    def on_thread(*args, **kwargs):
+        workers.add(threading.get_ident())
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(corpusgen, "puff_field", on_thread)
+    digests = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for width in (1, 4):
+            pool_of(monkeypatch, width)
+            workers.clear()
+            threads = threading.active_count()
+            manifest = generate_corpus(FAULTY_DRIFT_SPEC, tmp_path / str(width))
+            assert threading.active_count() == threads
+            assert (workers == {threading.get_ident()}) == (width == 1)
+            digests[width] = tree_digest(tmp_path / str(width))
+    finally:
+        sys.setswitchinterval(interval)
+    assert {e.outcome for e in manifest.entries} == \
+        {"ok", "missing", "html", "truncated"}
+    assert digests[1] == digests[4]
+
+
+@pytest.mark.parametrize("width", [1, 4])
+def test_negative_strength_raises_at_any_pool_width(tmp_path, monkeypatch,
+                                                    width):
+    pool_of(monkeypatch, width)
+    sources, wind = make_world(FAULTY_DRIFT_SPEC)
+    bad = PuffSource(sources[0].lat, sources[0].lon, -1.0, sources[0].ignition)
+    monkeypatch.setattr(corpusgen, "make_world",
+                        lambda spec: ([*sources, bad], wind))
+    threads = threading.active_count()
+    with pytest.raises(ValueError, match="^emission strength must be >= 0$"):
+        generate_corpus(FAULTY_DRIFT_SPEC, tmp_path / "c")
+    assert threading.active_count() == threads

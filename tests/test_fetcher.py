@@ -571,6 +571,26 @@ def test_linked_and_copied_fetches_agree(tmp_path, monkeypatch):
                if p.is_file())
 
 
+
+def test_a_fetch_run_again_leaves_the_tree_of_one_fetch(tmp_path, route):
+    """A re-fetch of a rejected run must not leave its temp file: linked, the
+    temp name and the reject from the first fetch are one file, which a
+    rename onto it leaves in place."""
+    spec, manifest = make_corpus(
+        tmp_path, faults=FaultProfile(missing_run_rate=0.2, html_rate=0.2,
+                                      truncation_rate=0.2), seed=9)
+    ep = SourceEndpoint(str(tmp_path / "corpus"))
+    once = fetch_range(ep, list(IDS), spec.start_date, spec.end_date,
+                       tmp_path / "once")
+    assert once.by_outcome("invalid_content")
+    for _ in range(2):
+        again = fetch_range(ep, list(IDS), spec.start_date, spec.end_date,
+                            tmp_path / "twice")
+        assert tree(tmp_path / "twice") == tree(tmp_path / "once")
+    assert [r.outcome for r in again.records] == \
+        [r.outcome for r in once.records]
+
+
 SHM = Path("/dev/shm")
 
 

@@ -320,6 +320,30 @@ _SPECIAL_VALUES = [np.nan, np.inf, -np.inf, -1.0, -0.0, 0.0,
                    _f32(0x7f800001), _f32(0xffc00000)]   # signalling NaN, negative NaN
 
 
+
+@pytest.mark.parametrize("bits, accepted", [
+    (0x80000000, True),    # -0.0: sign bit set, yet not negative
+    (0x7f7fffff, True),    # largest finite
+    (0x00000001, True),    # smallest subnormal
+    (0x7f800000, False),   # +inf
+    (0xffc00000, False),   # quiet NaN, sign bit set
+    (0xff800001, False),   # signalling NaN, sign bit set
+    (0x80000001, False),   # negative subnormal
+])
+def test_check_payload_verdict_and_offset_on_edge_bits(bits, accepted):
+    """Each edge value at index 3 of a clean array, alone and after a -0.0:
+    accepted, or rejected at its own byte."""
+    for lead in (1.5, -0.0):
+        values = np.full(8, 1.5, dtype="<f4")
+        values[1] = lead
+        values[3] = _f32(bits)
+        if accepted:
+            _check_payload(values, 100)
+            continue
+        with pytest.raises(InvalidHeaderError) as err:
+            _check_payload(values, 100)
+        assert err.value.offset == 100 + 3 * 4
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_check_payload_agrees_with_the_mask_rule(data):
