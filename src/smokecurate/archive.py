@@ -12,35 +12,39 @@ the build with a BuildError naming the earliest such timestep, the granule
 and the byte offset, whatever the pool width; a bad value in a frame nobody
 picked is never read and does not stop the build.
 
-On-disk layout (format_version 2):
+On-disk layout (format_version 3):
     manifest.json          geometry, time range, levels, gaps, the grid and
                            timesteps of each stored original, tool version
-    provenance.csv         one row per stored timestep: the picked granule's
-                           stamps, encoded back from its header's times
     L0/{YYYYMMDD}.bin      one shard per UTC day: that day's stored
                            level-0 frames back to back in hour order, each a
                            row-major little-endian float32 grid
+    L0/{YYYYMMDD}.csv      the day's index: one row per stored hour, in hour
+                           order, with the picked granule's stamps encoded
+                           back from its header's times (PROVENANCE_COLUMNS)
     originals/{YYYYMMDD}.bin  the day's pre-resample frames, the same way,
                            each on its own grid, when resampling occurred
 
 Only level 0 is stored; `levels` is the number of readable levels. A
 level-L read costs one level-0 frame plus L box averages, each
-`box_downsample` (pad, then pair) then a cast to float32. Format 2 archives
-once stored levels 1 and up as `L{level}/` shards made by the same chain,
-so a reader ignores those shards and derives bit-identical values.
+`box_downsample` (pad, then pair) then a cast to float32.
 Every stored frame, level 0 or original, has one slot record: (shard name,
 byte offset, grid, shard bytes). `_day_slots` builds them from each hour's
 grid: a day's frames lie back to back in hour order, and gap hours take no
-bytes. `CuratedArchive.open` builds every slot once, after checking that
-provenance.csv's stored hours and the manifest's `gaps` cover
-`start`..`end` exactly once. A read is one `readinto` of exactly its slot's
-frame, straight into the array returned, from a shard that must be exactly
-the slot's shard bytes long.
+bytes. `CuratedArchive.open` reads manifest.json only: the stored hours are
+the range minus `gaps`, so its cost grows with the gaps and originals, not
+with the stored hours. A day's rows and slots are built on the day's first
+read (`read_frame`, `read_original` or a `provenance` lookup), which reads
+its day index whole and checks it: its hours are exactly the day's stored
+hours, every stamp decodes, and its resampled hours are exactly the day's
+originals. So a damaged day index is found at the first read of its day,
+not at open. A read is one `readinto` of exactly its slot's frame, straight
+into the array returned, from a shard that must be exactly the slot's shard
+bytes long.
 An archive is written once: the build writes a new sibling directory and
 renames it to its place, and refuses a directory that is not empty. So no
 file of another build is ever beside it, and the files an open archive
-reads never change. There is no format 1 reader: build such an archive
-again, into a new directory, with build-archive.
+reads never change. There are no format 1 or 2 readers: build such an
+archive again, into a new directory, with build-archive.
 """
 
 from __future__ import annotations
@@ -49,6 +53,7 @@ import json
 import os
 import shutil
 import threading
+from collections.abc import Container, Mapping
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack, closing
 from dataclasses import asdict, dataclass
@@ -67,9 +72,11 @@ from .indexer import PlannedFrame
 from .regrid import Frame, identity_or_resample
 from .sequencer import SequencePlan
 from .tables import read_table, write_table
-from .timecal import (HOUR, JulianStamp, calendar_to_julian, format_iso_z,
-                      hour_count, is_hour_step, julian_to_calendar, parse_iso_z)
+from .timecal import (HOUR, UTC, JulianStamp, calendar_to_julian,
+                      format_iso_z, hour_count, hour_range, is_hour_step,
+                      julian_to_calendar, parse_iso_z)
 
+FORMAT_VERSION = 3
 PROVENANCE_COLUMNS = ["tflag_date", "tflag_time", "cdate", "ctime", "wdate",
                       "wtime", "sdate", "stime", "forecast_id", "resampled",
                       "wrf_arw_init_time"]
@@ -136,6 +143,11 @@ def box_downsample(values: np.ndarray) -> np.ndarray:
 
 def _shard_name(day: date) -> str:
     return f"{day:%Y%m%d}.bin"
+
+
+def _index_path(root: Path, day: date) -> Path:
+    """The day index of `day` in the archive at `root`."""
+    return root / "L0" / f"{day:%Y%m%d}.csv"
 
 
 class _Headers:
@@ -232,11 +244,11 @@ def build_archive(plan: SequencePlan, canonical: GridGeometry,
 
 def _write_archive(plan: SequencePlan, canonical: GridGeometry, root: Path,
                    levels: int) -> None:
-    """The shards, provenance.csv and then manifest.json of a plan's
-    archive, written into the empty directory `root`.
+    """The shards and day indexes, then manifest.json, of a plan's archive,
+    written into the empty directory `root`.
 
-    Each day is one `_write_day` task, and the days' rows and originals are
-    merged in day order, so no file depends on the width. The first failed
+    Each day is one `_write_day` task, and the days' originals are merged
+    in day order, so no file depends on the width. The first failed
     day in day order raises, and a day stops at its first fault, so the
     error names the earliest failing timestep. On a failure the days not
     started are cancelled, and the build returns once every running day has
@@ -245,7 +257,6 @@ def _write_archive(plan: SequencePlan, canonical: GridGeometry, root: Path,
         sorted(plan.picks.items()), key=lambda item: item[0].date())}
     width = pool_width(canonical)
     headers = _Headers()
-    rows: list[list] = []  # provenance.csv
     originals: dict[GridGeometry, list[str]] = {}  # timesteps per source grid
     write = partial(_write_day, plan, canonical, root, headers)
     with ThreadPoolExecutor(width) as pool:
@@ -254,14 +265,12 @@ def _write_archive(plan: SequencePlan, canonical: GridGeometry, root: Path,
         # raises it cancels the days not started; leaving the `with` then
         # waits for the running ones.
         built = (pool.map if width > 1 else map)(write, days, days.values())
-        for day_rows, day_originals in built:
-            rows += day_rows
+        for day_originals in built:
             for grid, times in day_originals.items():
                 originals.setdefault(grid, []).extend(times)
 
-    write_table(root / "provenance.csv", PROVENANCE_COLUMNS, rows)
     manifest = {
-        "format_version": 2,
+        "format_version": FORMAT_VERSION,
         "tool_version": __version__,
         "geometry": asdict(canonical),
         "start": format_iso_z(plan.start),
@@ -277,9 +286,9 @@ def _write_archive(plan: SequencePlan, canonical: GridGeometry, root: Path,
 def _write_day(plan: SequencePlan, canonical: GridGeometry, root: Path,
                headers: _Headers, day: date,
                picks: list[tuple[datetime, PlannedFrame]]
-               ) -> tuple[list[list], dict[GridGeometry, list[str]]]:
-    """Day `day`'s shards under `root`, from its time-sorted `picks`; its
-    provenance.csv rows and its originals' timesteps by grid, in hour order."""
+               ) -> dict[GridGeometry, list[str]]:
+    """Day `day`'s shards and day index under `root`, from its time-sorted
+    `picks`; its originals' timesteps by grid, in hour order."""
     rows: list[list] = []
     originals: dict[GridGeometry, list[str]] = {}
     # one open per day shard: opening and closing the shard for each frame
@@ -307,11 +316,12 @@ def _write_day(plan: SequencePlan, canonical: GridGeometry, root: Path,
             rows.append(_provenance_cells(t, ProvenanceRow(
                 h.forecast_id, h.created, h.weather_init, h.smoke_init,
                 frame.resampled)))
-    return rows, originals
+    write_table(_index_path(root, day), PROVENANCE_COLUMNS, rows)
+    return originals
 
 
 def _provenance_cells(t: datetime, row: ProvenanceRow) -> list:
-    """Stored hour `t`'s provenance.csv cells, in PROVENANCE_COLUMNS order."""
+    """Stored hour `t`'s day index cells, in PROVENANCE_COLUMNS order."""
     tf, cd, wd, sd = map(calendar_to_julian, (
         t, row.created, row.weather_init, row.smoke_init))
     return [tf.date, tf.time, cd.date, cd.time, wd.date, wd.time, sd.date,
@@ -349,50 +359,95 @@ def _level_count(levels: int) -> int:
     return levels
 
 
-def _cover_fault(start: datetime, end: datetime, gaps: set[datetime],
+def _cover_fault(first: datetime, last: datetime, gaps: set[datetime],
                  stored: set[datetime]) -> str | None:
-    """Why the gaps and the stored hours do not cover every hour from start
-    to end exactly once, or None if they do."""
-    stray = sorted(t for t in gaps | stored
-                   if not (is_hour_step(t) and start <= t <= end))
+    """Why a day's gaps and stored hours do not cover every hour of the
+    range on that day, `first` to `last`, exactly once, or None if they do."""
+    day = first.date().isoformat()
+    stray = sorted(t for t in stored
+                   if not (is_hour_step(t) and first <= t <= last))
     if stray:
-        return f"{format_iso_z(stray[0])} is not an hour of the range"
+        return f"{format_iso_z(stray[0])} is not an hour of the range on {day}"
     both = gaps & stored
     if both:
         return f"{format_iso_z(min(both))} is both a gap and stored"
-    hours = hour_count(start, end)
+    hours = hour_count(first, last)
     if len(gaps) + len(stored) != hours:
-        return (f"{hours} hours from 'start' to 'end', but {len(gaps)} gaps "
-                f"and {len(stored)} stored")
+        return (f"on {day}, {hours} hours from 'start' to 'end', but "
+                f"{len(gaps)} gaps and {len(stored)} stored")
     return None
 
 
-def _day_slots(grids: dict[datetime, GridGeometry]) -> dict[datetime, Slot]:
-    """The slot of each hour, from each hour's grid: a day's frames lie
-    back to back in hour order in its shard, each the size of its own grid,
-    and an hour not in `grids` takes no room."""
-    slots = {}
-    for day, times in groupby(sorted(grids), key=datetime.date):
-        times = list(times)
-        sizes = [grids[t].nrows * grids[t].ncols * 4 for t in times]
-        name, total = _shard_name(day), sum(sizes)
-        for t, offset in zip(times, accumulate(sizes, initial=0)):
-            slots[t] = (name, offset, grids[t], total)
-    return slots
+def _day_slots(day: date, grids: dict[datetime, GridGeometry]
+               ) -> dict[datetime, Slot]:
+    """The slot of each of `day`'s hours in `grids`, from its grid: the
+    day's frames lie back to back in hour order in its shard, each the size
+    of its own grid, and an hour not in `grids` takes no room."""
+    times = sorted(grids)
+    sizes = [grids[t].nrows * grids[t].ncols * 4 for t in times]
+    name, total = _shard_name(day), sum(sizes)
+    return {t: (name, offset, grids[t], total)
+            for t, offset in zip(times, accumulate(sizes, initial=0))}
 
 
-def _original_grids(groups: list[dict], stored: dict[datetime, ProvenanceRow]
-                    ) -> dict[datetime, GridGeometry]:
-    """Each stored original's grid, from the manifest's groups by grid."""
-    grids = {}
+def _gap_set(texts: list[str], start: datetime,
+             end: datetime) -> set[datetime]:
+    """The manifest's gaps, each an hour of the range."""
+    gaps = set(map(parse_iso_z, texts))
+    stray = [t for t in gaps if not (is_hour_step(t) and start <= t <= end)]
+    if stray:
+        raise ValueError(f"{format_iso_z(min(stray))} is not an hour of the "
+                         f"range")
+    return gaps
+
+
+def _original_grids(groups: list[dict], stored: Container[datetime]
+                    ) -> dict[date, dict[datetime, GridGeometry]]:
+    """Each stored original's grid by its UTC day, from the manifest's
+    groups by grid."""
+    days = {}
     for group in groups:
         grid = GridGeometry(**group["geometry"]).validate()
         for text in group["timesteps"]:
             t = parse_iso_z(text)
             if t not in stored:
                 raise ValueError(f"{text} is not a stored timestep")
-            grids[t] = grid
-    return grids
+            days.setdefault(t.date(), {})[t] = grid
+    return days
+
+
+@dataclass(frozen=True)
+class _Day:
+    """One UTC day's stored hours, built from its day index."""
+    rows: dict[datetime, ProvenanceRow]
+    slots: dict[datetime, Slot]  # stored hour -> its level-0 frame
+    originals: dict[datetime, Slot]  # resampled hour -> its original
+
+
+class _Provenance(Mapping):
+    """Each stored hour's ProvenanceRow, in hour order. A lookup builds the
+    hour's day on its first read; listing the hours reads nothing."""
+
+    def __init__(self, archive: "CuratedArchive"):
+        self._archive = archive
+
+    def __getitem__(self, t: datetime) -> ProvenanceRow:
+        if t not in self:
+            raise KeyError(t)
+        return self._archive._day(t).rows[t]
+
+    def __contains__(self, t) -> bool:
+        a = self._archive
+        return (is_hour_step(t) and a.start <= t <= a.end
+                and t not in a.gaps)
+
+    def __iter__(self) -> Iterator[datetime]:
+        a = self._archive
+        return (t for t in hour_range(a.start, a.end) if t not in a.gaps)
+
+    def __len__(self) -> int:
+        a = self._archive
+        return hour_count(a.start, a.end) - len(a.gaps)
 
 
 @dataclass
@@ -403,28 +458,31 @@ class CuratedArchive:
     end: datetime
     levels: int
     gaps: set[datetime]
-    provenance: dict[datetime, ProvenanceRow]
-    slots: dict[datetime, Slot]  # stored hour -> its level-0 frame
-    originals: dict[datetime, Slot]  # resampled hour -> its original
+    # each stored original's grid, by UTC day
+    original_grids: dict[date, dict[datetime, GridGeometry]]
+
+    def __post_init__(self):
+        self._days: dict[date, _Day] = {}  # the days read so far
 
     @classmethod
     def open(cls, root: Path | str) -> "CuratedArchive":
-        """Open the archive at `root`. A missing, unreadable or malformed
-        manifest or provenance file raises ArchiveError naming the file and
-        the key or line at fault; gaps and stored hours that do not cover
-        the range exactly once, or resampled hours that are not exactly the
-        hours with a stored original, name both files."""
+        """Open the archive at `root`, reading manifest.json only. A
+        missing, unreadable or malformed manifest raises ArchiveError naming
+        it and the key at fault; so do a gap that is not an hour of the
+        range and an original that is not a stored hour. Each day index is
+        checked on its day's first read (`_day`)."""
         root = Path(root)
         path = root / "manifest.json"
         try:
-            manifest = json.loads(path.read_text())
+            with open(path) as f:
+                manifest = json.load(f)
         except OSError as e:
             raise ArchiveError(f"{path}: {e.strerror}") from e
         except ValueError as e:
             raise ArchiveError(f"{path}: not JSON: {e}") from e
         if not isinstance(manifest, dict):
             raise ArchiveError(f"{path}: not a JSON object")
-        if manifest.get("format_version") != 2:
+        if manifest.get("format_version") != FORMAT_VERSION:
             raise ArchiveError(f"{path}: unsupported archive format: "
                                f"{manifest.get('format_version')}; rebuild "
                                f"with build-archive")
@@ -443,31 +501,59 @@ class CuratedArchive:
         # a bad range is a bad end
         value("end", lambda _: hour_count(start, end))
         levels = value("levels", _level_count)
-        gaps = value("gaps", lambda texts: set(map(parse_iso_z, texts)))
+        gaps = value("gaps", lambda texts: _gap_set(texts, start, end))
+        archive = cls(root, geometry, start, end, levels, gaps, {})
+        # an original must be a stored hour, which the provenance names
+        archive.original_grids = value("originals", lambda groups: (
+            _original_grids(groups, archive.provenance)))
+        return archive
 
-        table = root / "provenance.csv"
+    @property
+    def provenance(self) -> Mapping[datetime, ProvenanceRow]:
+        """Stored hour -> the ProvenanceRow of its picked granule."""
+        return _Provenance(self)
+
+    def _day(self, t: datetime) -> _Day:
+        """The day of stored hour `t`, built on its first read. Threads that
+        first read one day at once may each build it; the builds are equal."""
+        day = t.astimezone(UTC).date()
+        built = self._days.get(day)
+        if built is None:
+            built = self._days[day] = self._read_day(day)
+        return built
+
+    def _read_day(self, day: date) -> _Day:
+        """Day `day`'s rows and slots, from its day index read whole. A
+        malformed index raises ArchiveError naming it and the line or the
+        column at fault; hours that are not exactly the day's stored hours,
+        or resampled hours that are not exactly the day's originals, name
+        the manifest and the index."""
+        table = _index_path(self.root, day)
         try:
-            provenance = dict(read_table(table, PROVENANCE_COLUMNS,
-                                         _provenance_entry))
+            rows = dict(read_table(table, PROVENANCE_COLUMNS,
+                                   _provenance_entry))
         except OSError as e:
             raise ArchiveError(f"{table}: {e.strerror}") from e
         except ValueError as e:
             raise ArchiveError(str(e)) from e
-        fault = _cover_fault(start, end, gaps, set(provenance))
+        manifest = self.root / "manifest.json"
+        midnight = datetime(day.year, day.month, day.day, tzinfo=UTC)
+        first = max(self.start, midnight)
+        last = min(self.end, midnight + 23 * HOUR)
+        gaps = {t for t in hour_range(first, last) if t in self.gaps}
+        fault = _cover_fault(first, last, gaps, set(rows))
         if fault:
-            raise ArchiveError(f"{path} and {table} disagree: {fault}")
-        slots = _day_slots(dict.fromkeys(provenance, geometry))
-        originals = _day_slots(value(
-            "originals", lambda groups: _original_grids(groups, provenance)))
-        resampled = {t for t, row in provenance.items() if row.resampled}
-        if resampled != originals.keys():
-            t = min(resampled ^ originals.keys())
+            raise ArchiveError(f"{manifest} and {table} disagree: {fault}")
+        grids = self.original_grids.get(day, {})
+        resampled = {t for t, row in rows.items() if row.resampled}
+        if resampled != grids.keys():
+            t = min(resampled ^ grids.keys())
             raise ArchiveError(
-                f"{path} and {table} disagree: {format_iso_z(t)} "
+                f"{manifest} and {table} disagree: {format_iso_z(t)} "
                 + ("is resampled but has no original" if t in resampled
                    else "has an original but is not resampled"))
-        return cls(root, geometry, start, end, levels, gaps, provenance,
-                   slots, originals)
+        return _Day(rows, _day_slots(day, dict.fromkeys(rows, self.geometry)),
+                    _day_slots(day, grids))
 
     def _check_range(self, t: datetime) -> None:
         if not self.start <= t <= self.end:
@@ -475,9 +561,15 @@ class CuratedArchive:
                                f"{self.start}..{self.end}")
 
     def _neighbors(self, t: datetime) -> tuple[datetime | None, datetime | None]:
-        """The nearest stored hours before and after `t`, if any."""
-        return (max((s for s in self.provenance if s < t), default=None),
-                min((s for s in self.provenance if s > t), default=None))
+        """The nearest stored hours before and after the gap `t`, if any:
+        a walk over the gaps next to `t`, which all lie in the range."""
+        before, after = t - HOUR, t + HOUR
+        while before in self.gaps:
+            before -= HOUR
+        while after in self.gaps:
+            after += HOUR
+        return (before if before >= self.start else None,
+                after if after <= self.end else None)
 
     def _read(self, directory: str, t: datetime, slot: Slot) -> np.ndarray:
         """Hour `t`'s float32 frame in its `slot` of a shard under
@@ -512,10 +604,11 @@ class CuratedArchive:
         self._check_range(t)
         if t in self.gaps:
             raise GapError(t, *self._neighbors(t))
-        values = self._read("L0", t, self.slots[t])
+        day = self._day(t)
+        values = self._read("L0", t, day.slots[t])
         for _ in range(level):
             values = box_downsample(values).astype(np.float32)
-        row = self.provenance[t]
+        row = day.rows[t]
         return (Frame(level_geometry(self.geometry, level), values,
                       resampled=row.resampled), row)
 
@@ -523,6 +616,7 @@ class CuratedArchive:
         """Pre-resample frame as an (nrows, ncols) array on the grid the
         manifest records for it, if one was stored for this timestep."""
         self._check_range(t)
-        if t not in self.originals:
+        if t in self.gaps:
             return None
-        return self._read("originals", t, self.originals[t])
+        slot = self._day(t).originals.get(t)
+        return None if slot is None else self._read("originals", t, slot)

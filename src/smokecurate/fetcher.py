@@ -5,9 +5,10 @@ Each body is put under a temp name and checked (header, payload values,
 exact length) by reading it once through one bounded buffer; only a body
 that passes is renamed into the cache, so no HTML page, truncated body or NaN
 payload can ever land there. A body that fails is renamed whole into
-`rejects/`. A body that ends before its Content-Length is a network fault,
-not bad content: it is retried like any other I/O error, and never
-quarantined.
+`rejects/`, and a run's rejected body is removed once the run is in the
+cache, so a cache's tree does not depend on its history. A body that ends
+before its Content-Length is a network fault, not bad content: it is
+retried like any other I/O error, and never quarantined.
 
 Link, else copy. A local portal file is hard-linked to the temp name, and
 checked by reading the file it was opened as; the link is kept only if it
@@ -27,6 +28,7 @@ from __future__ import annotations
 import os
 import re
 import shutil
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
@@ -43,6 +45,9 @@ _ID_INIT_RE = re.compile(r"^[A-Z]{3}(\d{2})")
 RETRIES = 3          # attempts per granule before it is an io_error
 TIMEOUT_S = 30.0     # per HTTP connect and read
 BACKOFF_S = 1.0      # wait before the second attempt; doubles after each
+# orders the fetch threads' changes to `rejects/` directories, so that one
+# thread never removes a directory another has just made for its reject
+_REJECTS_LOCK = threading.Lock()
 
 
 class ConfigError(ValueError):
@@ -202,6 +207,28 @@ def _publish(tmp: Path, dest: Path) -> None:
     tmp.unlink(missing_ok=True)
 
 
+def _quarantine(tmp: Path, reject: Path) -> None:
+    """Rename the rejected body `tmp` to `reject`, under `rejects/`."""
+    with _REJECTS_LOCK:
+        reject.parent.mkdir(parents=True, exist_ok=True)
+        _publish(tmp, reject)
+
+
+def _drop_reject(reject: Path) -> None:
+    """Remove a run's rejected body, if an earlier fetch left one, and each
+    `rejects/` directory that this leaves empty."""
+    with _REJECTS_LOCK:
+        try:
+            reject.unlink()
+        except FileNotFoundError:
+            return
+        for directory in (reject.parent, reject.parent.parent):
+            try:
+                directory.rmdir()
+            except OSError:  # not empty
+                return
+
+
 def fetch_one(endpoint: SourceEndpoint, forecast_id: str, day: date,
               cache_root: Path) -> FetchRecord:
     url = build_url(endpoint, forecast_id, day)
@@ -212,6 +239,7 @@ def fetch_one(endpoint: SourceEndpoint, forecast_id: str, day: date,
         try:
             with open(target, "rb") as f:
                 validate_stream(f)
+            _drop_reject(reject)
             return FetchRecord(forecast_id, day, "downloaded", 0, 0)
         except GranuleError:
             target.unlink()  # stale junk; refetch
@@ -236,9 +264,9 @@ def fetch_one(endpoint: SourceEndpoint, forecast_id: str, day: date,
                     size = tee.count
             if error_offset is None:
                 _publish(tmp, target)
+                _drop_reject(reject)
                 return FetchRecord(forecast_id, day, "downloaded", size, attempt)
-            reject.parent.mkdir(parents=True, exist_ok=True)
-            _publish(tmp, reject)
+            _quarantine(tmp, reject)
             return FetchRecord(forecast_id, day, "invalid_content", size,
                                attempt, error_offset)
         except NotFound:

@@ -7,12 +7,15 @@ express anything finer.
 from __future__ import annotations
 
 import calendar
+import re
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 
 UTC = timezone.utc
 HOUR = timedelta(hours=1)
 ISO_Z = "%Y-%m-%dT%H:%M:%SZ"
+# the one shape of ISO_Z text `format_iso_z` writes: ASCII digits only
+_ISO_Z_SHAPE = re.compile(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\dZ", re.ASCII)
 
 
 class EncodingError(ValueError):
@@ -77,7 +80,17 @@ def format_iso_z(t: datetime) -> str:
 
 
 def parse_iso_z(text: str) -> datetime:
-    """The aware UTC datetime that an ISO_Z text names."""
+    """The aware UTC datetime that an ISO_Z text names.
+
+    A text of `format_iso_z`'s exact shape is read by `fromisoformat`,
+    which costs a fraction of `strptime`. `strptime` reads every other
+    text, and every text `fromisoformat` refuses, so each text gets
+    `strptime`'s result or its error."""
+    if _ISO_Z_SHAPE.fullmatch(text):
+        try:
+            return datetime.fromisoformat(text[:19]).replace(tzinfo=UTC)
+        except ValueError:
+            pass
     return datetime.strptime(text, ISO_Z).replace(tzinfo=UTC)
 
 

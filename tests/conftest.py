@@ -94,8 +94,9 @@ def archive_from_frames(tmp_path, frames, geometry=SMALL_GEOM, start=T0,
 
 
 class _Counted:
-    """A binary stream whose `read` and `readinto` add the bytes they
-    return to `reads[key]`; everything else goes to the stream."""
+    """A stream whose `read`, `readinto` and lines add the bytes (or, for a
+    text stream, the characters) they return to `reads[key]`; everything
+    else goes to the stream."""
 
     def __init__(self, stream, reads: Counter, key: str):
         self._stream, self._reads, self._key = stream, reads, key
@@ -109,6 +110,14 @@ class _Counted:
         n = self._stream.readinto(buf)
         self._reads[self._key] += n or 0
         return n
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        line = next(self._stream)
+        self._reads[self._key] += len(line)
+        return line
 
     def __getattr__(self, name):
         return getattr(self._stream, name)
@@ -130,17 +139,19 @@ class ReadCounts(Counter):
 
 
 @contextmanager
-def count_reads():
+def count_reads(text=False):
     """Count, per path, the bytes returned while the block runs by `read`
-    and `readinto` on binary files opened with `open`. The one byte counter
-    of the tests: `with count_reads() as reads:` gives a `ReadCounts`, whose
-    `wrap` counts any other stream the same way."""
+    and `readinto` on binary files opened with `open`, and with `text` also
+    the characters read from text files opened with `open` (their bytes, for
+    ASCII files such as the archive's manifest and day indexes). The one
+    byte counter of the tests: `with count_reads() as reads:` gives a
+    `ReadCounts`, whose `wrap` counts any other stream the same way."""
     reads = ReadCounts()
     real_open = builtins.open
 
     def counted_open(file, mode="r", *args, **kwargs):
         f = real_open(file, mode, *args, **kwargs)
-        return reads.wrap(f, str(file)) if "b" in mode else f
+        return reads.wrap(f, str(file)) if text or "b" in mode else f
 
     with mock.patch.object(builtins, "open", counted_open):
         yield reads

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import shutil
 import threading
 import time
 import tracemalloc
@@ -286,7 +287,7 @@ def test_day_shards_read_back_every_hour(tmp_path_factory, data):
     arch = build_archive(plan, SMALL_GEOM, root / "arch", levels=levels)
     assert not (root / ".arch.building").exists()
     assert sorted(p.name for p in (arch.root / "L0").glob("*")) == \
-        sorted({f"{t:%Y%m%d}.bin" for t in stored})
+        sorted({f"{t:%Y%m%d}{ext}" for t in stored for ext in (".bin", ".csv")})
     assert not list(arch.root.glob("L[1-9]*"))
 
     with count_reads() as reads:
@@ -328,8 +329,9 @@ def test_provenance_preserves_original_stamps(tmp_path):
     assert {t.tzinfo for t in (row.smoke_init, row.created,
                                row.weather_init)} == {UTC}
     assert not row.resampled
-    # the stamps stay integers in the file: tflag, creation, weather, smoke
-    header, _, line = (tmp_path / "arch_single" / "provenance.csv") \
+    # the stamps stay integers in the day index: tflag, creation, weather,
+    # smoke
+    header, _, line = (tmp_path / "arch_single" / "L0" / "20220302.csv") \
         .read_text().splitlines()
     assert header == ",".join(PROVENANCE_COLUMNS)
     assert line == ("2022061,10000,2022061,10000,2022060,180000,2022061,0,"
@@ -418,13 +420,29 @@ def test_provenance_and_manifest_bytes_are_pinned(tmp_path):
     assert (len(plan.picks), len(plan.gaps)) == (60, 30)
     arch = build_archive(plan, DESK_GEOMETRY, tmp_path / "a", levels=2)
     assert sum(r.resampled for r in arch.provenance.values()) == 30
-    digest = {name: hashlib.sha256((tmp_path / "a" / name).read_bytes()).hexdigest()
-              for name in ("provenance.csv", "manifest.json")}
+    indexes = sorted((tmp_path / "a" / "L0").glob("*.csv"))
+    digest = {str(p.relative_to(tmp_path / "a")):
+              hashlib.sha256(p.read_bytes()).hexdigest()
+              for p in [tmp_path / "a" / "manifest.json", *indexes]}
     assert digest == {
-        "provenance.csv":
-            "f92fda61590c33393501793ef3305167e76d183dbc3fe22e678c13de06eb6a93",
         "manifest.json":
-            "ccd36cb7c8ab69eb4eaf14a5a2bec064d84db85a6707098ded5d4e1b9782f9a3"}
+            "c4cec1786b9b9af2c485d9fd660218d1bad0a8b3caaf846ad687589d63c1c831",
+        "L0/20220302.csv":
+            "2609ad6fef331c5cb59077a31efb4e0939c09831bb7c08214779cabe8427f8c6",
+        "L0/20220303.csv":
+            "f1fca264ef2720fdb1585d4defbb9441c505c073e7ecd868c79a72015a6015cb",
+        "L0/20220304.csv":
+            "2051782718920b71d93a787687acb938465e94e796db72d7b8aadae9322d5687",
+        "L0/20220305.csv":
+            "cd00026421bc94460874a3b4371f707dac8bad011a08232e960bc8ff3ff15d5b"}
+    # the day indexes' rows, joined in day order under one header, are the
+    # bytes of the single provenance.csv that format 2 wrote
+    header, *_ = indexes[0].read_bytes().splitlines(keepends=True)
+    joined = header + b"".join(line for p in indexes
+                               for line in p.read_bytes().splitlines(
+                                   keepends=True)[1:])
+    assert hashlib.sha256(joined).hexdigest() == \
+        "f92fda61590c33393501793ef3305167e76d183dbc3fe22e678c13de06eb6a93"
 
 
 def gapped_archive(tmp_path, levels=1):
@@ -492,11 +510,92 @@ def test_read_cost_independent_of_archive_length(tmp_path):
     assert short_reads.total() == long_reads.total() > 0
 
 
+def test_open_reads_the_manifest_only(tmp_path):
+    """`open` reads manifest.json and nothing else, the same bytes for 120
+    stored hours as for 8,760: a one-year gapless archive's manifest is the
+    120-hour one's with a later `end` (open reads no day index and no
+    shard, so the year needs none of them to open)."""
+    (tmp_path / "short").mkdir()
+    short = archive_from_frames(tmp_path / "short",
+                                random_frames(120, DESK_GEOMETRY),
+                                geometry=DESK_GEOMETRY).root
+    year = tmp_path / "year"
+    shutil.copytree(short, year)
+    _manifest_with(lambda m: m.update(end="2023-03-01T23:00:00Z"))(year)
+    _manifest_with(lambda m: None)(short)  # the same JSON spacing
+    counts = []
+    for root, hours in ((short, 120), (year, 8760)):
+        with count_reads(text=True) as reads:
+            arch = CuratedArchive.open(root)
+        assert list(reads) == [str(root / "manifest.json")]
+        assert len(arch.provenance) == hours
+        counts.append(reads.total())
+    assert counts[0] == counts[1] == (short / "manifest.json").stat().st_size
+
+
+def test_a_days_first_read_reads_its_index_once(tmp_path):
+    """The first read of a day, by `read_frame`, `read_original` or a
+    `provenance` lookup, reads the day's index whole; every later read of
+    the day reads only its slot. Listing the stored hours reads nothing."""
+    arch = archive_from_frames(tmp_path, random_frames(48))
+    frame = SMALL_GEOM.nrows * SMALL_GEOM.ncols * 4
+    index, shard = (arch.root / "L0" / "20220302.csv",
+                    arch.root / "L0" / "20220302.bin")
+    index2 = arch.root / "L0" / "20220303.csv"
+    with count_reads(text=True) as reads:
+        assert len(list(arch.provenance)) == len(arch.provenance) == 48
+        assert T0 + 47 * HOUR in arch.provenance
+        assert T0 + 48 * HOUR not in arch.provenance
+        assert reads == {}
+        arch.read_frame(T0 + 3 * HOUR)
+        assert reads == {str(index): index.stat().st_size, str(shard): frame}
+        arch.read_frame(T0 + 4 * HOUR, level=1)
+        assert arch.read_original(T0 + 5 * HOUR) is None
+        assert arch.provenance[T0 + 23 * HOUR].forecast_id == "BSC00CA12-01"
+        assert reads == {str(index): index.stat().st_size,
+                         str(shard): 2 * frame}
+        arch.provenance[T0 + 24 * HOUR]
+        assert reads[str(index2)] == index2.stat().st_size
+        assert len(reads) == 3
+
+
+@pytest.mark.parametrize("expect", [
+    {0: (None, 2), 1: (None, 2), 4: (3, 6), 5: (3, 6), 7: (6, None)},
+    {1: (0, 3), 2: (0, 3), 5: (4, 7), 6: (4, 7)},
+], ids=["gaps-at-both-ends", "stored-at-both-ends"])
+def test_gap_neighbors_walk_the_gaps_not_the_stored_hours(tmp_path,
+                                                          monkeypatch, expect):
+    """A gap's GapError names the nearest stored hours of an 8-hour
+    archive, found by a walk over the gaps beside it: none before a leading
+    run of gaps, none after a trailing one, the first or last hour where it
+    is stored, and no read or listing of the stored hours."""
+    cached_granule(tmp_path / "cache", random_frames(8, seed=3))
+    plan = plan_hours(tmp_path / "cache", 8)
+    for k in expect:
+        del plan.picks[T0 + k * HOUR]
+        plan.gaps.append(T0 + k * HOUR)
+    plan.gaps.sort()
+    arch = build_archive(plan, SMALL_GEOM, tmp_path / "arch")
+
+    def no_listing(self):
+        raise AssertionError("listed every stored hour")
+
+    monkeypatch.setattr(archive._Provenance, "__iter__", no_listing)
+    monkeypatch.setattr(archive, "hour_range", no_listing)
+    with count_reads(text=True) as reads:
+        for k, (before, after) in expect.items():
+            with pytest.raises(GapError) as err:
+                arch.read_frame(T0 + k * HOUR)
+            assert (err.value.nearest_before, err.value.nearest_after) == tuple(
+                None if h is None else T0 + h * HOUR for h in (before, after))
+    assert reads == {}
+
+
 def test_manifest_contents(tmp_path):
     import json
     arch = gapped_archive(tmp_path, levels=2)
     manifest = json.loads((arch.root / "manifest.json").read_text())
-    assert manifest["format_version"] == 2
+    assert manifest["format_version"] == 3
     assert manifest["levels"] == 2
     assert manifest["start"] == "2022-03-02T00:00:00Z"
     assert manifest["end"] == "2022-03-02T05:00:00Z"
@@ -504,11 +603,11 @@ def test_manifest_contents(tmp_path):
     assert manifest["geometry"]["nrows"] == 6
     assert manifest["originals"] == []
     # only level 0 is stored: the five stored hours fill the day's shard,
-    # and the gap hour takes no bytes
+    # and the gap hour takes no bytes; the day index is beside its shard
     assert sorted(p.name for p in arch.root.iterdir()) == \
-        ["L0", "manifest.json", "provenance.csv"]
+        ["L0", "manifest.json"]
     assert sorted(p.name for p in (arch.root / "L0").iterdir()) == \
-        ["20220302.bin"]
+        ["20220302.bin", "20220302.csv"]
     assert (arch.root / "L0" / "20220302.bin").stat().st_size == \
         5 * SMALL_GEOM.nrows * SMALL_GEOM.ncols * 4
     reopened = CuratedArchive.open(arch.root)
@@ -629,11 +728,12 @@ def test_bad_level_count_leaves_an_existing_archive(tmp_path, levels):
 def test_manifest_missing_a_gap_hour_is_refused(tmp_path):
     root = gapped_archive(tmp_path).root
     _manifest_with(lambda m: m.update(gaps=[]))(root)
+    arch = CuratedArchive.open(root)  # the manifest alone is consistent
     with pytest.raises(ArchiveError) as err:
-        CuratedArchive.open(root)
+        arch.read_frame(T0)
     assert str(err.value).startswith(
-        f"{root / 'manifest.json'} and {root / 'provenance.csv'} disagree: "
-        f"6 hours from 'start' to 'end', but 0 gaps and 5 stored")
+        f"{root / 'manifest.json'} and {root / INDEX} disagree: on "
+        f"2022-03-02, 6 hours from 'start' to 'end', but 0 gaps and 5 stored")
 
 
 def tree_digests(root):
@@ -738,10 +838,14 @@ def _manifest_with(edit):
     return damage
 
 
-def _provenance_cell(column, value):
+# the day index of the archives that `archive_from_frames` builds
+INDEX = "L0/20220302.csv"
+
+
+def _index_cell(column, value):
     """Set `column` of the second data row (line 3 of the file)."""
     def damage(root):
-        path = root / "provenance.csv"
+        path = root / INDEX
         lines = path.read_text().splitlines()
         row = lines[2].split(",")
         row[PROVENANCE_COLUMNS.index(column)] = value
@@ -750,9 +854,9 @@ def _provenance_cell(column, value):
     return damage
 
 
-def _provenance_header(column, name):
+def _index_header(column, name):
     def damage(root):
-        path = root / "provenance.csv"
+        path = root / INDEX
         path.write_text(path.read_text().replace(column, name, 1))
     return damage
 
@@ -764,73 +868,87 @@ def _truncate(name):
     return damage
 
 
-@pytest.mark.parametrize("damage, file, where", [
-    (_truncate("manifest.json"), "manifest.json", "not JSON"),
-    (_manifest_with(lambda m: m.pop("gaps")), "manifest.json", "no 'gaps' key"),
+# `at` is where the damage is found: at open, which reads the manifest
+# only, or at the first read of the damaged day, which reads its day index
+@pytest.mark.parametrize("damage, file, where, at", [
+    (_truncate("manifest.json"), "manifest.json", "not JSON", "open"),
+    (_manifest_with(lambda m: m.pop("gaps")), "manifest.json", "no 'gaps' key",
+     "open"),
     (_manifest_with(lambda m: m.update(start="yesterday")), "manifest.json",
-     "bad 'start'"),
+     "bad 'start'", "open"),
     (_manifest_with(lambda m: m["geometry"].update(nrows="six")),
-     "manifest.json", "bad 'geometry'"),
+     "manifest.json", "bad 'geometry'", "open"),
     (_manifest_with(lambda m: m.update(levels="3")), "manifest.json",
-     "bad 'levels'"),
+     "bad 'levels'", "open"),
     (_manifest_with(lambda m: m.update(levels=True)), "manifest.json",
-     "bad 'levels'"),
-    (_provenance_cell("tflag_time", "250000"), "provenance.csv", "line 3"),
-    (_provenance_cell("cdate", "x"), "provenance.csv", "line 3"),
-    (_provenance_cell("cdate", "9999999"), "provenance.csv",
-     "line 3: date=9999999"),
-    (_provenance_cell("resampled", "yes"), "provenance.csv",
-     "line 3: resampled is 'yes'"),
-    (_provenance_cell("wrf_arw_init_time", "2022-03-01T00:00:00Z"),
-     "provenance.csv", "line 3: wrf_arw_init_time '2022-03-01T00:00:00Z'"),
-    (_provenance_header("resampled", "resample"), "provenance.csv",
-     ": missing column resampled"),
-    (lambda root: (root / "provenance.csv").unlink(), "provenance.csv",
-     "No such file"),
+     "bad 'levels'", "open"),
+    (_index_cell("tflag_time", "250000"), INDEX, "line 3", "read"),
+    (_index_cell("cdate", "x"), INDEX, "line 3", "read"),
+    (_index_cell("cdate", "9999999"), INDEX, "line 3: date=9999999", "read"),
+    (_index_cell("resampled", "yes"), INDEX, "line 3: resampled is 'yes'",
+     "read"),
+    (_index_cell("wrf_arw_init_time", "2022-03-01T00:00:00Z"), INDEX,
+     "line 3: wrf_arw_init_time '2022-03-01T00:00:00Z'", "read"),
+    (_index_header("resampled", "resample"), INDEX,
+     ": missing column resampled", "read"),
+    (lambda root: (root / INDEX).unlink(), INDEX, "No such file", "read"),
     (lambda root: (root / "manifest.json").unlink(), "manifest.json",
-     "No such file"),
+     "No such file", "open"),
     (_manifest_with(lambda m: m.update(format_version=1)), "manifest.json",
-     "unsupported archive format: 1; rebuild with build-archive"),
+     "unsupported archive format: 1; rebuild with build-archive", "open"),
+    (_manifest_with(lambda m: m.update(format_version=2)), "manifest.json",
+     "unsupported archive format: 2; rebuild with build-archive", "open"),
     (_manifest_with(lambda m: m.update(end="2022-03-01T00:00:00Z")),
-     "manifest.json", "bad 'end'"),
+     "manifest.json", "bad 'end'", "open"),
     (_manifest_with(lambda m: m.update(originals=[
         {"geometry": m["geometry"], "timesteps": ["2022-03-09T00:00:00Z"]}])),
-     "manifest.json", "bad 'originals': 2022-03-09T00:00:00Z is not a stored"),
+     "manifest.json", "bad 'originals': 2022-03-09T00:00:00Z is not a stored",
+     "open"),
     (_manifest_with(lambda m: m.update(originals=[{"timesteps": []}])),
-     "manifest.json", "bad 'originals'"),
+     "manifest.json", "bad 'originals'", "open"),
     (_manifest_with(lambda m: m.update(gaps=["2022-03-02T01:00:00Z"])),
-     "manifest.json", "provenance.csv disagree: 2022-03-02T01:00:00Z is "
-     "both a gap and stored"),
+     "manifest.json", f"{INDEX} disagree: 2022-03-02T01:00:00Z is both a gap "
+     "and stored", "read"),
     (_manifest_with(lambda m: m.update(end="9999-12-31T23:00:00Z")),
-     "manifest.json", "hours from 'start' to 'end', but 0 gaps and 3 stored"),
+     "manifest.json", "hours from 'start' to 'end', but 0 gaps and 3 stored",
+     "read"),
     (_manifest_with(lambda m: m.update(gaps=["2022-03-09T00:00:00Z"])),
-     "manifest.json", "disagree: 2022-03-09T00:00:00Z is not an hour of "
-     "the range"),
-    (_provenance_cell("wrf_arw_init_time", "2022-03-01T18:00:00Z,x"),
-     "provenance.csv", "line 3: more cells than the header names"),
-    (_provenance_cell("resampled", "true"), "manifest.json",
-     "provenance.csv disagree: 2022-03-02T01:00:00Z is resampled but has no "
-     "original"),
+     "manifest.json", "bad 'gaps': 2022-03-09T00:00:00Z is not an hour of "
+     "the range", "open"),
+    (_index_cell("wrf_arw_init_time", "2022-03-01T18:00:00Z,x"), INDEX,
+     "line 3: more cells than the header names", "read"),
+    (_index_cell("resampled", "true"), "manifest.json",
+     f"{INDEX} disagree: 2022-03-02T01:00:00Z is resampled but has no "
+     "original", "read"),
     (_manifest_with(lambda m: m.update(originals=[
         {"geometry": m["geometry"], "timesteps": ["2022-03-02T01:00:00Z"]}])),
-     "manifest.json", "provenance.csv disagree: 2022-03-02T01:00:00Z has an "
-     "original but is not resampled"),
+     "manifest.json", f"{INDEX} disagree: 2022-03-02T01:00:00Z has an "
+     "original but is not resampled", "read"),
 ], ids=["truncated-manifest", "no-gaps", "bad-start", "text-nrows",
         "text-levels", "boolean-levels", "tflag-time-out-of-range", "non-integer-stamp",
         "creation-stamp-out-of-range", "resampled-not-boolean",
         "weather-text-not-stamp", "renamed-column",
-        "no-provenance", "no-manifest", "format-1", "end-before-start",
-        "original-not-stored", "original-without-grid", "gap-is-stored",
-        "far-end", "gap-out-of-range", "extra-cell", "resampled-no-original",
-        "original-not-resampled"])
+        "no-provenance", "no-manifest", "format-1", "format-2",
+        "end-before-start", "original-not-stored", "original-without-grid",
+        "gap-is-stored", "far-end", "gap-out-of-range", "extra-cell",
+        "resampled-no-original", "original-not-resampled"])
 def test_damaged_archive_open_names_file_and_place(tmp_path, damage, file,
-                                                   where):
+                                                   where, at):
     root = archive_from_frames(tmp_path, random_frames(3)).root
     damage(root)
     with pytest.raises(ArchiveError) as err:
-        CuratedArchive.open(root)
+        arch = CuratedArchive.open(root)
+        assert at == "read", "open passed a damaged manifest"
+        arch.read_frame(T0)
     assert str(err.value).startswith(str(root / file))
     assert where in str(err.value)
+    if at == "read":  # found at the day's first read, by any read of the day
+        for read in (lambda a: a.read_frame(T0 + 2 * HOUR),
+                     lambda a: a.read_original(T0),
+                     lambda a: a.provenance[T0 + 2 * HOUR]):
+            with pytest.raises(ArchiveError) as again:
+                read(CuratedArchive.open(root))
+            assert str(again.value) == str(err.value)
 
 
 def cached_granule(tmp_path, frames, geometry=SMALL_GEOM):
@@ -998,7 +1116,7 @@ def test_missing_picked_granule_aborts_build(tmp_path):
 def test_frame_times_come_from_the_header_read(tmp_path, monkeypatch):
     # frame times come from the header's first frame: coverage decodes no
     # stamp, and the build decodes each tflag stamp once in its header read
-    # and once more when CuratedArchive.open reads the provenance rows back
+    # and once more when the day's first read reads its day index back
     cached_granule(tmp_path / "cache", random_frames(6, seed=5))
     records = scan_cache(tmp_path / "cache")
     tflag = [calendar_to_julian(T0 + i * HOUR) for i in range(6)]
@@ -1011,10 +1129,14 @@ def test_frame_times_come_from_the_header_read(tmp_path, monkeypatch):
     plan = plan_sequence(build_coverage(records), T0, T0 + timedelta(hours=5))
     assert calls == []
     arch = build_archive(plan, SMALL_GEOM, tmp_path / "arch")
+    # listing the stored hours reads no day index and decodes no stamp
     assert list(map(calendar_to_julian, arch.provenance)) == tflag
+    assert calls.count(weather) == 1
+    assert [calendar_to_julian(t) for t, _ in arch.provenance.items()] == tflag
     # tflag[0] and tflag[1] are also the smoke init and creation stamps,
-    # which the header read validates once more; open decodes the granule's
-    # creation, weather and smoke stamps once, for all six rows
+    # which the header read validates once more; the day's first read
+    # decodes the granule's creation, weather and smoke stamps once, for
+    # all six rows
     counts = Counter(calls)
     assert [counts[stamp] for stamp in tflag] == [2 + 2, 2 + 2] + [2] * 4
     assert counts[weather] == 2

@@ -112,7 +112,8 @@ def test_full_pipeline_artifacts(pipeline):
     manifest = json.loads((pipeline / "arch" / "manifest.json").read_text())
     assert manifest["levels"] == 2
     assert manifest["gaps"] == []
-    assert (pipeline / "arch" / "provenance.csv").is_file()
+    assert sorted(p.name for p in (pipeline / "arch" / "L0").glob("*.csv")) \
+        == ["20220302.csv", "20220303.csv", "20220304.csv"]
     report = (pipeline / "fetch_report.csv").read_text().splitlines()
     assert len(report) == 1 + 2 * 3
 
@@ -501,16 +502,20 @@ def test_plot_shares_query_and_analyze_outputs(pipeline, runner):
 PINNED_OUTPUTS = {
     "arch/L0/20220303.bin":
         "a0a47fa3826778b327a6672685cd349b0c49ef813d5dbfaa9b7c26f8f274c093",
+    "arch/L0/20220303.csv":
+        "9e3932cc7103cc48aad4d39cc5a2d6c22d495c45c0268321428d8e3823592d41",
     "arch/L0/20220304.bin":
         "dc96b3237d19ccb42c3cd84a6497d0c5399b37703482854406552dff30bee7d3",
+    "arch/L0/20220304.csv":
+        "6fd726014e503e1c3994a07abe3c0bf27c0d9e4bd3054ff658820ca68d8bfb8f",
     "arch/L0/20220305.bin":
         "3dc9df0905fb30974551ae9c5e09478574df6ced2e59daf0860ae8171bd46453",
+    "arch/L0/20220305.csv":
+        "ea2f0f594ffa4adbd929b9230d75d074353f8189d5d30d43c312d59bbb343d33",
     "arch/manifest.json":
-        "a6760e270393eecd4ebf9eb880bba20a96eadd12641d026f4ed094138dd8c4f6",
+        "0cf4ac2a0524f45458ee978709eb9562fa890822266cbf4fb3d03a6fe4b516fc",
     "arch/originals/20220303.bin":
         "7fcff0a70aa09943ef940349866196b65ccca6f68d38d64613225bb86ac17c54",
-    "arch/provenance.csv":
-        "7e0ba8c173ada0562462f39a9f2972f4bfbc5d2b07b807a75796b79ec2037eb1",
     "cache/BSC00CA12-01/dispersion_20220303.gran":
         "a2dd77b3f34e2b2486ba927301c9bc807eab525243989e0956b20feee1fd1ea8",
     "cache/BSC00CA12-01/dispersion_20220304.gran":

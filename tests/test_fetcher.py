@@ -7,8 +7,10 @@ import shutil
 import struct
 import tempfile
 import threading
+import time
 import tracemalloc
 from contextlib import contextmanager
+from dataclasses import replace
 from datetime import date
 from functools import partial
 from http.server import (BaseHTTPRequestHandler, SimpleHTTPRequestHandler,
@@ -589,6 +591,89 @@ def test_a_fetch_run_again_leaves_the_tree_of_one_fetch(tmp_path, route):
         assert tree(tmp_path / "twice") == tree(tmp_path / "once")
     assert [r.outcome for r in again.records] == \
         [r.outcome for r in once.records]
+
+
+def names(root):
+    """Every file and directory under `root`, by relative path."""
+    return sorted(p.relative_to(root).as_posix() for p in root.rglob("*"))
+
+
+def test_a_fixed_run_leaves_no_reject_behind(tmp_path, route):
+    """Once the portal replaces a rejected run with a sound one, the next
+    fetch downloads it and drops its rejected body, with each `rejects/`
+    directory this empties: the cache equals a clean fetch of the fixed
+    portal, name for name and byte for byte. A run kept rejected keeps its
+    body, and a reject found beside a sound cached granule is dropped."""
+    spec, _ = make_corpus(
+        tmp_path, faults=FaultProfile(missing_run_rate=0.2, html_rate=0.2,
+                                      truncation_rate=0.2), seed=9)
+    generate_corpus(replace(spec, fault_profile=FaultProfile()),
+                    tmp_path / "sound")
+    portal, sound = (SourceEndpoint(str(tmp_path / d))
+                     for d in ("corpus", "sound"))
+    fetch = partial(fetch_range, portal, list(IDS), spec.start_date,
+                    spec.end_date)
+    rejected = fetch(tmp_path / "cache").by_outcome("invalid_content")
+    assert len(rejected) >= 2
+    for r in rejected[1:]:  # the first stays rejected
+        path = Path(build_url(portal, r.forecast_id, r.date))
+        shutil.copyfile(build_url(sound, r.forecast_id, r.date),
+                        path.with_suffix(".new"))
+        os.replace(path.with_suffix(".new"), path)
+    again = fetch(tmp_path / "cache")
+    clean = fetch(tmp_path / "clean")
+    outcomes = [r.outcome for r in clean.records]
+    assert [r.outcome for r in again.records] == outcomes
+    assert names(tmp_path / "cache") == names(tmp_path / "clean")
+    assert tree(tmp_path / "cache") == tree(tmp_path / "clean")
+    kept = tmp_path / "clean" / "rejects" / rejected[0].forecast_id / \
+        f"dispersion_{rejected[0].date:%Y%m%d}.bin"
+    assert kept.is_file()
+
+    # a reject beside its run's sound cached granule, as an earlier
+    # version of the fetch left it
+    fixed = rejected[1]
+    stale = tmp_path / "cache" / "rejects" / fixed.forecast_id / \
+        f"dispersion_{fixed.date:%Y%m%d}.bin"
+    stale.parent.mkdir(parents=True, exist_ok=True)
+    stale.write_bytes(b"<html>not a granule</html>")
+    assert [r.outcome for r in fetch(tmp_path / "cache").records] == outcomes
+    assert names(tmp_path / "cache") == names(tmp_path / "clean")
+    assert tree(tmp_path / "cache") == tree(tmp_path / "clean")
+
+
+def test_a_dropped_reject_never_removes_a_directory_in_use(tmp_path,
+                                                           monkeypatch):
+    """One fetch downloads a fixed run, whose reject is the only file in
+    its `rejects/` directory, while another thread quarantines a run of the
+    same forecast id into that directory. Renames are slowed so that the
+    quarantine has made the directory before the drop runs, and renames
+    into the cache wait less than renames into `rejects/`: the drop must
+    not remove the directory under the quarantine, which would cost the
+    quarantined run a second attempt."""
+    fixed, bad = DAY, date(2022, 3, 3)
+    publish(tmp_path / "portal", b"<html>not a granule</html>")
+    portal = SourceEndpoint(str(tmp_path / "portal"))
+    fetch_range(portal, [FID], fixed, fixed, tmp_path / "cache")
+    assert reject_path(tmp_path / "cache").is_file()
+    publish(tmp_path / "portal", simple_granule_bytes(ntimes=3))
+    bad_path = Path(build_url(portal, FID, bad))
+    bad_path.parent.mkdir(parents=True)
+    bad_path.write_bytes(b"<html>not a granule</html>")
+
+    publish_now = fetcher._publish
+
+    def slow_publish(tmp, dest):
+        time.sleep(0.3 if "rejects" in dest.parts else 0.1)
+        publish_now(tmp, dest)
+
+    monkeypatch.setattr(fetcher, "_publish", slow_publish)
+    report = fetch_range(portal, [FID], fixed, bad, tmp_path / "cache",
+                         parallel=2)
+    assert [(r.outcome, r.attempts) for r in report.records] == \
+        [("downloaded", 1), ("invalid_content", 1)]
+    assert names(tmp_path / "cache" / "rejects") == \
+        [FID, f"{FID}/dispersion_20220303.bin"]
 
 
 SHM = Path("/dev/shm")

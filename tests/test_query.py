@@ -1,3 +1,4 @@
+import math
 from datetime import timedelta
 
 import numpy as np
@@ -7,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 from smokecurate.granule import GridGeometry
 from smokecurate.query import (ExtentError, SamplingMode, sample_point,
                                sample_series)
+from smokecurate.regrid import blend, corner_weights
+from smokecurate.timecal import HOUR
 
 from conftest import SMALL_GEOM, T0, archive_from_frames
 
@@ -157,3 +160,46 @@ def test_bilinear_nonnegative_everywhere(arch, fy, fx):
     lat = geom.lat0 + fy * geom.dlat
     lon = geom.lon0 + fx * geom.dlon
     assert sample_point(arch, T0, lat, lon) >= 0.0
+
+
+def per_hour_sample_point(archive, t, lat, lon, mode):
+    """`sample_point` as it was when each hour computed its own fractional
+    index and weights, kept as a golden copy."""
+    g = archive.geometry
+    fy, fx = (lat - g.lat0) / g.dlat, (lon - g.lon0) / g.dlon
+    v = archive.read_frame(t, level=0)[0].values
+    if mode is SamplingMode.SOUTHWEST_CORNER:
+        return float(v[int(math.floor(fy)), int(math.floor(fx))])
+    iy, wy = corner_weights(fy, v.shape[0])
+    ix, wx = corner_weights(fx, v.shape[1])
+    return float(blend(wy, wx, *map(float, v[iy:iy + 2, ix:ix + 2].flat)))
+
+
+def coordinate(origin, step, n, top):
+    """A coordinate along an axis of `n` points: an edge, a grid line, or
+    anywhere between the edges."""
+    return st.one_of(st.sampled_from([origin, top]),
+                     st.integers(0, n - 1).map(lambda k: origin + k * step),
+                     st.floats(0, n - 1).map(lambda f: origin + f * step))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), mode=st.sampled_from(list(SamplingMode)))
+def test_series_samples_are_the_per_hour_samples_bit_for_bit(arch, data, mode):
+    """A series computes its point's rule once; each hour's sample is the
+    one the per-hour rule gives, bit for bit, in both modes, at the grid's
+    edges, its lines and its in-extent corners."""
+    g = arch.geometry
+    lat = data.draw(coordinate(g.lat0, g.dlat, g.nrows, g.lat_max), "lat")
+    lon = data.draw(coordinate(g.lon0, g.dlon, g.ncols, g.lon_max), "lon")
+    try:
+        series = sample_series(arch, T0, T0 + 5 * HOUR, lat, lon, mode)
+    except ExtentError:  # a float step past the edge
+        with pytest.raises(ExtentError):
+            sample_point(arch, T0, lat, lon, mode)
+        return
+    expect = [per_hour_sample_point(arch, T0 + k * HOUR, lat, lon, mode).hex()
+              for k in range(6)]
+    assert [v.hex() for _, v in series.entries] == expect
+    assert [sample_point(arch, t, lat, lon, mode).hex()
+            for t, _ in series.entries] == expect

@@ -1,7 +1,7 @@
 from datetime import datetime, timedelta
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from smokecurate.timecal import (HOUR, ISO_Z, UTC, EncodingError, JulianStamp,
                                  calendar_to_julian, format_iso_z, hour_range,
@@ -104,3 +104,53 @@ def test_iso_z_text_reads_back_at_every_year_width(year, text):
     assert parse_iso_z(format_iso_z(t)) == t
     if year >= 1000:  # the text of every pinned table: strftime's own
         assert format_iso_z(t) == t.strftime(ISO_Z)
+
+
+def strptime_iso_z(text):
+    """The reference: every ISO_Z text read by `strptime` alone."""
+    return datetime.strptime(text, ISO_Z).replace(tzinfo=UTC)
+
+
+def outcome(parse, text):
+    """What `parse` makes of `text`: its datetime, or its error's text."""
+    try:
+        return parse(text)
+    except ValueError as e:
+        return f"ValueError: {e}"
+
+
+# digit runs of one to four characters, some of them not ASCII digits
+DIGITS = st.text(st.sampled_from("0123456789\u0663\u096a\uff17"),
+                 min_size=1, max_size=4)
+
+
+def field(width, high):
+    """A field of ISO_Z text: mostly zero-padded to `width`, up to `high`
+    (past the valid range), else any digit run."""
+    return st.one_of(st.integers(0, high).map(f"{{:0{width}}}".format), DIGITS)
+
+
+iso_shaped = st.builds("{}-{}-{}T{}:{}:{}{}".format, field(4, 10000),
+                       field(2, 13), field(2, 32), field(2, 25),
+                       field(2, 61), field(2, 62),
+                       st.sampled_from(["Z", "Z", "Z", "", "z", "ZZ", "+00:00"]))
+
+
+@settings(max_examples=500)
+@given(st.one_of(iso_shaped,
+                 st.datetimes(datetime(1, 1, 1), datetime(9999, 12, 31, 23, 59, 59))
+                 .map(lambda t: format_iso_z(t.replace(microsecond=0))),
+                 st.text(st.sampled_from("0123456789-T:Z \u0663"), max_size=24)))
+@example("2022-3-02T01:00:00Z")     # a one-digit month
+@example("2022-03-0\u0663T01:00:00Z")  # a non-ASCII digit
+@example("2022-03-02T01:00:00")     # no Z
+@example("0999-03-02T01:00:00Z")    # a year below 1000
+@example("999-03-02T01:00:00Z")     # the same year unpadded
+@example("2022-02-29T00:00:00Z")    # no such day
+@example("2022-03-02T24:00:00Z")    # no such hour
+@example("0000-03-02T00:00:00Z")    # no year 0
+def test_parse_iso_z_gives_strptimes_result_or_error(text):
+    """Both paths of `parse_iso_z`, `fromisoformat` for the shape that
+    `format_iso_z` writes and `strptime` for every other text, give what
+    `strptime` alone gives: the same datetime, or the same error."""
+    assert outcome(parse_iso_z, text) == outcome(strptime_iso_z, text)
