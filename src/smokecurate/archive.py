@@ -1,16 +1,18 @@
 """Curated chronological store: hourly level-0 frames, a 2x box-average
 resolution pyramid derived on read, and per-timestep provenance.
 
-The build reads each picked granule's header once and then only its picked
-frames. It builds each UTC day's shards as one task, on as many threads as
+The build builds each UTC day's shards as one task, on as many threads as
 `granule.pool_width`, the one width rule, gives the canonical grid: one per
 CPU this process may run on when a level-0 frame has at least
-PARALLEL_FRAME_BYTES, else the calling thread. Each running day holds one
-frame plus its resample temporaries and has one granule open. A non-finite
-or negative value, a truncation or a header fault in a picked frame aborts
-the build with a BuildError naming the earliest such timestep, the granule
-and the byte offset, whatever the pool width; a bad value in a frame nobody
-picked is never read and does not stop the build.
+PARALLEL_FRAME_BYTES, else the calling thread. Day tasks share no state: a
+day reads the header of each granule it picks from the file it opened, then
+only its picked frames, so its frames and provenance come from one file.
+Each running day holds one frame plus its resample temporaries and has one
+granule open. A non-finite or negative value, a truncation or a header
+fault in a picked frame aborts the build with a BuildError naming the
+earliest such timestep, the granule and the byte offset, whatever the pool
+width; a bad value in a frame nobody picked is never read and does not stop
+the build.
 
 On-disk layout (format_version 3):
     manifest.json          geometry, time range, levels, gaps, the grid and
@@ -52,7 +54,6 @@ from __future__ import annotations
 import json
 import os
 import shutil
-import threading
 from collections.abc import Container, Mapping
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack, closing
@@ -150,36 +151,20 @@ def _index_path(root: Path, day: date) -> Path:
     return root / "L0" / f"{day:%Y%m%d}.csv"
 
 
-class _Headers:
-    """Each picked granule's header, read once by the first day's build that
-    opens the granule and shared with every other day's."""
-
-    def __init__(self):
-        self._headers: dict[Path, GranuleHeader] = {}
-        self._lock = threading.Lock()
-
-    def reader(self, path: Path, f: BinaryIO) -> FrameReader:
-        """A FrameReader on `f`, the open granule at `path`."""
-        with self._lock:
-            reader = FrameReader(f, self._headers.get(path))
-            self._headers[path] = reader.header
-        return reader
-
-
-def _picked_frames(picks: list[tuple[datetime, PlannedFrame]],
-                   headers: _Headers
+def _picked_frames(picks: list[tuple[datetime, PlannedFrame]]
                    ) -> Iterator[tuple[datetime, GranuleHeader, np.ndarray]]:
     """(timestep, header, float32 frame) for each of a day's time-sorted
     `picks`. Time-sorted picks of one granule mostly form one run, so one
-    granule is open at a time, and `headers` parses each header once."""
+    granule is open at a time, and its header and frames come from that one
+    open file."""
     for path, run in groupby(picks, key=lambda item: Path(item[1].path)):
         with ExitStack() as files:
             reader = None
             for t, pick in run:
                 try:
                     if reader is None:
-                        reader = headers.reader(
-                            path, files.enter_context(open(path, "rb")))
+                        reader = FrameReader(
+                            files.enter_context(open(path, "rb")))
                     values = reader.read_frame(pick.frame_index)
                 except (OSError, GranuleError, IndexError) as e:
                     raise BuildError(f"timestep {format_iso_z(t)}: picked "
@@ -256,9 +241,8 @@ def _write_archive(plan: SequencePlan, canonical: GridGeometry, root: Path,
     days = {day: list(picks) for day, picks in groupby(
         sorted(plan.picks.items()), key=lambda item: item[0].date())}
     width = pool_width(canonical)
-    headers = _Headers()
     originals: dict[GridGeometry, list[str]] = {}  # timesteps per source grid
-    write = partial(_write_day, plan, canonical, root, headers)
+    write = partial(_write_day, plan, canonical, root)
     with ThreadPoolExecutor(width) as pool:
         # Width 1 builds in this thread: a desk build ran about 10% slower in
         # a pool's thread. Executor.map yields in day order, and when a day
@@ -284,8 +268,7 @@ def _write_archive(plan: SequencePlan, canonical: GridGeometry, root: Path,
 
 
 def _write_day(plan: SequencePlan, canonical: GridGeometry, root: Path,
-               headers: _Headers, day: date,
-               picks: list[tuple[datetime, PlannedFrame]]
+               day: date, picks: list[tuple[datetime, PlannedFrame]]
                ) -> dict[GridGeometry, list[str]]:
     """Day `day`'s shards and day index under `root`, from its time-sorted
     `picks`; its originals' timesteps by grid, in hour order."""
@@ -293,7 +276,7 @@ def _write_day(plan: SequencePlan, canonical: GridGeometry, root: Path,
     originals: dict[GridGeometry, list[str]] = {}
     # one open per day shard: opening and closing the shard for each frame
     # made full-grid builds measurably slower
-    with ExitStack() as shards, closing(_picked_frames(picks, headers)) as frames:
+    with ExitStack() as shards, closing(_picked_frames(picks)) as frames:
         level0 = shards.enter_context(_create(root / "L0", day))
         original = None
         for t, h, values in frames:
@@ -556,6 +539,9 @@ class CuratedArchive:
                     _day_slots(day, grids))
 
     def _check_range(self, t: datetime) -> None:
+        if not is_hour_step(t):
+            raise ArchiveError(f"{t} is not an hour: the archive stores "
+                               f"hourly timesteps")
         if not self.start <= t <= self.end:
             raise ArchiveError(f"{t} outside archive range "
                                f"{self.start}..{self.end}")

@@ -402,14 +402,14 @@ def validate_stream(source: BinaryIO) -> GranuleHeader:
 class FrameReader:
     """Frame-addressed reads from one open granule.
 
-    The header and tflag are parsed and validated once (or taken from an
-    earlier read of the same file), and the source must hold at least the
-    declared total bytes. Each `read_frame` then seeks to one frame and reads
-    only its payload, so bad values in other frames go unnoticed.
+    The header and tflag are parsed and validated once, and the source must
+    hold at least the declared total bytes. Each `read_frame` then seeks to
+    one frame and reads only its payload, so bad values in other frames go
+    unnoticed.
     """
 
-    def __init__(self, source: BinaryIO, header: GranuleHeader | None = None):
-        self.header = header if header is not None else read_header(source)
+    def __init__(self, source: BinaryIO):
+        self.header = read_header(source)
         _check_length(source, self.header)
         self._source = source
 

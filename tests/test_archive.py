@@ -1,12 +1,14 @@
 import hashlib
 import json
 import os
+import re
 import shutil
 import threading
 import time
 import tracemalloc
 from collections import Counter
 from datetime import date, datetime, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -469,6 +471,17 @@ def test_gap_raises_with_nearest_neighbors(tmp_path):
         arch.read_frame(gap)
     assert err.value.nearest_before == T0 + timedelta(hours=2)
     assert err.value.nearest_after == T0 + timedelta(hours=4)
+
+
+def test_in_range_time_off_the_hour_is_refused(tmp_path):
+    """A time inside the range that is not an hour names itself in an
+    ArchiveError, from either read, not a KeyError or no original."""
+    arch = archive_from_frames(tmp_path, random_frames(3, seed=2))
+    t = T0 + timedelta(minutes=30)
+    for read in (arch.read_frame, arch.read_original):
+        with pytest.raises(ArchiveError,
+                           match=f"^{re.escape(str(t))} is not an hour"):
+            read(t)
 
 
 def test_read_frame_holds_the_frame_once(tmp_path):
@@ -1028,18 +1041,21 @@ def test_earliest_bad_day_aborts_a_pooled_build(tmp_path, monkeypatch, width):
     assert_nothing_published(tmp_path / "arch")
 
 
-def test_archive_bytes_do_not_depend_on_the_pool_width(tmp_path, monkeypatch):
-    """A 4-day plan with drift-grid picks (so originals are written), gap
-    hours, and a last run whose picks cross midnight builds the same files,
-    names and bytes, on one thread and on four, where the first day
-    finishes last."""
-    spec = CorpusSpec(start_date=date(2022, 3, 2), end_date=date(2022, 3, 5),
-                      forecast_ids=("BSC00CA12-01",), init_hours=(0,),
-                      horizon_hours=30, geometry=DESK_GEOMETRY,
-                      drift_geometry=DESK_DRIFT_GEOMETRY,
-                      drift_cutoff=date(2022, 3, 4), seed=17)
-    generate_corpus(spec, tmp_path / "c")
-    index = build_coverage(scan_cache(tmp_path / "c"))
+def four_day_corpus(root, seed=17):
+    """A 4-day desk corpus, one run a day, on the drift grid on its first
+    two days, each 30 hours long."""
+    generate_corpus(CorpusSpec(
+        start_date=date(2022, 3, 2), end_date=date(2022, 3, 5),
+        forecast_ids=("BSC00CA12-01",), init_hours=(0,), horizon_hours=30,
+        geometry=DESK_GEOMETRY, drift_geometry=DESK_DRIFT_GEOMETRY,
+        drift_cutoff=date(2022, 3, 4), seed=seed), root)
+
+
+def four_day_plan(cache):
+    """The plan of `four_day_corpus` at `cache`, with 3 hours made gaps,
+    and the one run it picks on its last day, 2022-03-06, whose picks
+    begin on 2022-03-05."""
+    index = build_coverage(scan_cache(cache))
     times = index.timesteps()
     plan = plan_sequence(index, times[0], times[-1])
     for t in (times[5], times[30], times[31]):
@@ -1049,6 +1065,16 @@ def test_archive_bytes_do_not_depend_on_the_pool_width(tmp_path, monkeypatch):
     assert len(last_run) == 1
     assert {t.day for t, p in plan.picks.items() if p.path in last_run} == \
         {5, 6}
+    return plan, Path(last_run.pop())
+
+
+def test_archive_bytes_do_not_depend_on_the_pool_width(tmp_path, monkeypatch):
+    """A 4-day plan with drift-grid picks (so originals are written), gap
+    hours, and a last run whose picks cross midnight builds the same files,
+    names and bytes, on one thread and on four, where the first day
+    finishes last."""
+    four_day_corpus(tmp_path / "c")
+    plan, _ = four_day_plan(tmp_path / "c")
 
     headers_read = []
     read_header = granule.read_header
@@ -1061,15 +1087,61 @@ def test_archive_bytes_do_not_depend_on_the_pool_width(tmp_path, monkeypatch):
         headers_read.clear()
         build_archive(plan, DESK_GEOMETRY, tmp_path / f"arch{width}")
         trees.append(tree_digests(tmp_path / f"arch{width}"))
-        # each picked granule's header is read once, by one of the days
-        assert sorted(headers_read) == \
-            sorted({str(p.path) for p in plan.picks.values()})
+        # each day reads the header of each granule it picks once, so the
+        # run whose picks cross midnight is read by both its days
+        assert sorted(headers_read) == sorted(path for _, path in {
+            (t.date(), str(p.path)) for t, p in plan.picks.items()})
     assert trees[0] == trees[1]
     names = {str(name) for name in trees[0]}
     assert {"originals/20220302.bin", "originals/20220303.bin",
             "L0/20220306.bin", "manifest.json"} <= names
     manifest = json.loads((tmp_path / "arch1" / "manifest.json").read_text())
     assert len(manifest["gaps"]) == 3
+
+
+def test_a_day_reads_the_header_of_the_granule_it_opened(tmp_path,
+                                                        monkeypatch):
+    """A run whose picks cross midnight, re-published under its path by
+    `os.replace` between its two days' reads (from another seed: the same
+    size, another creation time and other values): each day's frames and
+    provenance come from the one file that day opened."""
+    four_day_corpus(tmp_path / "c")
+    four_day_corpus(tmp_path / "other", seed=18)
+    plan, path = four_day_plan(tmp_path / "c")
+    new = tmp_path / "other" / path.relative_to(tmp_path / "c")
+
+    def header_and_day_6(granule_path):
+        with open(granule_path, "rb") as f:
+            reader = FrameReader(f)
+            return reader.header, {t: reader.read_frame(p.frame_index)
+                                   for t, p in plan.picks.items() if t.day == 6}
+
+    old_header, old_frames = header_and_day_6(path)
+    new_header, new_frames = header_and_day_6(new)
+    assert new.stat().st_size == path.stat().st_size
+    assert new_header.created != old_header.created
+    assert all((new_frames[t] != old_frames[t]).any() for t in new_frames)
+
+    create = archive._create
+
+    def create_and_replace(directory, day):
+        if directory.name == "L0" and day == date(2022, 3, 6):
+            os.replace(new, path)
+        return create(directory, day)
+
+    monkeypatch.setattr(archive, "_create", create_and_replace)
+    pool_of(monkeypatch, 1)
+    arch = build_archive(plan, DESK_GEOMETRY, tmp_path / "arch")
+    assert not new.exists()  # the granule was replaced during the build
+    for t, p in plan.picks.items():
+        if Path(p.path) == path and t.day == 5:
+            assert arch.provenance[t].created == old_header.created
+    for t, values in new_frames.items():
+        frame, row = arch.read_frame(t)
+        expected = identity_or_resample(Frame(new_header.geometry, values),
+                                        DESK_GEOMETRY)
+        np.testing.assert_array_equal(frame.values, expected.values)
+        assert row.created == new_header.created
 
 
 def test_bad_value_in_unpicked_frame_builds_identical_archive(tmp_path):

@@ -265,12 +265,9 @@ def test_frame_reader_rejects_bad_value_at_its_offset(bad):
 
 def test_frame_reader_rejects_truncated_source():
     data = simple_granule_bytes(ntimes=3)
-    info = read_header_bytes(data)
     with pytest.raises(TruncatedError) as err:
         FrameReader(io.BytesIO(data[:-1]))
     assert err.value.offset == len(data) - 1
-    with pytest.raises(TruncatedError):
-        FrameReader(io.BytesIO(data[:-1]), info)  # a known header is rechecked
     FrameReader(io.BytesIO(data + b"\0" * 8)).read_frame(2)  # trailing bytes ok
 
 
