@@ -21,6 +21,7 @@ thread. The pool lives for one `generate_corpus` call.
 from __future__ import annotations
 
 import hashlib
+import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -32,7 +33,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .fetcher import ConfigError, embedded_init_hour, run_path
-from .granule import GridGeometry, encode_granule, make_granule, pool_width
+from .granule import (GridGeometry, encode_granule, frame_is_large, make_granule,
+                      pool_width)
 from .tables import write_table
 from .timecal import UTC, format_iso_z
 
@@ -53,6 +55,17 @@ FULL_DRIFT_GEOMETRY = GridGeometry(nrows=381, ncols=1041, lat0=32.0, lon0=-160.0
 SIGMA0_DEG = 0.2        # initial puff radius
 SIGMA_GROWTH_DEG_H = 0.05
 PERTURB_PER_LEAD_HOUR = 0.02
+# On a grid of large frames (`granule.frame_is_large`: the full grid),
+# `puff_field` leaves out every lane whose exponent
+# -(dlat^2 + dlon^2) / (2 sigma^2) is below -PUFF_REACH. np.exp of anything
+# below about -745.13 (ln of half the smallest subnormal) is exactly +0.0, so
+# such a lane's term strength * exp(...) is +0.0, and adding +0.0 changes no
+# bit of the non-negative sum; the 0.87 to spare covers the rounding of the
+# exponent. tests/test_corpusgen.py checks that numpy's exp underflows there.
+PUFF_REACH = 746.0
+# there a source is evaluated over blocks of rows of about this many float64
+# bytes, each over only the columns that its rows' reach covers
+PUFF_BLOCK_BYTES = 1 << 20
 
 HTML_BODY = (b"<html><head><title>404 Not Found</title></head>"
              b"<body><h1>Not Found</h1><p>The requested forecast is not "
@@ -175,31 +188,95 @@ def make_world(spec: CorpusSpec) -> tuple[list[PuffSource], tuple[float, float]]
     return sources, wind
 
 
+def _add_puff(out: np.ndarray, puff: np.ndarray, lat: np.ndarray,
+              lon: np.ndarray, clat: float, clon: float, sigma: float,
+              strength: float) -> None:
+    """out += strength * exp(-(dlat^2 + dlon^2) / (2 sigma^2)) in `puff`,
+    a scratch of out's shape, step by step in that order: the same bits as
+    the one expression, no temporaries of out's size (x / -d is -(x / d) bit
+    for bit: rounding is symmetric in sign)."""
+    np.add((lat - clat) ** 2, (lon - clon) ** 2, out=puff)
+    puff /= -(2.0 * sigma * sigma)
+    np.exp(puff, out=puff)
+    puff *= strength
+    out += puff
+
+
+def _axis_window(centre: float, reach: float, n: int) -> tuple[int, int]:
+    """Indices [lo, hi) of the grid points 0..n-1 closer than `reach` to
+    `centre`, all in grid steps, widened by one point on each side and
+    clipped to the grid. The clip comes before the floor, which commutes with
+    it at integer bounds, so an infinite centre gives an empty window."""
+    return (math.floor(min(max(centre - reach, 0.0), n)),
+            math.floor(min(max(centre + reach + 2.0, 0.0), n)))
+
+
 def puff_field(sources: Sequence[PuffSource], wind: tuple[float, float],
                t: datetime, geom: GridGeometry) -> np.ndarray:
-    """Sum of advected, spreading Gaussian puffs evaluated on the grid."""
+    """Sum of advected, spreading Gaussian puffs evaluated on the grid.
+
+    On a grid of large frames (`granule.frame_is_large`) each source is
+    evaluated only where its exponent -(dlat^2 + dlon^2) / (2 sigma^2) may be
+    above -PUFF_REACH: within the reach sqrt(2 sigma^2 PUFF_REACH) of its
+    centre. Its rows within reach are taken in blocks of about
+    PUFF_BLOCK_BYTES; in each block, the columns within reach of the block's
+    row nearest the centre. Both windows come in closed form from the
+    arithmetic grid and are widened by one row and one column on each side,
+    which absorbs their rounding. The field has the bits of the whole-grid
+    formula: every lane left out has an exponent below -PUFF_REACH, where exp
+    is exactly +0.0, so its term strength * 0.0 is +0.0 and x + 0.0 == x for
+    the non-negative sum; every lane evaluated goes through the same ufuncs in
+    the same order (add, divide, exp, multiply, accumulate), source by
+    source. A grid of small frames (the desk grid) is evaluated whole: there
+    the windows' Python costs more than the lanes they skip.
+
+    Raises ValueError, naming the value, for a strength that is not a finite
+    number >= 0, or a source position or wind that is not finite: NaN or inf
+    would spread over a window, not the grid, and inf * 0.0 is NaN."""
     u, v = wind
+    if not (math.isfinite(u) and math.isfinite(v)):
+        raise ValueError(f"wind must be finite, got {wind!r}")
     lat = geom.latitudes()[:, None]
-    lon = geom.longitudes()[None, :]
+    lon = geom.longitudes()
     out = np.zeros((geom.nrows, geom.ncols))
+    # the scratch is field-sized even where windows use only a block's
+    # leading elements of it: a 1 MiB one moves glibc's dynamic mmap
+    # threshold, and a full-grid bench corpus then took 1.8x the minor faults
+    # (454k-487k, not 248k-272k) and 0.5-1.3 s more system time
     puff = np.empty_like(out)
+    windowed = frame_is_large(geom)
+    block_rows = max(1, PUFF_BLOCK_BYTES // (8 * geom.ncols))
     for s in sources:
-        if s.strength < 0:
-            raise ValueError("emission strength must be >= 0")
+        if not (math.isfinite(s.strength) and s.strength >= 0):
+            raise ValueError(f"emission strength must be a finite number >= 0, "
+                             f"got {s.strength!r}")
+        if not (math.isfinite(s.lat) and math.isfinite(s.lon)):
+            raise ValueError(f"source position must be finite, "
+                             f"got lat={s.lat!r} lon={s.lon!r}")
         dt_h = (t - s.ignition).total_seconds() / 3600.0
         if dt_h < 0:
             continue
         clat = s.lat + v * dt_h
         clon = s.lon + u * dt_h
         sigma = SIGMA0_DEG + SIGMA_GROWTH_DEG_H * dt_h
-        # strength * exp(-(dlat^2 + dlon^2) / (2 sigma^2)) in one buffer, step
-        # by step in that order: the same bits, no grid-sized temporaries
-        # (x / -d is -(x / d) bit for bit: rounding is symmetric in sign)
-        np.add((lat - clat) ** 2, (lon - clon) ** 2, out=puff)
-        puff /= -(2.0 * sigma * sigma)
-        np.exp(puff, out=puff)
-        puff *= s.strength
-        out += puff
+        if not windowed:
+            _add_puff(out, puff, lat, lon, clat, clon, sigma, s.strength)
+            continue
+        reach = math.sqrt(2.0 * sigma * sigma * PUFF_REACH)
+        # the centre in grid steps
+        y = (clat - geom.lat0) / geom.dlat
+        x = (clon - geom.lon0) / geom.dlon
+        top, bottom = _axis_window(y, reach / geom.dlat, geom.nrows)
+        for r0 in range(top, bottom, block_rows):
+            r1 = min(r0 + block_rows, bottom)
+            # the block's row nearest the centre reaches the most columns
+            dy = (y - min(max(y, r0), r1 - 1)) * geom.dlat
+            c0, c1 = _axis_window(
+                x, math.sqrt(max(reach * reach - dy * dy, 0.0)) / geom.dlon,
+                geom.ncols)
+            block = puff.ravel()[:(r1 - r0) * (c1 - c0)].reshape(r1 - r0, c1 - c0)
+            _add_puff(out[r0:r1, c0:c1], block, lat[r0:r1], lon[c0:c1],
+                      clat, clon, sigma, s.strength)
     return out
 
 

@@ -57,7 +57,10 @@ HEADER_END = _PREAMBLE.size + _HEADER.size        # 96 bytes
 # desk 20x40 grid (3.2 KB) it goes to Python code, which threads only take
 # turns at. A 3-day archive build on 2 threads took, against 1 thread on a
 # 2-core host, 1.50x the time at 3.2 KB frames, 1.11x at 32 KiB, 0.95x at
-# 128 KiB, 0.90x at 256 KiB and 0.65x at 1.6 MB.
+# 128 KiB, 0.90x at 256 KiB and 0.65x at 1.6 MB. The same rule
+# (`frame_is_large`) has `corpusgen.puff_field` evaluate each puff only within
+# its reach: at the desk grid the windows' Python costs more than the lanes
+# they skip.
 PARALLEL_FRAME_BYTES = 256 << 10
 
 # Payload bytes `validate_stream` reads and checks at a time; a multiple of 4,
@@ -133,12 +136,18 @@ class GridGeometry:
         return self.lon0 + np.arange(self.ncols) * self.dlon
 
 
+def frame_is_large(geometry: GridGeometry) -> bool:
+    """True when a float32 frame of `geometry` has at least
+    PARALLEL_FRAME_BYTES: the full grid, not the desk grid."""
+    return geometry.nrows * geometry.ncols * 4 >= PARALLEL_FRAME_BYTES
+
+
 def pool_width(geometry: GridGeometry) -> int:
     """Threads for work done frame by frame on `geometry`: one per CPU in this
-    process's affinity mask when a float32 frame has at least
-    PARALLEL_FRAME_BYTES, else 1, meaning the calling thread. The archive
-    build and the corpus generator both size their pools here."""
-    if geometry.nrows * geometry.ncols * 4 < PARALLEL_FRAME_BYTES:
+    process's affinity mask when its frames are large (`frame_is_large`),
+    else 1, meaning the calling thread. The archive build and the corpus
+    generator both size their pools here."""
+    if not frame_is_large(geometry):
         return 1
     # the affinity mask is a system call, where os.cpu_count() reads a sysfs
     # file on Linux

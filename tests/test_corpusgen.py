@@ -1,4 +1,5 @@
 import hashlib
+import re
 import sys
 import threading
 import weakref
@@ -9,12 +10,13 @@ import pytest
 
 from smokecurate import corpusgen
 from smokecurate.corpusgen import (DEFAULT_FORECAST_IDS, DESK_DRIFT_GEOMETRY,
-                                   DESK_GEOMETRY, HTML_BODY, SIGMA0_DEG, SIGMA_GROWTH_DEG_H,
-                                   CorpusSpec, FaultProfile,
+                                   DESK_GEOMETRY, FULL_DRIFT_GEOMETRY, FULL_GEOMETRY,
+                                   HTML_BODY, PUFF_REACH, SIGMA0_DEG,
+                                   SIGMA_GROWTH_DEG_H, CorpusSpec, FaultProfile,
                                    PuffSource, build_run_granule,
                                    generate_corpus, make_world, puff_field)
 from smokecurate.granule import (ForecastGranule, GridGeometry, NotAGranuleError,
-                                 TruncatedError, parse_granule_bytes,
+                                 TruncatedError, frame_is_large, parse_granule_bytes,
                                  read_header_bytes)
 from smokecurate.timecal import UTC
 
@@ -126,28 +128,104 @@ def test_puff_ignition_in_future_contributes_nothing():
     np.testing.assert_array_equal(field, 0.0)
 
 
+def puff_formula(sources, wind, t, geom):
+    """The field in one expression per source, over the whole grid."""
+    u, v = wind
+    lat, lon = geom.latitudes()[:, None], geom.longitudes()[None, :]
+    expect = np.zeros((geom.nrows, geom.ncols))
+    for s in sources:
+        dt_h = (t - s.ignition).total_seconds() / 3600.0
+        if dt_h < 0:
+            continue
+        sigma = SIGMA0_DEG + SIGMA_GROWTH_DEG_H * dt_h
+        expect += s.strength * np.exp(
+            -((lat - (s.lat + v * dt_h)) ** 2
+              + (lon - (s.lon + u * dt_h)) ** 2) / (2.0 * sigma * sigma))
+    return expect
+
+
 def test_puff_field_equals_the_formula_bit_for_bit():
-    """The in-place evaluation gives the bits of the one-expression formula."""
+    """The in-place evaluation gives the bits of the one-expression formula:
+    whole on the desk grids, and in windows on the full grids, where it
+    leaves out the lanes beyond each puff's reach."""
+    start = datetime(2022, 3, 2, tzinfo=UTC)
     spec = CorpusSpec(start_date=date(2022, 3, 2), end_date=date(2022, 3, 4),
                       geometry=DESK_GEOMETRY, seed=11)
-    sources, (u, v) = make_world(spec)
+    sources, wind = make_world(spec)
     lit = 0
     for geom in (DESK_GEOMETRY, DESK_DRIFT_GEOMETRY):
-        lat, lon = geom.latitudes()[:, None], geom.longitudes()[None, :]
         for hour in range(0, 72, 7):
-            t = datetime(2022, 3, 2, tzinfo=UTC) + timedelta(hours=hour)
-            expect = np.zeros((geom.nrows, geom.ncols))
-            for s in sources:
-                dt_h = (t - s.ignition).total_seconds() / 3600.0
-                if dt_h < 0:
-                    continue
-                sigma = SIGMA0_DEG + SIGMA_GROWTH_DEG_H * dt_h
-                expect += s.strength * np.exp(
-                    -((lat - (s.lat + v * dt_h)) ** 2
-                      + (lon - (s.lon + u * dt_h)) ** 2) / (2.0 * sigma * sigma))
-            assert puff_field(sources, (u, v), t, geom).tobytes() == expect.tobytes()
+            t = start + timedelta(hours=hour)
+            expect = puff_formula(sources, wind, t, geom)
+            assert puff_field(sources, wind, t, geom).tobytes() == expect.tobytes()
             lit += bool(expect.any())
     assert lit > 10
+
+    # every fifth hour, and each source's first hour after ignition, when its
+    # windows clip rows and columns; later hours, when the puffs cover the
+    # grid; a puff whose centre the wind carries off the grid's north-east
+    # corner; rows in more than one block. The drift grid is a top-left
+    # window of the full grid, so its formula is a slice of the full one.
+    spec = CorpusSpec(start_date=date(2022, 3, 2), end_date=date(2022, 3, 4),
+                      geometry=FULL_GEOMETRY, seed=29)
+    sources, (u, v) = make_world(spec)
+    assert u > 0 and v > 0
+    drifting = PuffSource(FULL_GEOMETRY.lat_max - 1.0,
+                          FULL_GEOMETRY.lon_max - 1.0, 80.0, start)
+    sources.append(drifting)
+    hours = sorted({start + timedelta(hours=h) for h in range(0, 50, 5)}
+                   | {s.ignition + timedelta(hours=1) for s in sources})
+    clipped = whole = off_grid = 0
+    for t in hours:
+        expect = puff_formula(sources, (u, v), t, FULL_GEOMETRY)
+        dt_h = (t - start).total_seconds() / 3600.0
+        for geom in (FULL_GEOMETRY, FULL_DRIFT_GEOMETRY):
+            assert frame_is_large(geom)
+            window = expect[:, :geom.ncols]
+            assert puff_field(sources, (u, v), t, geom).tobytes() == window.tobytes()
+            zero = int((window == 0.0).sum())
+            clipped += 0 < zero < window.size
+            whole += zero == 0
+            off_grid += (drifting.lat + v * dt_h > geom.lat_max
+                         and drifting.lon + u * dt_h > geom.lon_max)
+    assert clipped and whole and off_grid
+
+
+@pytest.mark.parametrize("lat, lon, strength, wind, named", [
+    (41.0, -119.0, float("nan"), (0.1, 0.0), "got nan"),
+    (41.0, -119.0, float("inf"), (0.1, 0.0), "got inf"),
+    (41.0, -119.0, -1.0, (0.1, 0.0), "got -1.0"),
+    (float("nan"), -119.0, 10.0, (0.1, 0.0), "got lat=nan lon=-119.0"),
+    (41.0, float("-inf"), 10.0, (0.1, 0.0), "got lat=41.0 lon=-inf"),
+    (41.0, -119.0, 10.0, (float("nan"), 0.0), "got (nan, 0.0)"),
+    (41.0, -119.0, 10.0, (0.0, float("inf")), "got (0.0, inf)"),
+])
+@pytest.mark.parametrize("geom", [DESK_GEOMETRY, FULL_GEOMETRY],
+                         ids=["desk", "full"])
+def test_puff_field_refuses_non_finite_inputs(lat, lon, strength, wind,
+                                              named, geom):
+    """A NaN or inf input would make NaN lanes, over the whole grid or over
+    a puff's window: it is refused, naming the value."""
+    t = datetime(2022, 3, 2, tzinfo=UTC)
+    src = PuffSource(lat=lat, lon=lon, strength=strength, ignition=t)
+    with pytest.raises(ValueError, match=re.escape(named)):
+        puff_field([src], wind, t, geom)
+
+
+def test_exp_is_zero_beyond_the_puff_reach():
+    """puff_field leaves out the lanes whose exponent is below -PUFF_REACH
+    because exp is exactly +0.0 there. A numpy whose exp stops underflowing
+    there fails here instead of changing corpus bytes."""
+    xs = np.concatenate([np.linspace(-PUFF_REACH - 50.0, -PUFF_REACH, 100_001),
+                         [np.nextafter(-PUFF_REACH, 0.0),
+                          np.nextafter(-PUFF_REACH, -np.inf)]])
+    # each value at every lane position of the vector loop and its tail
+    for first in range(8):
+        got = np.exp(xs[first:])
+        assert got.tobytes() == np.zeros(got.size).tobytes()
+    for x in xs[::97]:
+        for scalar in (np.exp(np.float64(x)), np.exp(float(x))):
+            assert scalar == 0.0 and not np.signbit(scalar)
 
 
 def test_overlap_perturbation_bounded(tmp_path):
@@ -393,6 +471,7 @@ def test_negative_strength_raises_at_any_pool_width(tmp_path, monkeypatch,
     monkeypatch.setattr(corpusgen, "make_world",
                         lambda spec: ([*sources, bad], wind))
     threads = threading.active_count()
-    with pytest.raises(ValueError, match="^emission strength must be >= 0$"):
+    with pytest.raises(ValueError, match="^emission strength must be a finite "
+                                         "number >= 0, got -1.0$"):
         generate_corpus(FAULTY_DRIFT_SPEC, tmp_path / "c")
     assert threading.active_count() == threads
