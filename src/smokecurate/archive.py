@@ -36,12 +36,12 @@ bytes. `CuratedArchive.open` reads manifest.json only: the stored hours are
 the range minus `gaps`, so its cost grows with the gaps and originals, not
 with the stored hours. A day's rows and slots are built on the day's first
 read (`read_frame`, `read_original` or a `provenance` lookup), which reads
-its day index whole and checks it: its hours are exactly the day's stored
-hours, every stamp decodes, and its resampled hours are exactly the day's
-originals. So a damaged day index is found at the first read of its day,
-not at open. A read is one `readinto` of exactly its slot's frame, straight
-into the array returned, from a shard that must be exactly the slot's shard
-bytes long.
+its day index whole and checks it: every stamp decodes, and it holds one
+row per stored hour, in hour order, resampled exactly when an original is
+stored; a fault names the line. So a damaged day index is found at the
+first read of its day, not at open. A read is one `readinto` of exactly its
+slot's frame, straight into the array returned, from a shard that must be
+exactly the slot's shard bytes long.
 An archive is written once: the build writes a new sibling directory and
 renames it to its place, and refuses a directory that is not empty. So no
 file of another build is ever beside it, and the files an open archive
@@ -60,7 +60,7 @@ from contextlib import ExitStack, closing
 from dataclasses import asdict, dataclass
 from datetime import date, datetime
 from functools import lru_cache, partial
-from itertools import accumulate, groupby
+from itertools import accumulate, groupby, zip_longest
 from pathlib import Path
 from typing import BinaryIO, Iterator
 
@@ -342,25 +342,6 @@ def _level_count(levels: int) -> int:
     return levels
 
 
-def _cover_fault(first: datetime, last: datetime, gaps: set[datetime],
-                 stored: set[datetime]) -> str | None:
-    """Why a day's gaps and stored hours do not cover every hour of the
-    range on that day, `first` to `last`, exactly once, or None if they do."""
-    day = first.date().isoformat()
-    stray = sorted(t for t in stored
-                   if not (is_hour_step(t) and first <= t <= last))
-    if stray:
-        return f"{format_iso_z(stray[0])} is not an hour of the range on {day}"
-    both = gaps & stored
-    if both:
-        return f"{format_iso_z(min(both))} is both a gap and stored"
-    hours = hour_count(first, last)
-    if len(gaps) + len(stored) != hours:
-        return (f"on {day}, {hours} hours from 'start' to 'end', but "
-                f"{len(gaps)} gaps and {len(stored)} stored")
-    return None
-
-
 def _day_slots(day: date, grids: dict[datetime, GridGeometry]
                ) -> dict[datetime, Slot]:
     """The slot of each of `day`'s hours in `grids`, from its grid: the
@@ -508,33 +489,40 @@ class CuratedArchive:
     def _read_day(self, day: date) -> _Day:
         """Day `day`'s rows and slots, from its day index read whole. A
         malformed index raises ArchiveError naming it and the line or the
-        column at fault; hours that are not exactly the day's stored hours,
-        or resampled hours that are not exactly the day's originals, name
-        the manifest and the index."""
+        column at fault. The index must hold one row per stored hour, in
+        hour order, resampled exactly when an original is stored; the first
+        line that does not raises ArchiveError naming the manifest, the
+        index and the line."""
         table = _index_path(self.root, day)
         try:
-            rows = dict(read_table(table, PROVENANCE_COLUMNS,
-                                   _provenance_entry))
+            entries = read_table(table, PROVENANCE_COLUMNS, _provenance_entry)
         except OSError as e:
             raise ArchiveError(f"{table}: {e.strerror}") from e
         except ValueError as e:
             raise ArchiveError(str(e)) from e
-        manifest = self.root / "manifest.json"
         midnight = datetime(day.year, day.month, day.day, tzinfo=UTC)
-        first = max(self.start, midnight)
-        last = min(self.end, midnight + 23 * HOUR)
-        gaps = {t for t in hour_range(first, last) if t in self.gaps}
-        fault = _cover_fault(first, last, gaps, set(rows))
-        if fault:
-            raise ArchiveError(f"{manifest} and {table} disagree: {fault}")
+        stored = [t for t in hour_range(max(self.start, midnight),
+                                        min(self.end, midnight + 23 * HOUR))
+                  if t not in self.gaps]
         grids = self.original_grids.get(day, {})
-        resampled = {t for t, row in rows.items() if row.resampled}
-        if resampled != grids.keys():
-            t = min(resampled ^ grids.keys())
-            raise ArchiveError(
-                f"{manifest} and {table} disagree: {format_iso_z(t)} "
-                + ("is resampled but has no original" if t in resampled
-                   else "has an original but is not resampled"))
+        for line, (want, entry) in enumerate(zip_longest(stored, entries), 2):
+            t, row = entry or (None, None)
+            if t is None:
+                fault = f"the index has no row for {format_iso_z(want)}"
+            elif want is None:
+                fault = f"the index has an extra row, for {format_iso_z(t)}"
+            elif t != want:
+                fault = (f"the next stored hour is {format_iso_z(want)}, not "
+                         f"{format_iso_z(t)}")
+            elif row.resampled != (t in grids):
+                fault = format_iso_z(t) + (
+                    " is resampled but has no original" if row.resampled
+                    else " has an original but is not resampled")
+            else:
+                continue
+            raise ArchiveError(f"{self.root / 'manifest.json'} and {table} "
+                               f"disagree: line {line}: {fault}")
+        rows = dict(entries)
         return _Day(rows, _day_slots(day, dict.fromkeys(rows, self.geometry)),
                     _day_slots(day, grids))
 

@@ -10,6 +10,7 @@ datetimes, so coverage and the consistency report decode no stamp.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from datetime import datetime
 from pathlib import Path
@@ -92,6 +93,9 @@ def _scan_one(path: Path, canonical, drift) -> ScanRecord:
     try:
         with open(path, "rb") as f:
             header = read_header(f)
+            # a short payload, or bytes past it, is visible from the size of
+            # the file the header came from, whatever its path names now
+            size = os.fstat(f.fileno()).st_size
     except NotAGranuleError as e:
         return ScanRecord(path, "not_a_granule", detail=str(e))
     except TruncatedError as e:
@@ -101,8 +105,6 @@ def _scan_one(path: Path, canonical, drift) -> ScanRecord:
     except OSError as e:
         return ScanRecord(path, "not_a_granule", detail=str(e))
 
-    # a short payload, or bytes past it, is visible from the file size alone
-    size = path.stat().st_size
     if size != header.expected_total_bytes:
         return ScanRecord(path, "truncated",
                           detail=f"file is {size} bytes, expected "

@@ -744,9 +744,9 @@ def test_manifest_missing_a_gap_hour_is_refused(tmp_path):
     arch = CuratedArchive.open(root)  # the manifest alone is consistent
     with pytest.raises(ArchiveError) as err:
         arch.read_frame(T0)
-    assert str(err.value).startswith(
-        f"{root / 'manifest.json'} and {root / INDEX} disagree: on "
-        f"2022-03-02, 6 hours from 'start' to 'end', but 0 gaps and 5 stored")
+    assert str(err.value) == (
+        f"{root / 'manifest.json'} and {root / INDEX} disagree: line 5: the "
+        f"next stored hour is 2022-03-02T03:00:00Z, not 2022-03-02T04:00:00Z")
 
 
 def tree_digests(root):
@@ -855,16 +855,27 @@ def _manifest_with(edit):
 INDEX = "L0/20220302.csv"
 
 
-def _index_cell(column, value):
-    """Set `column` of the second data row (line 3 of the file)."""
+def _index_lines(edit):
+    """Run `edit` on the day index's list of lines, its header first."""
     def damage(root):
         path = root / INDEX
         lines = path.read_text().splitlines()
-        row = lines[2].split(",")
-        row[PROVENANCE_COLUMNS.index(column)] = value
-        lines[2] = ",".join(row)
+        edit(lines)
         path.write_text("\n".join(lines) + "\n")
     return damage
+
+
+def _set_cell(line, column, value):
+    row = line.split(",")
+    row[PROVENANCE_COLUMNS.index(column)] = value
+    return ",".join(row)
+
+
+def _index_cell(column, value):
+    """Set `column` of the second data row (line 3 of the file)."""
+    def edit(lines):
+        lines[2] = _set_cell(lines[2], column, value)
+    return _index_lines(edit)
 
 
 def _index_header(column, name):
@@ -920,23 +931,32 @@ def _truncate(name):
     (_manifest_with(lambda m: m.update(originals=[{"timesteps": []}])),
      "manifest.json", "bad 'originals'", "open"),
     (_manifest_with(lambda m: m.update(gaps=["2022-03-02T01:00:00Z"])),
-     "manifest.json", f"{INDEX} disagree: 2022-03-02T01:00:00Z is both a gap "
-     "and stored", "read"),
+     "manifest.json", f"{INDEX} disagree: line 3: the next stored hour is "
+     "2022-03-02T02:00:00Z, not 2022-03-02T01:00:00Z", "read"),
     (_manifest_with(lambda m: m.update(end="9999-12-31T23:00:00Z")),
-     "manifest.json", "hours from 'start' to 'end', but 0 gaps and 3 stored",
-     "read"),
+     "manifest.json", f"{INDEX} disagree: line 5: the index has no row for "
+     "2022-03-02T03:00:00Z", "read"),
     (_manifest_with(lambda m: m.update(gaps=["2022-03-09T00:00:00Z"])),
      "manifest.json", "bad 'gaps': 2022-03-09T00:00:00Z is not an hour of "
      "the range", "open"),
     (_index_cell("wrf_arw_init_time", "2022-03-01T18:00:00Z,x"), INDEX,
      "line 3: more cells than the header names", "read"),
     (_index_cell("resampled", "true"), "manifest.json",
-     f"{INDEX} disagree: 2022-03-02T01:00:00Z is resampled but has no "
-     "original", "read"),
+     f"{INDEX} disagree: line 3: 2022-03-02T01:00:00Z is resampled but has "
+     "no original", "read"),
     (_manifest_with(lambda m: m.update(originals=[
         {"geometry": m["geometry"], "timesteps": ["2022-03-02T01:00:00Z"]}])),
-     "manifest.json", f"{INDEX} disagree: 2022-03-02T01:00:00Z has an "
-     "original but is not resampled", "read"),
+     "manifest.json", f"{INDEX} disagree: line 3: 2022-03-02T01:00:00Z has "
+     "an original but is not resampled", "read"),
+    # a forged copy of the first hour's row, which a reader keeping the
+    # last row of an hour would return for that hour
+    (_index_lines(lambda lines: lines.append(
+        _set_cell(lines[1], "forecast_id", "FORGED-ID"))),
+     "manifest.json", f"{INDEX} disagree: line 5: the index has an extra "
+     "row, for 2022-03-02T00:00:00Z", "read"),
+    (_index_lines(lambda lines: lines.insert(1, lines.pop(2))),
+     "manifest.json", f"{INDEX} disagree: line 2: the next stored hour is "
+     "2022-03-02T00:00:00Z, not 2022-03-02T01:00:00Z", "read"),
 ], ids=["truncated-manifest", "no-gaps", "bad-start", "text-nrows",
         "text-levels", "boolean-levels", "tflag-time-out-of-range", "non-integer-stamp",
         "creation-stamp-out-of-range", "resampled-not-boolean",
@@ -944,7 +964,8 @@ def _truncate(name):
         "no-provenance", "no-manifest", "format-1", "format-2",
         "end-before-start", "original-not-stored", "original-without-grid",
         "gap-is-stored", "far-end", "gap-out-of-range", "extra-cell",
-        "resampled-no-original", "original-not-resampled"])
+        "resampled-no-original", "original-not-resampled", "repeated-hour",
+        "rows-swapped"])
 def test_damaged_archive_open_names_file_and_place(tmp_path, damage, file,
                                                    where, at):
     root = archive_from_frames(tmp_path, random_frames(3)).root

@@ -1,7 +1,10 @@
+import os
 from datetime import date, datetime
+from pathlib import Path
 
 import pytest
 
+from smokecurate import indexer
 from smokecurate.corpusgen import (DESK_DRIFT_GEOMETRY, DESK_GEOMETRY,
                                    CorpusSpec, generate_corpus)
 from smokecurate.indexer import build_coverage, consistency_report, scan_cache
@@ -71,6 +74,47 @@ def test_scan_flags_bytes_past_the_declared_size(tmp_path):
     assert record.detail == (f"file is {len(data) + 17} bytes, expected "
                              f"{len(data)}")
 
+
+
+def change_after_header(monkeypatch, change):
+    """Run `change(path)` on each scanned file just after its header is
+    read, while the scan still holds it open."""
+    read_header = indexer.read_header
+
+    def read_then_change(f):
+        header = read_header(f)
+        change(Path(f.name))
+        return header
+
+    monkeypatch.setattr(indexer, "read_header", read_then_change)
+
+
+def test_scan_sizes_the_file_it_read_when_unlinked(tmp_path, monkeypatch):
+    """A file unlinked after its header is read is sized from the file the
+    scan has open: it is ok, and the scan does not abort."""
+    cache = write_cache(tmp_path, [simple_granule(ntimes=6)])
+    change_after_header(monkeypatch, Path.unlink)
+    [record] = scan_cache(cache)
+    assert record.status == "ok"
+    assert record.header.ntimes == 6
+
+
+def test_scan_sizes_the_file_it_read_when_replaced(tmp_path, monkeypatch):
+    """A horizon-6 granule replaced by a valid horizon-3 one after its
+    header is read is sized from the file the header came from: it is ok,
+    not truncated against the other file's size."""
+    cache = write_cache(tmp_path, [simple_granule(ntimes=6)])
+    shorter = granule_to_bytes(simple_granule(ntimes=3))
+
+    def replace(path):
+        other = path.with_name("replacement")
+        other.write_bytes(shorter)
+        os.replace(other, path)
+
+    change_after_header(monkeypatch, replace)
+    [record] = scan_cache(cache)
+    assert record.status == "ok"
+    assert record.header.ntimes == 6
 
 def test_scan_flags_non_finite_origin(tmp_path):
     cache = tmp_path / "cache"
