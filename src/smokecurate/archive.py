@@ -38,10 +38,10 @@ with the stored hours. A day's rows and slots are built on the day's first
 read (`read_frame`, `read_original` or a `provenance` lookup), which reads
 its day index whole and checks it: every stamp decodes, and it holds one
 row per stored hour, in hour order, resampled exactly when an original is
-stored; a fault names the line. So a damaged day index is found at the
-first read of its day, not at open. A read is one `readinto` of exactly its
-slot's frame, straight into the array returned, from a shard that must be
-exactly the slot's shard bytes long.
+stored; a fault names the index's line, blank lines counted. So a damaged
+day index is found at the first read of its day, not at open. A read is one
+`readinto` of exactly its slot's frame, straight into the array returned,
+from a shard that must be exactly the slot's shard bytes long.
 An archive is written once: the build writes a new sibling directory and
 renames it to its place, and refuses a directory that is not empty. So no
 file of another build is ever beside it, and the files an open archive
@@ -60,7 +60,7 @@ from contextlib import ExitStack, closing
 from dataclasses import asdict, dataclass
 from datetime import date, datetime
 from functools import lru_cache, partial
-from itertools import accumulate, groupby, zip_longest
+from itertools import accumulate, groupby
 from pathlib import Path
 from typing import BinaryIO, Iterator
 
@@ -491,25 +491,21 @@ class CuratedArchive:
         malformed index raises ArchiveError naming it and the line or the
         column at fault. The index must hold one row per stored hour, in
         hour order, resampled exactly when an original is stored; the first
-        line that does not raises ArchiveError naming the manifest, the
-        index and the line."""
+        line that does not, or the end of an index short of a stored hour,
+        raises ArchiveError naming the index, the place and the manifest."""
         table = _index_path(self.root, day)
-        try:
-            entries = read_table(table, PROVENANCE_COLUMNS, _provenance_entry)
-        except OSError as e:
-            raise ArchiveError(f"{table}: {e.strerror}") from e
-        except ValueError as e:
-            raise ArchiveError(str(e)) from e
+        manifest = self.root / "manifest.json"
         midnight = datetime(day.year, day.month, day.day, tzinfo=UTC)
-        stored = [t for t in hour_range(max(self.start, midnight),
+        stored = (t for t in hour_range(max(self.start, midnight),
                                         min(self.end, midnight + 23 * HOUR))
-                  if t not in self.gaps]
+                  if t not in self.gaps)
         grids = self.original_grids.get(day, {})
-        for line, (want, entry) in enumerate(zip_longest(stored, entries), 2):
-            t, row = entry or (None, None)
-            if t is None:
-                fault = f"the index has no row for {format_iso_z(want)}"
-            elif want is None:
+
+        def entry(cells: dict[str, str]) -> tuple[datetime, ProvenanceRow]:
+            # the next stored hour's row; `read_table` names a fault's line
+            t, row = _provenance_entry(cells)
+            want = next(stored, None)
+            if want is None:
                 fault = f"the index has an extra row, for {format_iso_z(t)}"
             elif t != want:
                 fault = (f"the next stored hour is {format_iso_z(want)}, not "
@@ -519,10 +515,20 @@ class CuratedArchive:
                     " is resampled but has no original" if row.resampled
                     else " has an original but is not resampled")
             else:
-                continue
-            raise ArchiveError(f"{self.root / 'manifest.json'} and {table} "
-                               f"disagree: line {line}: {fault}")
-        rows = dict(entries)
+                return t, row
+            raise ValueError(f"disagrees with {manifest}: {fault}")
+
+        try:
+            rows = dict(read_table(table, PROVENANCE_COLUMNS, entry))
+        except OSError as e:
+            raise ArchiveError(f"{table}: {e.strerror}") from e
+        except ValueError as e:
+            raise ArchiveError(str(e)) from e
+        missing = next(stored, None)
+        if missing is not None:
+            raise ArchiveError(f"{table} after its last line: disagrees with "
+                               f"{manifest}: the index has no row for "
+                               f"{format_iso_z(missing)}")
         return _Day(rows, _day_slots(day, dict.fromkeys(rows, self.geometry)),
                     _day_slots(day, grids))
 

@@ -3,7 +3,9 @@
 Two modes are first-class: the original south-west corner rule and the
 corrected bilinear rule, so the two sampling conventions can be compared on
 the same archive with one flag. Sampling always reads level 0; degrading to
-a coarser level would silently change analysis numbers.
+a coarser level would silently change analysis numbers. A call computes its
+point's rule once, for all of a series' hours, and tests the point's extent
+by `regrid.on_axis`, as `bilinear_resample` does: 1e-9 of a step past an edge.
 """
 
 from __future__ import annotations
@@ -12,14 +14,13 @@ import enum
 import math
 from dataclasses import dataclass
 from datetime import datetime
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
 from .archive import CuratedArchive
 from .granule import GridGeometry
-from .regrid import blend, corner_weights
+from .regrid import blend, corner_weights, on_axis
 from .timecal import hour_range
 
 
@@ -43,32 +44,27 @@ def _fractional_index(g: GridGeometry, lat: float,
                       lon: float) -> tuple[float, float]:
     fy = (lat - g.lat0) / g.dlat
     fx = (lon - g.lon0) / g.dlon
-    if not (0.0 <= fy <= g.nrows - 1 and 0.0 <= fx <= g.ncols - 1):
+    if not (on_axis(fy, g.nrows) and on_axis(fx, g.ncols)):
         raise ExtentError(f"({lat}, {lon}) outside archive extent "
                           f"[{g.lat0}, {g.lat_max}] x [{g.lon0}, {g.lon_max}]")
     return fy, fx
 
 
-@lru_cache(maxsize=64)
 def _sampler(g: GridGeometry, lat: float, lon: float,
              mode: SamplingMode) -> Callable[[np.ndarray], float]:
     """The sampling rule at an in-extent point of grid `g`, as a function of
-    a level-0 frame's values. The fractional index and the corner weights
-    are computed once per point, not once per hour: a series samples each
-    of its hours with the rule of its first."""
+    a level-0 frame's values: its fractional index and corner weights."""
     fy, fx = _fractional_index(g, lat, lon)
     if mode is SamplingMode.SOUTHWEST_CORNER:
-        # floor toward the grid origin in both axes
-        row, col = int(math.floor(fy)), int(math.floor(fx))
+        # floor toward the grid origin in both axes, onto the grid
+        row, col = max(math.floor(fy), 0), max(math.floor(fx), 0)
         return lambda v: float(v[row, col])
     iy, wy = corner_weights(fy, g.nrows)
     ix, wx = corner_weights(fx, g.ncols)
     iy, ix, wy, wx = int(iy), int(ix), float(wy), float(wx)
-
-    def bilinear(v: np.ndarray) -> float:
-        # the corners as Python floats, so the blend runs in float64
-        return float(blend(wy, wx, *map(float, v[iy:iy + 2, ix:ix + 2].flat)))
-    return bilinear
+    # the corners as Python floats, so the blend runs in float64
+    return lambda v: float(blend(wy, wx,
+                                 *map(float, v[iy:iy + 2, ix:ix + 2].flat)))
 
 
 def sample_point(archive: CuratedArchive, t: datetime, lat: float, lon: float,
@@ -88,11 +84,11 @@ def sample_series(archive: CuratedArchive, t0: datetime, t1: datetime,
                   lat: float, lon: float,
                   mode: SamplingMode = SamplingMode.BILINEAR) -> SeriesResult:
     """Hourly point samples over [t0, t1]; gap hours are reported, not thrown."""
-    _sampler(archive.geometry, lat, lon, mode)  # extent check up front
+    sample = _sampler(archive.geometry, lat, lon, mode)
     entries, gaps = [], []
     for t in hour_range(t0, t1):
         if t in archive.gaps:
             gaps.append(t)
         else:
-            entries.append((t, sample_point(archive, t, lat, lon, mode)))
+            entries.append((t, sample(archive.read_frame(t)[0].values)))
     return SeriesResult(entries, gaps)

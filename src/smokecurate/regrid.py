@@ -1,5 +1,5 @@
-"""Bilinear resampling of a frame onto the canonical grid, by the one
-bilinear rule (`corner_weights`, `blend`) that `query` samples points with.
+"""Bilinear resampling of a frame onto the canonical grid, by the one rule
+(`on_axis`, `corner_weights`, `blend`) that `query` samples points with.
 
 Geometry comparison is exact (all six fields); fuzzy matching would silently
 hide the grid drift this pipeline exists to expose.
@@ -21,6 +21,12 @@ class Frame:
     geometry: GridGeometry
     values: np.ndarray
     resampled: bool = False
+
+
+def on_axis(f, n: int):
+    """Whether fractional indices `f` lie on an axis of `n` points, to within
+    1e-9 of a step: the roundoff of a coordinate at the exact boundary."""
+    return (f >= -1e-9) & (f <= n - 1 + 1e-9)
 
 
 def corner_weights(f, n: int):
@@ -62,10 +68,7 @@ def bilinear_resample(src: Frame, target: GridGeometry) -> Frame:
     fy = (target.latitudes() - sg.lat0) / sg.dlat
     fx = (target.longitudes() - sg.lon0) / sg.dlon
 
-    eps = 1e-9  # tolerate roundoff at the exact source boundary
-    in_y = (fy >= -eps) & (fy <= sg.nrows - 1 + eps)
-    in_x = (fx >= -eps) & (fx <= sg.ncols - 1 + eps)
-    inside = in_y[:, None] & in_x[None, :]
+    inside = on_axis(fy, sg.nrows)[:, None] & on_axis(fx, sg.ncols)[None, :]
 
     iy, wy = corner_weights(fy, sg.nrows)
     ix, wx = corner_weights(fx, sg.ncols)

@@ -745,7 +745,7 @@ def test_manifest_missing_a_gap_hour_is_refused(tmp_path):
     with pytest.raises(ArchiveError) as err:
         arch.read_frame(T0)
     assert str(err.value) == (
-        f"{root / 'manifest.json'} and {root / INDEX} disagree: line 5: the "
+        f"{root / INDEX} line 5: disagrees with {root / 'manifest.json'}: the "
         f"next stored hour is 2022-03-02T03:00:00Z, not 2022-03-02T04:00:00Z")
 
 
@@ -878,6 +878,11 @@ def _index_cell(column, value):
     return _index_lines(edit)
 
 
+def _blank_line_then_swap(lines):
+    """A blank line 3, which `csv` skips, then the next two rows swapped."""
+    lines[2:] = ["", lines[3], lines[2]]
+
+
 def _index_header(column, name):
     def damage(root):
         path = root / INDEX
@@ -931,32 +936,37 @@ def _truncate(name):
     (_manifest_with(lambda m: m.update(originals=[{"timesteps": []}])),
      "manifest.json", "bad 'originals'", "open"),
     (_manifest_with(lambda m: m.update(gaps=["2022-03-02T01:00:00Z"])),
-     "manifest.json", f"{INDEX} disagree: line 3: the next stored hour is "
-     "2022-03-02T02:00:00Z, not 2022-03-02T01:00:00Z", "read"),
+     INDEX, f"{INDEX} line 3: disagrees with manifest.json: the next stored "
+     "hour is 2022-03-02T02:00:00Z, not 2022-03-02T01:00:00Z", "read"),
     (_manifest_with(lambda m: m.update(end="9999-12-31T23:00:00Z")),
-     "manifest.json", f"{INDEX} disagree: line 5: the index has no row for "
-     "2022-03-02T03:00:00Z", "read"),
+     INDEX, f"{INDEX} after its last line: disagrees with manifest.json: the "
+     "index has no row for 2022-03-02T03:00:00Z", "read"),
     (_manifest_with(lambda m: m.update(gaps=["2022-03-09T00:00:00Z"])),
      "manifest.json", "bad 'gaps': 2022-03-09T00:00:00Z is not an hour of "
      "the range", "open"),
     (_index_cell("wrf_arw_init_time", "2022-03-01T18:00:00Z,x"), INDEX,
      "line 3: more cells than the header names", "read"),
-    (_index_cell("resampled", "true"), "manifest.json",
-     f"{INDEX} disagree: line 3: 2022-03-02T01:00:00Z is resampled but has "
-     "no original", "read"),
+    (_index_cell("resampled", "true"), INDEX,
+     f"{INDEX} line 3: disagrees with manifest.json: 2022-03-02T01:00:00Z is "
+     "resampled but has no original", "read"),
     (_manifest_with(lambda m: m.update(originals=[
         {"geometry": m["geometry"], "timesteps": ["2022-03-02T01:00:00Z"]}])),
-     "manifest.json", f"{INDEX} disagree: line 3: 2022-03-02T01:00:00Z has "
-     "an original but is not resampled", "read"),
+     INDEX, f"{INDEX} line 3: disagrees with manifest.json: "
+     "2022-03-02T01:00:00Z has an original but is not resampled", "read"),
     # a forged copy of the first hour's row, which a reader keeping the
     # last row of an hour would return for that hour
     (_index_lines(lambda lines: lines.append(
         _set_cell(lines[1], "forecast_id", "FORGED-ID"))),
-     "manifest.json", f"{INDEX} disagree: line 5: the index has an extra "
-     "row, for 2022-03-02T00:00:00Z", "read"),
+     INDEX, f"{INDEX} line 5: disagrees with manifest.json: the index has an "
+     "extra row, for 2022-03-02T00:00:00Z", "read"),
     (_index_lines(lambda lines: lines.insert(1, lines.pop(2))),
-     "manifest.json", f"{INDEX} disagree: line 2: the next stored hour is "
-     "2022-03-02T00:00:00Z, not 2022-03-02T01:00:00Z", "read"),
+     INDEX, f"{INDEX} line 2: disagrees with manifest.json: the next stored "
+     "hour is 2022-03-02T00:00:00Z, not 2022-03-02T01:00:00Z", "read"),
+    # the fault is on line 4 of the file, its second data row: a reader
+    # counting data rows would name line 3
+    (_index_lines(_blank_line_then_swap), INDEX, f"{INDEX} line 4: disagrees "
+     "with manifest.json: the next stored hour is 2022-03-02T01:00:00Z, not "
+     "2022-03-02T02:00:00Z", "read"),
 ], ids=["truncated-manifest", "no-gaps", "bad-start", "text-nrows",
         "text-levels", "boolean-levels", "tflag-time-out-of-range", "non-integer-stamp",
         "creation-stamp-out-of-range", "resampled-not-boolean",
@@ -965,7 +975,7 @@ def _truncate(name):
         "end-before-start", "original-not-stored", "original-without-grid",
         "gap-is-stored", "far-end", "gap-out-of-range", "extra-cell",
         "resampled-no-original", "original-not-resampled", "repeated-hour",
-        "rows-swapped"])
+        "rows-swapped", "blank-line-then-rows-swapped"])
 def test_damaged_archive_open_names_file_and_place(tmp_path, damage, file,
                                                    where, at):
     root = archive_from_frames(tmp_path, random_frames(3)).root
@@ -975,7 +985,8 @@ def test_damaged_archive_open_names_file_and_place(tmp_path, damage, file,
         assert at == "read", "open passed a damaged manifest"
         arch.read_frame(T0)
     assert str(err.value).startswith(str(root / file))
-    assert where in str(err.value)
+    # `where` names the archive's files by their paths in it
+    assert where in str(err.value).replace(f"{root}{os.sep}", "")
     if at == "read":  # found at the day's first read, by any read of the day
         for read in (lambda a: a.read_frame(T0 + 2 * HOUR),
                      lambda a: a.read_original(T0),

@@ -84,7 +84,7 @@ def test_bilinear_continuous_across_cell_edge(arch):
     assert abs(left - right) <= 1e-5
 
 
-def test_out_of_extent_rejected(arch):
+def test_out_of_extent_rejected(arch, tmp_path):
     g = arch.geometry
     for lat, lon in [(g.lat0 - 0.01, g.lon0), (g.lat_max + 0.01, g.lon0),
                      (g.lat0, g.lon0 - 0.01), (g.lat0, g.lon_max + 0.01)]:
@@ -93,6 +93,45 @@ def test_out_of_extent_rejected(arch):
     # the four extent corners themselves are valid
     for lat, lon in [(g.lat0, g.lon0), (g.lat_max, g.lon_max)]:
         sample_point(arch, T0, lat, lon)
+
+    # a grid whose printed lat_max lies 1.4e-14 of a row past its last row,
+    # and whose printed lon_max lies 5.7e-14 of a column short of its last
+    # column: the extent test is the resample's, so each printed corner is
+    # in extent, in both modes, through a point and a one-hour series
+    edge = archive_from_frames(
+        tmp_path, [np.array([[1.0, 2.0], [3.0, 4.0]], np.float32)],
+        geometry=GridGeometry(2, 2, 30.0, -120.0, 0.1, 0.1))
+    eg = edge.geometry
+    sw, bilinear = SamplingMode.SOUTHWEST_CORNER, SamplingMode.BILINEAR
+
+    def sample(lat, lon, mode):
+        v = sample_point(edge, T0, lat, lon, mode)
+        assert sample_series(edge, T0, T0, lat, lon, mode).entries == [(T0, v)]
+        return v
+
+    for lat, west, east in [(eg.lat0, 1.0, 2.0), (eg.lat_max, 3.0, 4.0)]:
+        assert sample(lat, eg.lon0, sw) == west
+        assert sample(lat, eg.lon0, bilinear) == west
+        # the SW rule floors lon_max's fractional column, 1 - 5.7e-14, to
+        # column 0, and the blend gives column 1 to within that weight
+        assert sample(lat, eg.lon_max, sw) == west
+        assert sample(lat, eg.lon_max, bilinear) == pytest.approx(east,
+                                                                  rel=1e-13)
+    # a fractional row or column in [-1e-9, 0) reads row or column 0, not
+    # the far edge
+    assert sample(eg.lat0 - 5e-10 * eg.dlat, eg.lon0, sw) == 1.0
+    assert sample(eg.lat0, eg.lon0 - 5e-10 * eg.dlon, sw) == 1.0
+    assert sample(eg.lat0 - 5e-10 * eg.dlat, eg.lon0, bilinear) == 1.0
+    # 1e-6 of a step past any edge is out of extent
+    for lat, lon in [(eg.lat0 - 1e-6 * eg.dlat, eg.lon0),
+                     (eg.lat_max + 1e-6 * eg.dlat, eg.lon_max),
+                     (eg.lat0, eg.lon0 - 1e-6 * eg.dlon),
+                     (eg.lat_max, eg.lon_max + 1e-6 * eg.dlon)]:
+        for mode in SamplingMode:
+            with pytest.raises(ExtentError):
+                sample_point(edge, T0, lat, lon, mode)
+            with pytest.raises(ExtentError):
+                sample_series(edge, T0, T0, lat, lon, mode)
 
 
 def test_series_covers_every_hour(arch):

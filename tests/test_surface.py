@@ -28,11 +28,15 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 # Library-only API (no command or stage calls them), as the README lists it
-LIBRARY_ONLY = {"read_original", "explain_pick"}
+LIBRARY_ONLY = {"read_original", "explain_pick", "sample_point"}
 # click calls these on the parameter types and groups that define them
 CLICK_PROTOCOL = {"convert", "invoke"}
 # defaulted parameters that no call in `src/` or `bench/` sets, with the reason
-UNSET_BY_DESIGN: set[str] = set()
+UNSET_BY_DESIGN = {
+    # `sample_point` is library-only (`sample_series` applies the point's
+    # rule itself), so only library callers pass it a mode
+    "sample_point(mode)",
+}
 # dataclass fields that nothing in `src/` or `bench/` reads, with the reason
 UNREAD_BY_DESIGN = {
     # `explain_pick` returns them, and it is library-only: only tests read them
