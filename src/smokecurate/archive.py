@@ -11,8 +11,9 @@ Each running day holds one frame plus its resample temporaries and has one
 granule open. A non-finite or negative value, a truncation or a header
 fault in a picked frame aborts the build with a BuildError naming the
 earliest such timestep, the granule and the byte offset, whatever the pool
-width; a bad value in a frame nobody picked is never read and does not stop
-the build.
+width; so does a picked frame whose grid holds no point of the canonical
+grid, naming both grids. A bad value in a frame nobody picked is never read
+and does not stop the build.
 
 On-disk layout (format_version 3):
     manifest.json          geometry, time range, levels, gaps, the grid and
@@ -36,10 +37,14 @@ bytes. `CuratedArchive.open` reads manifest.json only: the stored hours are
 the range minus `gaps`, so its cost grows with the gaps and originals, not
 with the stored hours. A day's rows and slots are built on the day's first
 read (`read_frame`, `read_original` or a `provenance` lookup), which reads
-its day index whole and checks it: every stamp decodes, and it holds one
-row per stored hour, in hour order, resampled exactly when an original is
-stored; a fault names the index's line, blank lines counted. So a damaged
-day index is found at the first read of its day, not at open. A read is one
+its day index whole and checks it: it holds one row per stored hour, in
+hour order, resampled exactly when an original is stored. A row's tflag
+stamp is compared as integers with the next stored hour's, from the
+stored hours' run (`timecal.hour_stamps`), and decoded only when it
+differs; each granule's stamps are decoded once per read, into one
+ProvenanceRow its rows share. A fault names the index's line, blank lines
+counted. So a damaged day index is found at the first read of its day, not
+at open. A read is one
 `readinto` of exactly its slot's frame, straight into the array returned,
 from a shard that must be exactly the slot's shard bytes long.
 An archive is written once: the build writes a new sibling directory and
@@ -59,8 +64,9 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack, closing
 from dataclasses import asdict, dataclass
 from datetime import date, datetime
-from functools import lru_cache, partial
+from functools import partial
 from itertools import accumulate, groupby
+from operator import itemgetter
 from pathlib import Path
 from typing import BinaryIO, Iterator
 
@@ -70,17 +76,19 @@ from . import __version__
 from .granule import (FrameReader, GranuleError, GranuleHeader, GridGeometry,
                       pool_width)
 from .indexer import PlannedFrame
-from .regrid import Frame, identity_or_resample
+from .regrid import Frame, covers_any, identity_or_resample
 from .sequencer import SequencePlan
 from .tables import read_table, write_table
 from .timecal import (HOUR, UTC, JulianStamp, calendar_to_julian,
-                      format_iso_z, hour_count, hour_range, is_hour_step,
-                      julian_to_calendar, parse_iso_z)
+                      format_iso_z, hour_count, hour_range, hour_stamps,
+                      is_hour_step, julian_to_calendar, parse_iso_z)
 
 FORMAT_VERSION = 3
 PROVENANCE_COLUMNS = ["tflag_date", "tflag_time", "cdate", "ctime", "wdate",
                       "wtime", "sdate", "stime", "forecast_id", "resampled",
                       "wrf_arw_init_time"]
+# the cells of a day index row that name its granule, not its hour
+_granule_cells = itemgetter(*PROVENANCE_COLUMNS[2:])
 # where a stored frame lies: shard name, byte offset, grid, shard bytes
 Slot = tuple[str, int, GridGeometry, int]
 
@@ -91,8 +99,9 @@ class ArchiveError(Exception):
 
 class BuildError(ArchiveError):
     """A picked granule could not be opened, its header or picked frame
-    failed to parse during materialization, or its grid disagrees with the
-    plan's resampled_needed."""
+    failed to parse during materialization, its grid disagrees with the
+    plan's resampled_needed, or its grid holds no point of the canonical
+    grid."""
 
 
 class GapError(ArchiveError):
@@ -146,9 +155,9 @@ def _shard_name(day: date) -> str:
     return f"{day:%Y%m%d}.bin"
 
 
-def _index_path(root: Path, day: date) -> Path:
+def _index_path(root: Path, day: date) -> str:
     """The day index of `day` in the archive at `root`."""
-    return root / "L0" / f"{day:%Y%m%d}.csv"
+    return os.path.join(root, "L0", f"{day:%Y%m%d}.csv")
 
 
 def _picked_frames(picks: list[tuple[datetime, PlannedFrame]]
@@ -280,6 +289,12 @@ def _write_day(plan: SequencePlan, canonical: GridGeometry, root: Path,
         level0 = shards.enter_context(_create(root / "L0", day))
         original = None
         for t, h, values in frames:
+            if h.geometry != canonical and not covers_any(h.geometry,
+                                                          canonical):
+                raise BuildError(
+                    f"timestep {format_iso_z(t)}: granule "
+                    f"{plan.picks[t].path} is on grid {h.geometry}, which "
+                    f"holds no point of the canonical grid {canonical}")
             src = Frame(h.geometry, values)
             frame = identity_or_resample(src, canonical)
             needed = plan.resampled_needed
@@ -312,28 +327,23 @@ def _provenance_cells(t: datetime, row: ProvenanceRow) -> list:
             format_iso_z(row.weather_init)]
 
 
-@lru_cache(maxsize=64)
-def _granule_time(date: str, time: str) -> datetime:
-    # the rows of one granule share its creation, weather and smoke stamps
-    return julian_to_calendar(JulianStamp(int(date), int(time)))
-
-
-def _provenance_entry(row: dict[str, str]) -> tuple[datetime, ProvenanceRow]:
-    """The inverse of `_provenance_cells`. Every stamp must decode,
-    `resampled` must be true or false, and `wrf_arw_init_time` must be the
-    weather stamp's ISO_Z text."""
-    t = julian_to_calendar(JulianStamp(int(row["tflag_date"]),
-                                       int(row["tflag_time"])))
-    created, weather, smoke = (_granule_time(row[f"{p}date"], row[f"{p}time"])
-                               for p in "cws")
-    if row["resampled"] not in ("true", "false"):
-        raise ValueError(f"resampled is {row['resampled']!r}, "
+def _provenance_row(cells: dict[str, str]) -> ProvenanceRow:
+    """The granule half of a day index row (every column after the tflag),
+    the inverse of `_provenance_cells`. Every stamp must decode, `resampled`
+    must be true or false, and `wrf_arw_init_time` must be the weather
+    stamp's ISO_Z text."""
+    created, weather, smoke = (
+        julian_to_calendar(JulianStamp(int(cells[f"{p}date"]),
+                                       int(cells[f"{p}time"])))
+        for p in "cws")
+    if cells["resampled"] not in ("true", "false"):
+        raise ValueError(f"resampled is {cells['resampled']!r}, "
                          f"not true or false")
-    if row["wrf_arw_init_time"] != format_iso_z(weather):
-        raise ValueError(f"wrf_arw_init_time {row['wrf_arw_init_time']!r} is "
-                         f"not the weather stamp's {format_iso_z(weather)}")
-    return t, ProvenanceRow(row["forecast_id"], created, weather, smoke,
-                            row["resampled"] == "true")
+    if cells["wrf_arw_init_time"] != format_iso_z(weather):
+        raise ValueError(f"wrf_arw_init_time {cells['wrf_arw_init_time']!r} "
+                         f"is not the weather stamp's {format_iso_z(weather)}")
+    return ProvenanceRow(cells["forecast_id"], created, weather, smoke,
+                         cells["resampled"] == "true")
 
 
 def _level_count(levels: int) -> int:
@@ -342,16 +352,18 @@ def _level_count(levels: int) -> int:
     return levels
 
 
-def _day_slots(day: date, grids: dict[datetime, GridGeometry]
+def _day_slots(name: str, grids: dict[datetime, GridGeometry]
                ) -> dict[datetime, Slot]:
-    """The slot of each of `day`'s hours in `grids`, from its grid: the
-    day's frames lie back to back in hour order in its shard, each the size
-    of its own grid, and an hour not in `grids` takes no room."""
+    """The slot of each of a day's hours in `grids` in its shard `name`,
+    from its grid: the day's frames lie back to back in hour order in its
+    shard, each the size of its own grid, and an hour not in `grids` takes
+    no room."""
     times = sorted(grids)
-    sizes = [grids[t].nrows * grids[t].ncols * 4 for t in times]
-    name, total = _shard_name(day), sum(sizes)
-    return {t: (name, offset, grids[t], total)
-            for t, offset in zip(times, accumulate(sizes, initial=0))}
+    geoms = list(map(grids.__getitem__, times))
+    sizes = [g.nrows * g.ncols * 4 for g in geoms]
+    total = sum(sizes)
+    return {t: (name, offset, g, total) for t, offset, g in
+            zip(times, accumulate(sizes, initial=0), geoms)}
 
 
 def _gap_set(texts: list[str], start: datetime,
@@ -494,17 +506,29 @@ class CuratedArchive:
         line that does not, or the end of an index short of a stored hour,
         raises ArchiveError naming the index, the place and the manifest."""
         table = _index_path(self.root, day)
-        manifest = self.root / "manifest.json"
+        manifest = os.path.join(self.root, "manifest.json")
         midnight = datetime(day.year, day.month, day.day, tzinfo=UTC)
-        stored = (t for t in hour_range(max(self.start, midnight),
-                                        min(self.end, midnight + 23 * HOUR))
-                  if t not in self.gaps)
+        first = max(self.start, midnight)
+        # each stored hour with its (tflag_date, tflag_time) stamp
+        stored = iter([(t, stamp) for t, stamp in zip(
+            hour_range(first, min(self.end, midnight + 23 * HOUR)),
+            hour_stamps(first)) if t not in self.gaps])
         grids = self.original_grids.get(day, {})
+        granules: dict[tuple[str, ...], ProvenanceRow] = {}
 
         def entry(cells: dict[str, str]) -> tuple[datetime, ProvenanceRow]:
-            # the next stored hour's row; `read_table` names a fault's line
-            t, row = _provenance_entry(cells)
-            want = next(stored, None)
+            # the next stored hour's row; `read_table` names a fault's line.
+            # A row's stamps are compared as integers, and decoded only when
+            # they are not the next stored hour's; a granule's columns are
+            # decoded on the first row that holds them
+            stamp = int(cells["tflag_date"]), int(cells["tflag_time"])
+            want, want_stamp = next(stored, (None, None))
+            t = (want if stamp == want_stamp
+                 else julian_to_calendar(JulianStamp(*stamp)))
+            key = _granule_cells(cells)
+            row = granules.get(key)
+            if row is None:
+                row = granules[key] = _provenance_row(cells)
             if want is None:
                 fault = f"the index has an extra row, for {format_iso_z(t)}"
             elif t != want:
@@ -524,13 +548,14 @@ class CuratedArchive:
             raise ArchiveError(f"{table}: {e.strerror}") from e
         except ValueError as e:
             raise ArchiveError(str(e)) from e
-        missing = next(stored, None)
+        missing, _ = next(stored, (None, None))
         if missing is not None:
             raise ArchiveError(f"{table} after its last line: disagrees with "
                                f"{manifest}: the index has no row for "
                                f"{format_iso_z(missing)}")
-        return _Day(rows, _day_slots(day, dict.fromkeys(rows, self.geometry)),
-                    _day_slots(day, grids))
+        name = _shard_name(day)
+        return _Day(rows, _day_slots(name, dict.fromkeys(rows, self.geometry)),
+                    _day_slots(name, grids))
 
     def _check_range(self, t: datetime) -> None:
         if not is_hour_step(t):
@@ -557,7 +582,7 @@ class CuratedArchive:
         not exactly the slot's shard size raises ArchiveError naming the
         shard, both sizes and the hour."""
         name, offset, grid, shard_size = slot
-        path = self.root / directory / name
+        path = os.path.join(self.root, directory, name)
         values = np.empty((grid.nrows, grid.ncols), dtype="<f4")
         got = 0
         try:

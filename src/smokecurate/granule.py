@@ -11,9 +11,11 @@ GRANULE v1 layout (little-endian):
     payload         ntimes*nrows*ncols f32, time-major then row-major
 
 In memory a granule's times are aware UTC datetimes in one `GranuleHeader`;
-the YYYYDDD/HHMMSS stamps exist only in the bytes, decoded once by
-`read_header` and encoded once by the writer. The tflag is proven hourly
-from its first entry, so frame i is at `first_frame + i*HOUR`.
+the YYYYDDD/HHMMSS stamps exist only in the bytes, read by `read_header`
+and written by the writer. The tflag is the hourly run of its first entry
+(`timecal.hour_stamps`), so frame i is at `first_frame + i*HOUR`: the
+reader decodes tflag[0] and compares the other entries with the run as
+integers, and the writer packs the run.
 
 Parsing must be safe on arbitrary bytes; every failure carries the byte
 offset of the first inconsistency. Every payload byte goes through one
@@ -35,12 +37,13 @@ import os
 import struct
 from dataclasses import dataclass
 from datetime import datetime
+from itertools import islice, starmap
 from typing import BinaryIO, Sequence
 
 import numpy as np
 
-from .timecal import (HOUR, EncodingError, JulianStamp, calendar_to_julian,
-                      julian_to_calendar)
+from .timecal import (EncodingError, JulianStamp, calendar_to_julian,
+                      hour_stamps, julian_to_calendar)
 
 MAGIC = b"SMOKGRAN"
 VERSION = 1
@@ -49,6 +52,9 @@ _PREAMBLE = struct.Struct("<8sI")                 # magic + version
 _HEADER = struct.Struct("<16s6I3I4d")             # id, stamps, dims, geometry
 _TFLAG_ENTRY = struct.Struct("<II")
 HEADER_END = _PREAMBLE.size + _HEADER.size        # 96 bytes
+# tflag entries `read_header` reads and checks at a time (8 KiB), so a huge
+# ntimes on a short source costs no more than its bytes
+_TFLAG_BLOCK = 1024
 
 # Work done frame by frame on a grid whose float32 frame has at least this
 # many bytes runs on a pool of one thread per CPU this process may run on
@@ -188,8 +194,7 @@ class ForecastGranule:
     @property
     def tflag(self) -> list[JulianStamp]:
         """The per-frame stamps, as `_pack_head` writes them."""
-        h = self.header
-        return [calendar_to_julian(h.first_frame + i * HOUR) for i in range(h.ntimes)]
+        return list(starmap(JulianStamp, _tflag_stamps(self.header)))
 
     def validate(self) -> tuple[bytes, np.ndarray]:
         """Check the granule as written and return the checked header and
@@ -218,6 +223,15 @@ class ForecastGranule:
         return head, payload
 
 
+def _tflag_stamps(h: GranuleHeader) -> list[tuple[int, int]]:
+    """Each frame's (date, time) stamp: the hourly run of the first frame.
+    A frame after year 9999 is an OverflowError, as its datetime would be."""
+    stamps = list(islice(hour_stamps(h.first_frame), h.ntimes))
+    if len(stamps) < h.ntimes:
+        raise OverflowError(f"frame {len(stamps)} falls after year 9999")
+    return stamps
+
+
 def _pack_head(h: GranuleHeader) -> bytes:
     """Header and tflag bytes, unchecked: the one place stamps are encoded.
     The id is packed as UTF-8, so an id `read_header` would not return as
@@ -225,7 +239,6 @@ def _pack_head(h: GranuleHeader) -> bytes:
     geom = h.geometry
     created, weather, smoke = (calendar_to_julian(t) for t in
                                (h.created, h.weather_init, h.smoke_init))
-    tflag = (calendar_to_julian(h.first_frame + i * HOUR) for i in range(h.ntimes))
     return b"".join([
         _PREAMBLE.pack(MAGIC, VERSION),
         _HEADER.pack(h.forecast_id.encode("utf-8").ljust(16),
@@ -234,7 +247,7 @@ def _pack_head(h: GranuleHeader) -> bytes:
                      smoke.date, smoke.time,
                      geom.nrows, geom.ncols, h.ntimes,
                      geom.lat0, geom.lon0, geom.dlat, geom.dlon),
-        *(_TFLAG_ENTRY.pack(s.date, s.time) for s in tflag)])
+        *starmap(_TFLAG_ENTRY.pack, _tflag_stamps(h))])
 
 
 def encode_granule(g: ForecastGranule) -> tuple[bytes, memoryview]:
@@ -267,10 +280,13 @@ def _read_exact(source: BinaryIO, n: int, offset: int, what: str) -> bytes:
 def read_header(source: BinaryIO) -> GranuleHeader:
     """Read magic + header + tflag only; the payload region is never touched.
 
-    The one place a granule's stamps are decoded: each header stamp and tflag
-    entry is decoded once, and the tflag is proven hourly-contiguous, so the
-    header keeps only its first frame. Payload truncation is not detectable
-    here; the header's expected sizes are for later validation.
+    The one place a granule's stamps are decoded: the three header stamps
+    and tflag[0]. The rest of the tflag is read _TFLAG_BLOCK entries at a
+    time and compared with tflag[0]'s hourly run, so the header keeps only
+    its first frame; the first entry off the run is decoded, so its error
+    and offset are those of a reader decoding every entry. Payload
+    truncation is not detectable here; the header's expected sizes are for
+    later validation.
     """
     head = _read_upto(source, _PREAMBLE.size)
     if len(head) < len(MAGIC) or head[: len(MAGIC)] != MAGIC:
@@ -308,19 +324,38 @@ def read_header(source: BinaryIO) -> GranuleHeader:
     if ntimes < 1:
         raise InvalidHeaderError("ntimes must be >= 1", _PREAMBLE.size + 48)
 
-    for i in range(ntimes):
-        off = HEADER_END + i * _TFLAG_ENTRY.size
-        entry = _read_exact(source, _TFLAG_ENTRY.size, off, "tflag")
-        try:
-            instant = julian_to_calendar(JulianStamp(*_TFLAG_ENTRY.unpack(entry)))
-        except EncodingError as e:
-            raise InvalidHeaderError(f"bad tflag[{i}]: {e}", off) from None
-        if i == 0:
-            first = instant
-        elif instant - first != i * HOUR:
-            raise InvalidHeaderError(f"tflag[{i}] breaks hourly contiguity", off)
+    entry = _read_exact(source, _TFLAG_ENTRY.size, HEADER_END, "tflag")
+    first = _tflag_time(_TFLAG_ENTRY.unpack(entry), 0, HEADER_END)
+    run = hour_stamps(first)
+    next(run)  # tflag[0]'s own stamp
+    # the rest, a bounded block at a time, against the run of tflag[0]
+    for start in range(1, ntimes, _TFLAG_BLOCK):
+        off = HEADER_END + start * _TFLAG_ENTRY.size
+        want = min(_TFLAG_BLOCK, ntimes - start) * _TFLAG_ENTRY.size
+        block = _read_upto(source, want)
+        whole = len(block) - len(block) % _TFLAG_ENTRY.size
+        entries = list(_TFLAG_ENTRY.iter_unpack(block[:whole]))
+        expected = list(islice(run, len(entries)))
+        if entries != expected:
+            # the first entry off the run, which may lie past its end
+            i = next(i for i, entry in enumerate(entries)
+                     if i >= len(expected) or entry != expected[i])
+            at = off + i * _TFLAG_ENTRY.size
+            _tflag_time(entries[i], start + i, at)
+            raise InvalidHeaderError(
+                f"tflag[{start + i}] breaks hourly contiguity", at)
+        if len(block) < want:
+            raise TruncatedError("stream ended inside tflag", off + len(block))
 
     return GranuleHeader(forecast_id, *times, first, geometry, ntimes)
+
+
+def _tflag_time(entry: tuple[int, int], i: int, offset: int) -> datetime:
+    """tflag entry `i`, at byte `offset`, decoded."""
+    try:
+        return julian_to_calendar(JulianStamp(*entry))
+    except EncodingError as e:
+        raise InvalidHeaderError(f"bad tflag[{i}]: {e}", offset) from None
 
 
 def parse_granule(source: BinaryIO) -> ForecastGranule:

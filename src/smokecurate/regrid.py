@@ -43,6 +43,21 @@ def blend(wy, wx, v00, v01, v10, v11):
             + wy * (1 - wx) * v10 + wy * wx * v11)
 
 
+def _fractional_indices(src: GridGeometry, target: GridGeometry):
+    """The fractional `src` row index of each `target` row, and column index
+    of each `target` column."""
+    return ((target.latitudes() - src.lat0) / src.dlat,
+            (target.longitudes() - src.lon0) / src.dlon)
+
+
+def covers_any(src: GridGeometry, target: GridGeometry) -> bool:
+    """Whether any `target` point lies within `src`'s extent (`on_axis`):
+    the points a resample from `src` onto `target` blends rather than
+    zero-fills."""
+    fy, fx = _fractional_indices(src, target)
+    return bool(on_axis(fy, src.nrows).any() and on_axis(fx, src.ncols).any())
+
+
 def bilinear_resample(src: Frame, target: GridGeometry) -> Frame:
     """Resample onto `target` by bilinear blending of the 4 enclosing source
     points. Target points outside the source bounding box are set to 0.
@@ -64,10 +79,7 @@ def bilinear_resample(src: Frame, target: GridGeometry) -> Frame:
         np.add(src.values[:rows, :cols], 0.0, out=out[:rows, :cols])
         return Frame(target, out, resampled=True)
 
-    # fractional source index of each target row and column
-    fy = (target.latitudes() - sg.lat0) / sg.dlat
-    fx = (target.longitudes() - sg.lon0) / sg.dlon
-
+    fy, fx = _fractional_indices(sg, target)
     inside = on_axis(fy, sg.nrows)[:, None] & on_axis(fx, sg.ncols)[None, :]
 
     iy, wy = corner_weights(fy, sg.nrows)

@@ -23,21 +23,26 @@ def write_table(path: Path | str, header: Sequence[str],
 def read_table(path: Path | str, columns: Sequence[str],
                parse: Callable[[dict[str, str]], T]) -> list[T]:
     """`parse(row)` for each row of the table at `path`, whose header must
-    name every one of `columns`. A row that cannot be split, that has fewer
-    or more cells than the header or that `parse` rejects (TypeError or
-    ValueError) raises ValueError naming the file and the line."""
+    name every one of `columns`; `parse` gets each row as a dict by the
+    header's names. A blank line is skipped. A row that cannot be split,
+    that has fewer or more cells than the header or that `parse` rejects
+    (TypeError or ValueError) raises ValueError naming the file and the
+    physical line, blank lines counted."""
     with open(path, newline="") as f:
-        reader = csv.DictReader(f)
+        reader = csv.reader(f)
         try:
-            missing = [c for c in columns if c not in (reader.fieldnames or ())]
+            header = next(reader, [])
+            missing = [c for c in columns if c not in header]
             if not missing:
                 parsed = []
-                for row in reader:
-                    if None in row.values():  # DictReader's short-row filler
-                        raise ValueError("fewer cells than the header names")
-                    if None in row:  # DictReader's key for a long row's rest
-                        raise ValueError("more cells than the header names")
-                    parsed.append(parse(row))
+                for cells in reader:
+                    if not cells:  # a blank line
+                        continue
+                    if len(cells) != len(header):
+                        fewer = len(cells) < len(header)
+                        raise ValueError(f"{'fewer' if fewer else 'more'} "
+                                         f"cells than the header names")
+                    parsed.append(parse(dict(zip(header, cells))))
                 return parsed
         except (csv.Error, TypeError, ValueError) as e:
             raise ValueError(f"{path} line {reader.line_num}: {e}") from e

@@ -1,15 +1,20 @@
 """Conversions between UTC datetimes, YYYYDDD/HHMMSS stamps and ISO_Z text.
 
 All stamps are UTC. Second resolution only; the HHMMSS encoding cannot
-express anything finer.
+express anything finer. `julian_to_calendar` decodes one stamp and
+`calendar_to_julian` encodes one; `hour_stamps` is the same rule for an
+hourly run, stepped in integers, so a reader checks a run of stamps by
+comparing integers, and decodes only the first and any that differ.
 """
 
 from __future__ import annotations
 
 import calendar
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass
-from datetime import datetime, timedelta, timezone
+from datetime import date, datetime, timedelta, timezone
+from itertools import accumulate, repeat
 
 UTC = timezone.utc
 HOUR = timedelta(hours=1)
@@ -68,9 +73,27 @@ def calendar_to_julian(dt: datetime) -> JulianStamp:
     if dt.tzinfo is None:
         raise ValueError("naive datetime has no well-defined UTC representation")
     dt = dt.astimezone(UTC)
-    doy = dt.timetuple().tm_yday
+    doy = dt.toordinal() - date(dt.year, 1, 1).toordinal() + 1
     return JulianStamp(dt.year * 1000 + doy,
                        dt.hour * 10000 + dt.minute * 100 + dt.second)
+
+
+def hour_stamps(first: datetime) -> Iterator[tuple[int, int]]:
+    """The (date, time) pairs of `first`, `first + HOUR`, `first + 2*HOUR`,
+    ..., as `calendar_to_julian` encodes them, stepped in integers: past
+    hour 23 the day-of-year steps, and past day 365 (366 in a leap year) the
+    year. The pairs end with the last hour of year 9999, the last a stamp
+    can hold."""
+    stamp = calendar_to_julian(first)
+    year, doy = divmod(stamp.date, 1000)
+    time = stamp.time
+    while year <= 9999:
+        yield from zip(repeat(year * 1000 + doy), range(time, 240000, 10000))
+        time %= 10000  # the minutes and seconds, at hour 0 of the next day
+        if doy < (366 if calendar.isleap(year) else 365):
+            doy += 1
+        else:
+            year, doy = year + 1, 1
 
 
 def format_iso_z(t: datetime) -> str:
@@ -108,5 +131,7 @@ def hour_count(start: datetime, end: datetime) -> int:
 
 
 def hour_range(start: datetime, end: datetime) -> list[datetime]:
-    """Inclusive list of hourly steps from start to end."""
-    return [start + i * HOUR for i in range(hour_count(start, end))]
+    """Inclusive list of hourly steps from start to end, each the one before
+    plus an HOUR (exact, as datetime arithmetic is)."""
+    return list(accumulate(repeat(HOUR, hour_count(start, end) - 1),
+                           initial=start))

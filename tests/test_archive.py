@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import os
@@ -28,7 +29,7 @@ from smokecurate.regrid import Frame, identity_or_resample
 from smokecurate.sequencer import SequencePlan, plan_sequence
 from smokecurate.tables import read_table, write_table
 from smokecurate.timecal import (HOUR, UTC, JulianStamp, calendar_to_julian,
-                                 hour_range)
+                                 format_iso_z, hour_range, julian_to_calendar)
 
 from conftest import (SMALL_GEOM, T0, archive_from_frames, count_reads,
                       granule_to_bytes, pool_of)
@@ -366,15 +367,18 @@ second_times = st.datetimes(datetime(1, 1, 1), datetime(9999, 12, 31, 23, 59, 59
 def test_provenance_cells_read_back_as_written(tmp_path_factory, t, created,
                                                weather_init, smoke_init,
                                                forecast_id, resampled):
-    """`_provenance_entry` is the inverse of `_provenance_cells` through
-    the one table format, for any second-resolution UTC times of years
-    1-9999 and any printable ASCII forecast id, commas and quotes too."""
+    """The tflag stamp decoded and `_provenance_row` are the inverse of
+    `_provenance_cells` through the one table format, for any
+    second-resolution UTC times of years 1-9999 and any printable ASCII
+    forecast id, commas and quotes too."""
     row = ProvenanceRow(forecast_id, created, weather_init, smoke_init,
                         resampled)
     path = tmp_path_factory.mktemp("prov") / "provenance.csv"
     write_table(path, PROVENANCE_COLUMNS, [archive._provenance_cells(t, row)])
-    assert read_table(path, PROVENANCE_COLUMNS,
-                      archive._provenance_entry) == [(t, row)]
+    assert read_table(path, PROVENANCE_COLUMNS, lambda cells: (
+        julian_to_calendar(JulianStamp(int(cells["tflag_date"]),
+                                       int(cells["tflag_time"]))),
+        archive._provenance_row(cells))) == [(t, row)]
 
 
 def test_drift_frames_marked_and_originals_kept(tmp_path):
@@ -996,6 +1000,141 @@ def test_damaged_archive_open_names_file_and_place(tmp_path, damage, file,
             assert str(again.value) == str(err.value)
 
 
+@pytest.fixture(scope="module")
+def mixed_day(tmp_path_factory):
+    """An archive of one day with a gap (hour 3) and resampled hours (4-6),
+    and its day index's lines."""
+    tmp = tmp_path_factory.mktemp("mixed")
+    cache = tmp / "cache" / "BSC00CA12-01"
+    cache.mkdir(parents=True)
+    for name, init, geometry in (("dispersion_20220302.gran", T0, SMALL_GEOM),
+                                 ("dispersion_20220303.gran", T0 + 4 * HOUR,
+                                  DRIFT_GEOM)):
+        g = make_granule("BSC00CA12-01", created=init + HOUR,
+                         weather_init=init - 6 * HOUR, smoke_init=init,
+                         geometry=geometry, frames=random_frames(3, geometry))
+        (cache / name).write_bytes(granule_to_bytes(g))
+    plan = plan_sequence(build_coverage(scan_cache(tmp / "cache")), T0,
+                         T0 + 6 * HOUR)
+    arch = build_archive(plan, SMALL_GEOM, tmp / "arch")
+    assert arch.gaps == {T0 + 3 * HOUR}
+    return arch.root, (arch.root / INDEX).read_text().splitlines()
+
+
+def _per_row_day(root):
+    """The rows of the day index INDEX of the archive at `root`, or the
+    ArchiveError text, as a reader decoding every stamp of every row would
+    give them: the oracle for `_read_day`'s run check. Its table read is
+    `csv.DictReader`'s."""
+    arch = CuratedArchive.open(root)
+    table, manifest = root / INDEX, root / "manifest.json"
+    stored = (t for t in hour_range(arch.start, arch.end)
+              if t not in arch.gaps)
+    grids = arch.original_grids.get(T0.date(), {})
+
+    def entry(cells):
+        t, created, weather, smoke = (
+            julian_to_calendar(JulianStamp(int(cells[f"{p}date"]),
+                                           int(cells[f"{p}time"])))
+            for p in ("tflag_", "c", "w", "s"))
+        if cells["resampled"] not in ("true", "false"):
+            raise ValueError(f"resampled is {cells['resampled']!r}, "
+                             f"not true or false")
+        if cells["wrf_arw_init_time"] != format_iso_z(weather):
+            raise ValueError(f"wrf_arw_init_time "
+                             f"{cells['wrf_arw_init_time']!r} is not the "
+                             f"weather stamp's {format_iso_z(weather)}")
+        row = ProvenanceRow(cells["forecast_id"], created, weather, smoke,
+                            cells["resampled"] == "true")
+        want = next(stored, None)
+        if want is None:
+            fault = f"the index has an extra row, for {format_iso_z(t)}"
+        elif t != want:
+            fault = (f"the next stored hour is {format_iso_z(want)}, not "
+                     f"{format_iso_z(t)}")
+        elif row.resampled != (t in grids):
+            fault = format_iso_z(t) + (
+                " is resampled but has no original" if row.resampled
+                else " has an original but is not resampled")
+        else:
+            return t, row
+        raise ValueError(f"disagrees with {manifest}: {fault}")
+
+    with open(table, newline="") as f:
+        reader = csv.DictReader(f)
+        try:
+            missing = [c for c in PROVENANCE_COLUMNS
+                       if c not in (reader.fieldnames or ())]
+            if missing:
+                return f"{table}: missing column {', '.join(missing)}"
+            rows = []
+            for cells in reader:
+                if None in cells.values():
+                    raise ValueError("fewer cells than the header names")
+                if None in cells:
+                    raise ValueError("more cells than the header names")
+                rows.append(entry(cells))
+        except ValueError as e:
+            return f"{table} line {reader.line_num}: {e}"
+    missing = next(stored, None)
+    if missing is not None:
+        return (f"{table} after its last line: disagrees with {manifest}: "
+                f"the index has no row for {format_iso_z(missing)}")
+    return rows
+
+
+def _day_outcome(root):
+    """`_read_day`'s rows of INDEX's day, in order, or its error text."""
+    try:
+        rows = CuratedArchive.open(root)._read_day(T0.date()).rows
+    except ArchiveError as e:
+        return str(e)
+    return list(rows.items())
+
+
+_CELL_VALUES = st.sampled_from(["", "x", "0", "-1", "2022061", "2022060",
+                                "2022366", "9999999", "10000", "30000",
+                                "240000", "true", "false", "BSC06CA12-01",
+                                "2022-03-01T18:00:00Z", "A,B"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_run_check_gives_the_per_row_rows_or_error(mixed_day, data):
+    # swapped, repeated, forged and dropped rows and blank lines, against a
+    # reader that decodes every row; the same rows, or the same error text
+    # naming the same physical line
+    root, lines = mixed_day
+    header, rows = lines[0], lines[1:]
+    for _ in range(data.draw(st.integers(0, 3))):
+        i = data.draw(st.integers(0, len(rows) - 1))
+        edit = data.draw(st.sampled_from(["swap", "repeat", "forge", "drop",
+                                          "blank"]))
+        if edit == "swap":
+            j = data.draw(st.integers(0, len(rows) - 1))
+            rows[i], rows[j] = rows[j], rows[i]
+        elif edit == "repeat":
+            rows.insert(data.draw(st.integers(0, len(rows))), rows[i])
+        elif edit == "forge":  # one cell of a whole row, from any row
+            whole = [r for r in rows
+                     if r.count(",") == len(PROVENANCE_COLUMNS) - 1]
+            column = data.draw(st.sampled_from(PROVENANCE_COLUMNS))
+            value = data.draw(st.one_of(_CELL_VALUES, st.sampled_from(
+                [r.split(",")[PROVENANCE_COLUMNS.index(column)]
+                 for r in whole] or [""])))
+            if rows[i] in whole:
+                rows[i] = _set_cell(rows[i], column, value)
+        elif edit == "drop" and len(rows) > 1:
+            del rows[i]
+        elif edit == "blank":
+            rows.insert(data.draw(st.integers(0, len(rows))), "")
+    (root / INDEX).write_text("\n".join([header, *rows]) + "\n")
+    try:
+        assert _day_outcome(root) == _per_row_day(root)
+    finally:
+        (root / INDEX).write_text("\n".join(lines) + "\n")
+
+
 def cached_granule(tmp_path, frames, geometry=SMALL_GEOM):
     """One granule in a fresh cache; returns its path."""
     g = make_granule("BSC00CA12-01", created=T0 + timedelta(hours=1),
@@ -1217,15 +1356,39 @@ def test_missing_picked_granule_aborts_build(tmp_path):
     assert_nothing_published(tmp_path / "arch")
 
 
+def test_picked_frame_with_no_canonical_point_aborts_build(tmp_path):
+    # a frame whose grid holds no point of the canonical grid would resample
+    # to all zeros, an hour of clean air that no forecast made; it is
+    # refused as a bad picked frame is, and nothing is published
+    far = GridGeometry(6, 8, 10.0, 60.0, 0.5, 0.5)
+    path = cached_granule(tmp_path / "cache", random_frames(2, far), far)
+    plan = plan_hours(tmp_path / "cache", 2)
+    with pytest.raises(BuildError) as err:
+        build_archive(plan, SMALL_GEOM, tmp_path / "arch")
+    message = str(err.value)
+    assert message.startswith("timestep 2022-03-02T00:00:00Z: granule ")
+    for named in (path, far, SMALL_GEOM):
+        assert str(named) in message
+    assert_nothing_published(tmp_path / "arch")
+    # a grid that holds one canonical point, its corner, is resampled
+    corner = GridGeometry(6, 8, SMALL_GEOM.lat_max, SMALL_GEOM.lon_max,
+                          0.5, 0.5)
+    cached_granule(tmp_path / "cache2", random_frames(2, corner), corner)
+    arch = build_archive(plan_hours(tmp_path / "cache2", 2), SMALL_GEOM,
+                         tmp_path / "arch2")
+    frame, row = arch.read_frame(T0)
+    assert row.resampled and np.count_nonzero(frame.values) == 1
+
+
 def test_frame_times_come_from_the_header_read(tmp_path, monkeypatch):
     # frame times come from the header's first frame: coverage decodes no
-    # stamp, and the build decodes each tflag stamp once in its header read
-    # and once more when the day's first read reads its day index back
+    # stamp; the build's header read decodes tflag[0] and compares the rest
+    # with its hourly run, and the day's first read compares its index's
+    # tflag stamps with the stored hours' run, decoding none of them
     cached_granule(tmp_path / "cache", random_frames(6, seed=5))
     records = scan_cache(tmp_path / "cache")
     tflag = [calendar_to_julian(T0 + i * HOUR) for i in range(6)]
     weather = calendar_to_julian(T0 - 6 * HOUR)
-    archive._granule_time.cache_clear()  # earlier tests decoded these stamps
     calls = []
     original = JulianStamp.validate
     monkeypatch.setattr(JulianStamp, "validate",
@@ -1238,12 +1401,12 @@ def test_frame_times_come_from_the_header_read(tmp_path, monkeypatch):
     assert calls.count(weather) == 1
     assert [calendar_to_julian(t) for t, _ in arch.provenance.items()] == tflag
     # tflag[0] and tflag[1] are also the smoke init and creation stamps,
-    # which the header read validates once more; the day's first read
-    # decodes the granule's creation, weather and smoke stamps once, for
-    # all six rows
+    # which the header read decodes; the day's first read decodes the
+    # granule's creation, weather and smoke stamps once, for all six rows
     counts = Counter(calls)
-    assert [counts[stamp] for stamp in tflag] == [2 + 2, 2 + 2] + [2] * 4
+    assert [counts[stamp] for stamp in tflag] == [2 + 1, 1 + 1] + [0] * 4
     assert counts[weather] == 2
+    assert len(calls) == 4 + 3
 
 
 def read_chars():

@@ -22,10 +22,10 @@ from smokecurate.granule import (HEADER_END, ForecastGranule, FrameReader,
                                  parse_granule_bytes, read_header,
                                  read_header_bytes, validate_stream)
 
-from smokecurate.timecal import (HOUR, UTC, JulianStamp, calendar_to_julian,
-                                 julian_to_calendar)
+from smokecurate.timecal import (HOUR, UTC, EncodingError, JulianStamp,
+                                 calendar_to_julian, julian_to_calendar)
 
-from conftest import (BAD_GEOMETRY_OFFSET, SMALL_GEOM, count_reads,
+from conftest import (BAD_GEOMETRY_OFFSET, SMALL_GEOM, T0, count_reads,
                       granule_to_bytes, simple_granule, simple_granule_bytes,
                       with_geometry_field)
 
@@ -195,18 +195,136 @@ def test_first_frame_across_year_end_and_leap_day(first, ntimes):
 
 
 def test_parse_decodes_each_stamp_once(monkeypatch):
-    # three header stamps are validated, each tflag stamp is decoded once;
-    # the full parse does not re-validate the granule it has just proven
+    # the three header stamps and tflag[0] are decoded; the other tflag
+    # entries are compared with tflag[0]'s hourly run and never decoded; the
+    # full parse does not re-validate the granule it has just proven
     data = simple_granule_bytes(ntimes=5)
     calls = []
     original = JulianStamp.validate
     monkeypatch.setattr(JulianStamp, "validate",
                         lambda self: calls.append(self) or original(self))
     read_header_bytes(data)
-    assert len(calls) == 3 + 5
+    assert calls[3:] == [calendar_to_julian(T0)] and len(calls) == 3 + 1
     calls.clear()
     parse_granule_bytes(data)
-    assert len(calls) == 3 + 5
+    assert len(calls) == 3 + 1
+
+
+def _per_entry_header(data):
+    """The header of `data`, whose fixed header must be valid, as a reader
+    decoding every tflag entry would give it: the oracle for `read_header`'s
+    run check. Each entry is read alone and decoded, in order, and must be
+    tflag[0] plus i hours."""
+    (ident, cd, ct, wd, wt, sd, st_, nrows, ncols, ntimes,
+     *grid) = struct.unpack_from("<16s6I3I4d", data, 12)
+    source = io.BytesIO(data)
+    source.seek(HEADER_END)
+    for i in range(ntimes):
+        off = HEADER_END + i * 8
+        entry = source.read(8)
+        if len(entry) < 8:
+            raise TruncatedError("stream ended inside tflag", off + len(entry))
+        try:
+            instant = julian_to_calendar(JulianStamp(*struct.unpack("<II",
+                                                                    entry)))
+        except EncodingError as e:
+            raise InvalidHeaderError(f"bad tflag[{i}]: {e}", off) from None
+        if i == 0:
+            first = instant
+        elif instant - first != i * HOUR:
+            raise InvalidHeaderError(f"tflag[{i}] breaks hourly contiguity",
+                                     off)
+    return GranuleHeader(ident.decode("ascii").rstrip(" "),
+                         *(julian_to_calendar(JulianStamp(d, t))
+                           for d, t in ((cd, ct), (wd, wt), (sd, st_))),
+                         first, GridGeometry(nrows, ncols, *grid), ntimes)
+
+
+def _header_outcome(read, data):
+    """What `read(data)` returns, or its error's class, message and offset."""
+    try:
+        return read(data)
+    except GranuleError as e:
+        return type(e), str(e), e.offset
+
+
+_ANY_SECOND = st.datetimes(datetime(1, 1, 1), datetime(9999, 12, 31, 23, 59, 59),
+                           timezones=st.just(UTC)).map(
+    lambda t: t.replace(microsecond=0))
+# first frames at a year's end, on a leap day, in year 1 or late in year
+# 9999, with minutes and seconds
+_RUN_STARTS = st.one_of(
+    _ANY_SECOND,
+    st.builds(lambda y, d, h, m, s: datetime(y, 12, d, h, m, s, tzinfo=UTC),
+              st.integers(1, 9999), st.integers(30, 31), st.integers(0, 23),
+              st.integers(0, 59), st.integers(0, 59)),
+    st.builds(lambda y, h, m, s: datetime(y, 2, 28, h, m, s, tzinfo=UTC),
+              st.sampled_from([4, 100, 1900, 2000, 2023, 2024, 9996]),
+              st.integers(0, 23), st.integers(0, 59), st.integers(0, 59)),
+    st.builds(lambda d, h, m, s: datetime(1, 1, d, h, m, s, tzinfo=UTC),
+              st.integers(1, 2), st.integers(0, 23), st.integers(0, 59),
+              st.integers(0, 59)),
+    st.builds(lambda h, m, s: datetime(9999, 12, 31, h, m, s, tzinfo=UTC),
+              st.integers(0, 23), st.integers(0, 59), st.integers(0, 59)))
+_U32 = st.integers(0, 2 ** 32 - 1)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.data())
+def test_run_check_gives_the_per_entry_header_or_error(data):
+    first = data.draw(_RUN_STARTS)
+    n = data.draw(st.integers(1, 60))
+    tflag = []
+    for i in range(n):
+        try:
+            stamp = calendar_to_julian(first + i * HOUR)
+            tflag.append((stamp.date, stamp.time))
+        except OverflowError:  # past year 9999: whatever a writer left
+            tflag.append((data.draw(_U32), data.draw(_U32)))
+    if data.draw(st.booleans()):  # one entry off the run
+        i = data.draw(st.integers(0, n - 1))
+        d, t = tflag[i]
+        tflag[i] = data.draw(st.one_of(
+            st.tuples(_U32, _U32),
+            st.tuples(st.sampled_from([d - 1, d + 1, d + 1000, d - 999]),
+                      st.just(t)),
+            st.tuples(st.just(d), st.sampled_from([t - 10000, t + 10000,
+                                                   t + 1, t + 100]))))
+    ntimes = data.draw(st.one_of(st.just(n), st.integers(n + 1, 2 ** 32 - 1)))
+    cd = calendar_to_julian(datetime(2022, 3, 2, tzinfo=UTC))
+    body = (struct.pack("<8sI16s6I3I4d", b"SMOKGRAN", 1, b"BSC00CA12-01".ljust(16),
+                        cd.date, cd.time, cd.date, cd.time, cd.date, cd.time,
+                        2, 3, ntimes, 40.0, -120.0, 0.5, 0.5)
+            + b"".join(struct.pack("<II", d % 2 ** 32, t % 2 ** 32)
+                       for d, t in tflag)
+            + bytes(4 * 6 * n))
+    body = body[:data.draw(st.one_of(
+        st.just(len(body)), st.integers(HEADER_END, HEADER_END + 8 * n)))]
+    expected = _header_outcome(_per_entry_header, body)
+    # blocks smaller than the tflag, so that a fault can fall in any block
+    with mock.patch.object(granule, "_TFLAG_BLOCK",
+                           data.draw(st.sampled_from([1, 2, 7, 1024]))):
+        assert _header_outcome(read_header_bytes, body) == expected
+
+
+def test_huge_ntimes_on_a_short_file_reads_only_its_bytes(tmp_path):
+    # a header that declares 2**32 - 1 frames over a 3-frame tflag is
+    # refused at the end of the file, with no buffer the size of the
+    # declared tflag
+    data = bytearray(simple_granule_bytes(ntimes=3))
+    data[HEADER_END - 36:HEADER_END - 32] = struct.pack("<I", 2 ** 32 - 1)
+    tflag_end = HEADER_END + 3 * 8
+    path = tmp_path / "short.gran"
+    path.write_bytes(data[:tflag_end])
+    tracemalloc.start()
+    try:
+        with open(path, "rb") as f, pytest.raises(TruncatedError) as err:
+            read_header(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert err.value.offset == tflag_end
+    assert peak < 1 << 20
 
 
 def test_tflag_stamp_that_cannot_follow_rejected():
@@ -586,16 +704,21 @@ def test_huge_ntimes_is_refused_before_any_tflag_is_packed(monkeypatch):
 
 
 def test_encode_packs_each_stamp_once(monkeypatch):
+    # the three header stamps are encoded one by one, and the tflag as the
+    # first frame's hourly run
     g = simple_granule(ntimes=5)
-    calls = []
-    original = granule.calendar_to_julian
+    calls, runs = [], []
+    original, original_run = granule.calendar_to_julian, granule.hour_stamps
     monkeypatch.setattr(granule, "calendar_to_julian",
                         lambda t: calls.append(t) or original(t))
+    monkeypatch.setattr(granule, "hour_stamps",
+                        lambda t: runs.append(t) or original_run(t))
     head, _ = granule.encode_granule(g)
     h = g.header
-    assert sorted(calls) == sorted([h.created, h.weather_init, h.smoke_init] +
-                                   [h.first_frame + i * HOUR for i in range(5)])
-    assert _tflag_in(head) == [original(t) for t in calls[3:]]
+    assert calls == [h.created, h.weather_init, h.smoke_init]
+    assert runs == [h.first_frame] * 2  # packed, then read back
+    assert _tflag_in(head) == [original(h.first_frame + i * HOUR)
+                               for i in range(5)]
 
 
 def test_float32_overflow_is_non_finite_before_write():

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from smokecurate.granule import GridGeometry
-from smokecurate.regrid import Frame, bilinear_resample, identity_or_resample
+from smokecurate.regrid import (Frame, bilinear_resample, covers_any,
+                                identity_or_resample)
 
 SRC = GridGeometry(20, 36, 32.0, -160.0, 0.5, 0.5)
 TARGET = GridGeometry(20, 40, 32.0, -160.0, 0.5, 0.5)
@@ -157,3 +158,18 @@ def test_aligned_copy_does_not_leak_a_neighbour_into_a_zero_cell():
     np.testing.assert_array_equal(out.values[:, 1], 0.0)
     blend = _nudged_blend(src, target)
     assert (blend.values[:, 1].astype(np.float32) > 0).all()
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.integers(2, 5), cols=st.integers(2, 5),
+       dy=st.integers(-14, 14), dx=st.integers(-14, 14),
+       step=st.sampled_from([0.25, 0.5, 0.7, 1.0]))
+def test_covers_any_is_whether_a_resample_blends_a_point(rows, cols, dy, dx,
+                                                         step):
+    # source origins on and off the target's points, so that a source's
+    # extent touches the target only at an edge or a corner, or just misses
+    target = GridGeometry(4, 5, 40.0, -120.0, 0.5, 0.5)
+    src = GridGeometry(rows, cols, 40.0 + dy * 0.25, -120.0 + dx * 0.25,
+                       step, step)
+    out = bilinear_resample(Frame(src, np.ones((rows, cols))), target)
+    assert covers_any(src, target) == bool(out.values.any())

@@ -12,12 +12,18 @@ Code only tests reach, and settings only tests set, belong in the tests.
 
 The README's "Library layout" table has one row per module, so a module
 added or deleted cannot leave it stale, and every code name the README
-cites resolves, so a name renamed or deleted cannot stay in its prose. And
-the packages `src/` imports from outside the standard library are exactly
-the runtime dependencies `pyproject.toml` declares.
+cites resolves, so a name renamed or deleted cannot stay in its prose. Each
+of the README's key invariants names a test that exists. And the packages
+`src/` imports from outside the standard library are exactly the runtime
+dependencies `pyproject.toml` declares.
+
+Every function the bench's tracer wraps (`bench/tracing.py`'s
+`WRAP_TARGETS`) resolves, so a `src/` change that drops one fails here,
+not only in a traced benchmark run.
 """
 
 import ast
+import importlib
 import re
 import sys
 from collections import Counter
@@ -45,6 +51,14 @@ UNREAD_BY_DESIGN = {
     # `bench/workloads.py` passes `scan_cache` the `canonical` and `drift`
     # grids that only this label uses, so only a benchmark change can drop it
     "ScanRecord.geometry_class",
+}
+
+# `bench/tracing.py` wrap targets that name nothing in `src/`, with the reason
+STALE_WRAP_TARGETS = {
+    # gone from `src/`; a traced run counts them in `trace.missing_targets`
+    # until a benchmark change drops them (ROADMAP item 1)
+    "smokecurate.archive.parse_granule",
+    "smokecurate.indexer.julian_to_calendar",
 }
 
 # standard-library names the README cites that are neither a module name
@@ -286,3 +300,41 @@ def test_imports_are_the_declared_dependencies():
     declared = {re.match(r"[\w.-]+", d).group().lower().replace("-", "_")
                 for d in project["dependencies"]}
     assert third_party_imports(ROOT / "src" / "smokecurate") == declared
+
+
+def wrap_targets(tracing: Path) -> list[tuple[str, str]]:
+    """The (owner, attribute) of each entry of `WRAP_TARGETS` in `tracing`,
+    the owner a module or `module:Class`."""
+    for node in ast.parse(tracing.read_text(), str(tracing)).body:
+        if (isinstance(node, ast.Assign)
+                and [getattr(t, "id", None) for t in node.targets]
+                == ["WRAP_TARGETS"]):
+            return [(e.elts[0].value, e.elts[1].value)
+                    for e in node.value.elts]
+    raise AssertionError(f"{tracing} assigns no WRAP_TARGETS")
+
+
+def test_every_bench_wrap_target_resolves():
+    missing = []
+    for owner_path, attr in wrap_targets(ROOT / "bench" / "tracing.py"):
+        module, _, cls = owner_path.partition(":")
+        owner = importlib.import_module(module)
+        if not hasattr(getattr(owner, cls) if cls else owner, attr):
+            missing.append(f"{owner_path}.{attr}")
+    assert sorted(missing) == sorted(STALE_WRAP_TARGETS)
+
+
+def invariant_tests(readme: str) -> list[list[str]]:
+    """The tests each bullet of the README's "Key invariants" list names."""
+    section = readme.split("Key invariants", 1)[1].split("\n## ", 1)[0]
+    bullets = re.split(r"^- ", section, flags=re.MULTILINE)[1:]
+    return [re.findall(r"`(test_\w+)`", bullet) for bullet in bullets]
+
+
+def test_each_readme_invariant_names_a_test_that_exists():
+    defined = {n.name for p in (ROOT / "tests").rglob("test_*.py")
+               for n in ast.walk(ast.parse(p.read_text(), str(p)))
+               if isinstance(n, _FUNCTIONS) and n.name.startswith("test_")}
+    named = invariant_tests((ROOT / "README.md").read_text())
+    assert named and all(named)
+    assert sorted({t for ts in named for t in ts} - defined) == []

@@ -1,11 +1,12 @@
-from datetime import datetime, timedelta
+from datetime import datetime, timedelta, timezone
+from itertools import islice
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from smokecurate.timecal import (HOUR, ISO_Z, UTC, EncodingError, JulianStamp,
                                  calendar_to_julian, format_iso_z, hour_range,
-                                 julian_to_calendar, parse_iso_z)
+                                 hour_stamps, julian_to_calendar, parse_iso_z)
 
 
 def test_first_day_of_year():
@@ -64,6 +65,34 @@ def test_round_trip_identity(dt):
 def test_stamp_order_matches_time_order(pair):
     a, b = sorted(pair)
     assert calendar_to_julian(a) < calendar_to_julian(b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.datetimes(min_value=datetime(1, 1, 1),
+                 max_value=datetime(9999, 12, 31, 23, 59, 59)),
+    st.builds(datetime, st.integers(1, 9999), st.just(12), st.integers(28, 31),
+              st.integers(0, 23), st.integers(0, 59), st.integers(0, 59)),
+    st.builds(datetime, st.sampled_from([4, 2000, 2024, 9996]),
+              st.just(2), st.integers(27, 29), st.integers(0, 23)),
+    st.builds(datetime, st.just(9999), st.just(12), st.just(31),
+              st.integers(0, 23), st.integers(0, 59), st.integers(0, 59))).map(
+        lambda d: d.replace(microsecond=0, tzinfo=UTC)),
+    st.integers(1, 400), st.sampled_from([UTC, timezone(timedelta(hours=5))]))
+def test_hour_stamps_are_the_encoded_hours(first, n, zone):
+    # the integer run is calendar_to_julian of each hour, across day, leap
+    # day and year ends, and ends with the last hour of year 9999
+    expected = []
+    for i in range(n):
+        try:
+            expected.append(calendar_to_julian(first + i * HOUR))
+        except OverflowError:
+            break
+    try:
+        start = first.astimezone(zone)
+    except OverflowError:  # year 9999's end has no time in a zone ahead
+        start = first
+    assert [JulianStamp(*s) for s in islice(hour_stamps(start), n)] == expected
 
 
 def test_hour_range_single():
