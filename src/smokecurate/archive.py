@@ -614,8 +614,9 @@ class CuratedArchive:
         for _ in range(level):
             values = box_downsample(values).astype(np.float32)
         row = day.rows[t]
-        return (Frame(level_geometry(self.geometry, level), values,
-                      resampled=row.resampled), row)
+        geometry = level_geometry(self.geometry, level) if level \
+            else self.geometry
+        return Frame(geometry, values, resampled=row.resampled), row
 
     def read_original(self, t: datetime) -> np.ndarray | None:
         """Pre-resample frame as an (nrows, ncols) array on the grid the

@@ -2,8 +2,10 @@
 layout.
 
 Each body is put under a temp name and checked (header, payload values,
-exact length) by reading it once through one bounded buffer; only a body
-that passes is renamed into the cache, so no HTML page, truncated body or NaN
+exact length) by `validate_stream`, with bounded memory: an open local file
+where it lies, through read-only maps of one window at a time, and any
+other body by reading it once through one bounded buffer. Only a body that
+passes is renamed into the cache, so no HTML page, truncated body or NaN
 payload can ever land there. A body that fails is renamed whole into
 `rejects/`, and a run's rejected body is removed once the run is in the
 cache, so a cache's tree does not depend on its history. A body that ends
@@ -11,9 +13,9 @@ before its Content-Length is a network fault, not bad content: it is
 retried like any other I/O error, and never quarantined.
 
 Link, else copy. A local portal file is hard-linked to the temp name, and
-checked by reading the file it was opened as; the link is kept only if it
-names that same inode, so the published inode is always the one whose bytes
-were checked. Where no link can be made (another file system, a refused or
+checked in the file it was opened as; the link is kept only if it names
+that same inode, so the published inode is always the one whose bytes were
+checked. Where no link can be made (another file system, a refused or
 unsupported link, a body with no file descriptor) or the link names another
 inode, and for every HTTP body, the body is copied into a temp file that is
 created new, while it is checked. A linked cache file is the portal's file
@@ -21,6 +23,12 @@ under a second name, with its owner and mode: renaming over or deleting
 either name leaves the other intact, but writing into either in place
 changes both. The portal layout (`run_path`) gives each run its own path, so
 a portal that only adds runs never writes into a linked file.
+
+The one limit of checking a file in place: another process that truncates
+a linked or cached file in place while it is checked (`cp` over a linked
+portal file) kills the fetch with SIGBUS, not a TruncatedError. The fetch
+never truncates a cache file, and such a fetch leaves at most a temp name,
+which the next fetch removes before it links or copies the run again.
 """
 
 from __future__ import annotations

@@ -19,12 +19,15 @@ integers, and the writer packs the run.
 
 Parsing must be safe on arbitrary bytes; every failure carries the byte
 offset of the first inconsistency. Every payload byte goes through one
-checked fill, `_read_payload`, straight into the memory that keeps it:
-`parse_granule` fills its one payload array (no copy), `FrameReader` reads
-single frames after a header-only parse, each into a fresh array, so a
-reader that needs a few frames never loads the rest, and `validate_stream`
-checks a whole granule as it streams past, through one bounded buffer, so a
-writer never holds a whole body.
+value check, `_check_payload`. A reader that keeps the values fills them
+through one checked read, `_read_payload`, straight into the memory that
+keeps them: `parse_granule` fills its one payload array (no copy), and
+`FrameReader` reads single frames after a header-only parse, each into a
+fresh array, so a reader that needs a few frames never loads the rest.
+`validate_stream` checks a whole granule and keeps nothing: a regular file
+in place, mapped one bounded window at a time, and any other stream as it
+streams past, through one bounded buffer, so a writer never holds a whole
+body.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ import math
 import mmap
 import numbers
 import os
+import stat
 import struct
 from dataclasses import dataclass
 from datetime import datetime
@@ -76,6 +80,18 @@ PARALLEL_FRAME_BYTES = 256 << 10
 # 2 pool threads on a 2-core host) took a median 0.44 s at 8 MiB, 0.38 s at
 # 2 MiB, 0.37 s at 1 MiB, 0.40 s at 512 KiB and 0.47 s at 256 KiB.
 STREAM_BUFFER_BYTES = 1 << 20
+
+# Payload bytes `validate_stream` maps and checks at a time when its source
+# is a regular file holding the granule from byte 0; a multiple of
+# STREAM_BUFFER_BYTES and of mmap.ALLOCATIONGRANULARITY, so each window
+# starts at a file offset mmap accepts. A thread holds at most one window
+# mapped, so its file pages add at most 8 MiB per thread to RSS. The 8
+# full-grid granules of a curate (1.09 GB, in the page cache), checked on
+# 2 threads on a 2-core host, took a median 90 ms at 1 MiB windows, 62 ms
+# at 2 MiB, 54 ms at 8 MiB, 49 ms at 32 MiB and 46 ms whole-file, against
+# 109 ms (50 ms user, 140 ms system CPU: the copy) read through the 1 MiB
+# buffer.
+MAP_WINDOW_BYTES = 8 << 20
 
 
 class GranuleError(Exception):
@@ -418,21 +434,34 @@ def _read_payload(source: BinaryIO, view: memoryview, offset: int) -> None:
 def validate_stream(source: BinaryIO) -> GranuleHeader:
     """Read one whole granule from `source` and prove it complete and sound.
 
-    The header and tflag go through `read_header`; the payload is read through
-    one buffer of at most STREAM_BUFFER_BYTES, each buffer checked for finite,
-    non-negative values; the stream must then end at the declared length (a
-    long body raises TruncatedError at that length). Accepts exactly what
-    `parse_granule` accepts, minus trailing bytes, and for a body with one
-    fault raises the same error at the same offset, while memory stays at one
-    buffer.
+    The header and tflag go through `read_header`. The payload is checked for
+    finite, non-negative values piece by piece, and the source must then end
+    at the declared length (a long body raises TruncatedError at that
+    length). Accepts exactly what `parse_granule` accepts, minus trailing
+    bytes, and for a body with one fault raises the same error, message and
+    offset, while memory stays bounded:
 
-    The buffer is an anonymous mapping, not a heap object, so its pages go
-    back to the system when its last reference goes (on return, or when the
-    caller drops the exception) instead of staying in a thread's malloc arena.
+    - a regular file that holds the granule from byte 0 is checked where it
+      lies, mapped read-only one MAP_WINDOW_BYTES window at a time
+      (`_check_in_place`), so no payload byte is copied;
+    - any other source (an HTTP body, a tee that copies as it reads, a
+      `BytesIO`, a pipe, a granule at an offset in its file) is read through
+      one buffer of at most STREAM_BUFFER_BYTES. The buffer is an anonymous
+      mapping, not a heap object, so its pages go back to the system when its
+      last reference goes (on return, or when the caller drops the
+      exception) instead of staying in a thread's malloc arena.
+
+    A mapped check has one limit a read does not: a file truncated in place
+    by another process while it is checked ends the process with SIGBUS,
+    not a TruncatedError.
     """
     h = read_header(source)
-    buf = mmap.mmap(-1, min(STREAM_BUFFER_BYTES, h.expected_payload_bytes))
     offset, end = h.header_bytes, h.expected_total_bytes
+    size = _mappable_size(source, offset)
+    if size is not None:
+        _check_in_place(source.fileno(), offset, end, size)
+        return h
+    buf = mmap.mmap(-1, min(STREAM_BUFFER_BYTES, h.expected_payload_bytes))
     while offset < end:
         want = min(len(buf), end - offset)
         _read_payload(source, memoryview(buf)[:want], offset)
@@ -441,6 +470,48 @@ def validate_stream(source: BinaryIO) -> GranuleHeader:
         raise TruncatedError(f"stream continues past the declared {end} bytes",
                              end)
     return h
+
+
+def _mappable_size(source: BinaryIO, here: int) -> int | None:
+    """The size of the regular file `source`, positioned at byte `here` of
+    the granule it holds from byte 0; None for any other source."""
+    try:
+        st = os.fstat(source.fileno())
+        if stat.S_ISREG(st.st_mode) and source.tell() == here:
+            return st.st_size
+    except (AttributeError, OSError, ValueError):  # no descriptor, no tell
+        pass
+    return None
+
+
+def _check_in_place(fd: int, start: int, end: int, size: int) -> None:
+    """Check the payload bytes [start, end) of the `size`-byte file `fd`,
+    mapped one MAP_WINDOW_BYTES window at a time, as the streamed read does:
+    a short file has only the whole STREAM_BUFFER_BYTES pieces before its
+    end checked, then is truncated at its size; a long one, once its payload
+    is checked, at `end`.
+
+    Each window is mapped at a multiple of MAP_WINDOW_BYTES, and its map is
+    bound to no name: it goes when the array over it goes, after the check,
+    or with the traceback of the error the check raises. Closing it would
+    raise BufferError while that traceback still holds the array."""
+    if size >= end:
+        stop = end
+    else:  # the whole pieces before the file's end
+        pieces = max(0, size - start) // STREAM_BUFFER_BYTES
+        stop = start + pieces * STREAM_BUFFER_BYTES
+    if stop > start:
+        for base in range(start - start % MAP_WINDOW_BYTES, stop,
+                          MAP_WINDOW_BYTES):
+            lo, hi = max(start, base), min(stop, base + MAP_WINDOW_BYTES)
+            _check_payload(np.frombuffer(
+                mmap.mmap(fd, hi - base, access=mmap.ACCESS_READ, offset=base),
+                dtype="<f4", offset=lo - base), lo)
+    if size != end:
+        raise TruncatedError(
+            "stream ended inside payload" if size < end
+            else f"stream continues past the declared {end} bytes",
+            min(size, end))
 
 
 class FrameReader:

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import builtins
+import mmap
 import os
 import struct
+import threading
+import weakref
 from collections import Counter
 from contextlib import contextmanager
 from datetime import date, datetime, timedelta
@@ -131,11 +134,31 @@ class _Counted:
 
 class ReadCounts(Counter):
     """Bytes returned by reads, per path (or per the key of a wrapped
-    stream)."""
+    stream); `mapped` holds the bytes of the file maps made, per path, and
+    `peak_mapped` the most file bytes mapped at once."""
+
+    def __init__(self):
+        super().__init__()
+        self.mapped = Counter()
+        self.peak_mapped = 0
+        self._live = 0
+        self._lock = threading.Lock()
 
     def wrap(self, stream, key="stream"):
         """`stream`, with its `read` and `readinto` counted under `key`."""
         return _Counted(stream, self, key)
+
+    def map(self, m, key):
+        """Count the file map `m` under `key`, live until it is released."""
+        with self._lock:
+            self.mapped[key] += len(m)
+            self._live += len(m)
+            self.peak_mapped = max(self.peak_mapped, self._live)
+        weakref.finalize(m, self._unmap, len(m))
+
+    def _unmap(self, n):
+        with self._lock:
+            self._live -= n
 
 
 @contextmanager
@@ -143,17 +166,30 @@ def count_reads(text=False):
     """Count, per path, the bytes returned while the block runs by `read`
     and `readinto` on binary files opened with `open`, and with `text` also
     the characters read from text files opened with `open` (their bytes, for
-    ASCII files such as the archive's manifest and day indexes). The one
-    byte counter of the tests: `with count_reads() as reads:` gives a
-    `ReadCounts`, whose `wrap` counts any other stream the same way."""
+    ASCII files such as the archive's manifest and day indexes); and the
+    bytes of each map of such a file (`ReadCounts.mapped`), with the most
+    mapped at once (`ReadCounts.peak_mapped`). The one byte counter of the
+    tests: `with count_reads() as reads:` gives a `ReadCounts`, whose `wrap`
+    counts any other stream the same way."""
     reads = ReadCounts()
-    real_open = builtins.open
+    real_open, real_mmap = builtins.open, mmap.mmap
+    paths = {}  # descriptor -> path of the file last opened on it
 
     def counted_open(file, mode="r", *args, **kwargs):
         f = real_open(file, mode, *args, **kwargs)
-        return reads.wrap(f, str(file)) if text or "b" in mode else f
+        if not (text or "b" in mode):
+            return f
+        paths[f.fileno()] = str(file)
+        return reads.wrap(f, str(file))
 
-    with mock.patch.object(builtins, "open", counted_open):
+    def counted_mmap(fileno, length, *args, **kwargs):
+        m = real_mmap(fileno, length, *args, **kwargs)
+        if fileno != -1:  # not an anonymous map
+            reads.map(m, paths.get(fileno, f"fd {fileno}"))
+        return m
+
+    with mock.patch.object(builtins, "open", counted_open), \
+            mock.patch.object(mmap, "mmap", counted_mmap):
         yield reads
 
 

@@ -74,6 +74,20 @@ def test_round_trip_level0_bit_identical(tmp_path):
         assert frame.values.dtype == np.float32
 
 
+def test_level0_read_builds_no_geometry(tmp_path, monkeypatch):
+    """A level-0 frame's geometry is the archive's own; only a derived level
+    computes one."""
+    arch = archive_from_frames(tmp_path, random_frames(2))
+    built = []
+    monkeypatch.setattr(archive, "level_geometry",
+                        lambda geom, level: built.append(level)
+                        or level_geometry(geom, level))
+    frame, _ = arch.read_frame(T0)
+    assert frame.geometry is arch.geometry and built == []
+    frame, _ = arch.read_frame(T0, level=1)
+    assert frame.geometry == level_geometry(SMALL_GEOM, 1) and built == [1]
+
+
 def test_constant_field_collapses_exactly(tmp_path):
     geom = GridGeometry(4, 4, 40.0, -120.0, 0.5, 0.5)
     frames = [np.full((4, 4), 7.0, dtype=np.float32)]

@@ -2,6 +2,7 @@ import csv
 import errno
 import gc
 import io
+import mmap
 import os
 import shutil
 import struct
@@ -20,17 +21,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from smokecurate import fetcher
+from smokecurate import fetcher, granule
 from smokecurate.corpusgen import (FULL_GEOMETRY, CorpusSpec, FaultProfile,
                                    generate_corpus)
 from smokecurate.fetcher import (ConfigError, SourceEndpoint, build_url,
                                  embedded_init_hour, fetch_one, fetch_range)
-from smokecurate.granule import (STREAM_BUFFER_BYTES, GranuleError,
-                                 GridGeometry, InvalidHeaderError,
-                                 parse_granule_bytes, read_header_bytes)
+from smokecurate.granule import (MAP_WINDOW_BYTES, STREAM_BUFFER_BYTES,
+                                 GranuleError, GridGeometry,
+                                 InvalidHeaderError, parse_granule_bytes,
+                                 read_header_bytes)
 
-from conftest import (BAD_GEOMETRY_OFFSET, SMALL_GEOM, granule_to_bytes,
-                      simple_granule, simple_granule_bytes,
+from conftest import (BAD_GEOMETRY_OFFSET, SMALL_GEOM, count_reads,
+                      granule_to_bytes, simple_granule, simple_granule_bytes,
                       with_geometry_field)
 
 IDS = ("BSC00CA12-01", "BSC06CA12-01")
@@ -365,13 +367,43 @@ def test_fetch_holds_one_buffer_not_the_body(tmp_path):
     gc.collect()
     tracemalloc.start()
     try:
-        rec = fetch_one(SourceEndpoint(str(tmp_path / "corpus")), FID, DAY,
-                        tmp_path / "cache")
+        with count_reads() as reads:
+            rec = fetch_one(SourceEndpoint(str(tmp_path / "corpus")), FID, DAY,
+                            tmp_path / "cache")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert rec.outcome == "downloaded" and rec.bytes == size
     assert peak < size / 4, peak
+    # the payload is checked where it lies, which tracemalloc does not see:
+    # one window mapped at a time, never the whole file
+    assert 0 < reads.peak_mapped <= MAP_WINDOW_BYTES, reads.peak_mapped
+
+
+def test_linked_fetch_reads_the_header_and_maps_the_payload_once(tmp_path,
+                                                                 monkeypatch):
+    """A linked granule spanning several windows: the header is read once,
+    and the payload is mapped once, a window at a time. Windows start at
+    multiples of the window size, so the first also maps the header, which
+    it does not check: the windows tile the file, no byte mapped twice."""
+    window = 4 * mmap.ALLOCATIONGRANULARITY
+    monkeypatch.setattr(granule, "MAP_WINDOW_BYTES", window)
+    monkeypatch.setattr(granule, "STREAM_BUFFER_BYTES", window // 4)
+    geom = GridGeometry(nrows=64, ncols=128, lat0=40.0, lon0=-120.0,
+                        dlat=0.1, dlon=0.1)
+    body = simple_granule_bytes(ntimes=window // (64 * 128) + 1, geometry=geom)
+    assert len(body) > 2 * window
+    path = publish(tmp_path / "corpus", body)
+    with count_reads() as reads:
+        rec = fetch_one(SourceEndpoint(str(tmp_path / "corpus")), FID, DAY,
+                        tmp_path / "cache")
+    assert (rec.outcome, rec.bytes) == ("downloaded", len(body))
+    assert (tmp_path / "cache" / FID / "dispersion_20220302.gran"
+            ).stat().st_nlink == 2  # linked, not copied
+    header = read_header_bytes(body)
+    assert reads == {str(path): header.header_bytes}
+    assert reads.mapped == {str(path): len(body)}
+    assert reads.peak_mapped <= window
 
 
 class BreaksAfter(io.RawIOBase):
@@ -707,3 +739,61 @@ def test_fetch_across_file_systems_copies(tmp_path, other_device_dir):
     assert committed.stat().st_dev != portal.stat().st_dev
     reject = cache / "rejects" / "BSC06CA12-01" / "dispersion_20220302.bin"
     assert reject.read_bytes() == b"<html>not a granule</html>"
+
+
+KILLED = 86  # the exit code of a fetch killed inside a check
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.parametrize("k", [1, 7, 40])
+def test_a_fetch_killed_inside_a_mapped_check_is_mended_by_the_next(
+        tmp_path, monkeypatch, k):
+    """A file truncated in place by another process while its mapped window
+    is checked kills the fetch with SIGBUS. A child process, forked before
+    any pool thread starts, stands for that fetch: it exits at once inside
+    the check of its k-th window. The next fetch then leaves the tree of one
+    clean fetch, name for name and byte for byte, and its report, except
+    that a run the killed fetch published reports 0 bytes and 0 attempts,
+    as on any re-run."""
+    monkeypatch.setattr(granule, "MAP_WINDOW_BYTES",
+                        mmap.ALLOCATIONGRANULARITY)
+    spec = CorpusSpec(start_date=date(2022, 3, 2), end_date=date(2022, 3, 4),
+                      forecast_ids=IDS, init_hours=(0, 6), horizon_hours=6,
+                      geometry=GridGeometry(32, 64, 40.0, -120.0, 0.1, 0.1),
+                      fault_profile=FaultProfile(html_rate=0.2,
+                                                 truncation_rate=0.2),
+                      seed=9)
+    generate_corpus(spec, tmp_path / "corpus")
+    fetch = partial(fetch_range, SourceEndpoint(str(tmp_path / "corpus")),
+                    list(IDS), spec.start_date, spec.end_date)
+    pid = os.fork()
+    if pid == 0:  # the child: never returns to the test runner
+        try:
+            real, calls = granule._check_payload, []
+
+            def check(values, offset):
+                calls.append(offset)
+                if len(calls) == k:
+                    os._exit(KILLED)
+                real(values, offset)
+
+            granule._check_payload = check
+            fetch(tmp_path / "cache", parallel=1)
+        finally:
+            os._exit(1)
+    _, status = os.waitpid(pid, 0)
+    assert os.waitstatus_to_exitcode(status) == KILLED
+
+    published = {(p.parent.name, p.name) for p in
+                 (tmp_path / "cache").glob("*/dispersion_*.gran")}
+    clean = fetch(tmp_path / "clean")
+    assert {r.outcome for r in clean.records} == \
+        {"downloaded", "invalid_content"}
+    assert names(tmp_path / "cache") != names(tmp_path / "clean")
+    again = fetch(tmp_path / "cache")
+    assert again.records == [
+        replace(r, bytes=0, attempts=0) if (
+            r.forecast_id, f"dispersion_{r.date:%Y%m%d}.gran") in published
+        else r for r in clean.records]
+    assert names(tmp_path / "cache") == names(tmp_path / "clean")
+    assert tree(tmp_path / "cache") == tree(tmp_path / "clean")

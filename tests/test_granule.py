@@ -1,8 +1,10 @@
 import dataclasses
 import io
 import math
+import mmap
 import re
 import struct
+import tempfile
 import tracemalloc
 from datetime import datetime, timedelta, timezone
 from unittest import mock
@@ -621,6 +623,83 @@ def test_validate_stream_reads_the_payload_in_bounded_pieces():
         validate_stream(Recording(data))
     assert max(asked) == 256
     assert sum(asked) == info.expected_payload_bytes
+
+
+def _validate_outcome(source):
+    """validate_stream's header, or its error's class, message and offset."""
+    try:
+        return validate_stream(source)
+    except GranuleError as e:
+        return type(e), str(e), e.offset
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_mapped_check_gives_the_streamed_header_or_error(data):
+    """A regular file holding a granule from byte 0 is checked mapped, a
+    `BytesIO` of the same bytes read through the buffer: with both sizes
+    patched small, so that the payload spans several windows and pieces,
+    the two give the same header, or the same error class, message and
+    offset. A granule at an offset in its file is read, and agrees too."""
+    window = data.draw(st.sampled_from([1, 2])) * mmap.ALLOCATIONGRANULARITY
+    buffer = window // data.draw(st.sampled_from([1, 4, 64]))
+    geom = GridGeometry(16, 32, 40.0, -120.0, 0.5, 0.5)  # 2 KiB frames
+    ntimes = 3 * window // 2048 + data.draw(st.integers(0, 2))
+    valid = simple_granule_bytes(ntimes=ntimes, geometry=geom)
+    info = read_header_bytes(valid)
+    start, end = info.header_bytes, info.expected_total_bytes
+    windows, pieces = range(0, end, window), range(start, end, buffer)
+    kind = data.draw(st.sampled_from(["whole", "truncate", "append"]))
+    cut = end
+    if kind == "truncate":
+        cut = data.draw(st.one_of(st.integers(0, end - 1),
+                                  st.sampled_from(windows),
+                                  st.sampled_from(pieces)))
+    # faults at the last value before and the first value at an edge of a
+    # window, of a piece or of the payload; at the last value before the
+    # cut; or anywhere
+    places = [[p for e in edges for p in (e - 4, e) if start <= p < end]
+              for edges in (windows, pieces, [end])]
+    places += [[cut - 4] if cut - 4 >= start else [], range(start, end, 4)]
+    body = bytearray(valid)
+    for _ in range(data.draw(st.integers(0, 3))):
+        at = data.draw(st.sampled_from(
+            data.draw(st.sampled_from([p for p in places if p]))))
+        value = data.draw(st.sampled_from(
+            [np.nan, np.inf, -np.inf, -1.0, _f32(0x80000001), -0.0]))
+        struct.pack_into("<f", body, at, value)
+    del body[cut:]
+    if kind == "append":
+        body += data.draw(st.binary(min_size=1, max_size=16))
+    lead = data.draw(st.sampled_from([0, 0, 0, 4, window]))
+
+    with mock.patch.object(granule, "MAP_WINDOW_BYTES", window), \
+            mock.patch.object(granule, "STREAM_BUFFER_BYTES", buffer), \
+            tempfile.TemporaryFile() as f:
+        f.write(b"\0" * lead + body)
+        f.seek(lead)
+        mapped = _validate_outcome(f)
+        streamed = _validate_outcome(io.BytesIO(bytes(body)))
+    assert mapped == streamed
+    if kind == "whole" and not isinstance(streamed, tuple):
+        assert streamed == info
+
+
+def test_only_a_file_holding_the_granule_from_byte_0_is_mapped(tmp_path):
+    data = simple_granule_bytes(ntimes=3)
+    (tmp_path / "at0.gran").write_bytes(data)
+    (tmp_path / "at8.gran").write_bytes(b"\0" * 8 + data)
+    with count_reads() as reads:
+        for name, lead in (("at0.gran", 0), ("at8.gran", 8)):
+            with open(tmp_path / name, "rb") as f:
+                f.seek(lead)
+                assert validate_stream(f) == read_header_bytes(data)
+        assert validate_stream(io.BytesIO(data)) == read_header_bytes(data)
+    at0, at8 = (str(tmp_path / name) for name in ("at0.gran", "at8.gran"))
+    assert reads.mapped == {at0: len(data)}
+    payload = read_header_bytes(data).expected_payload_bytes
+    assert reads[at0] == len(data) - payload
+    assert reads[at8] == len(data)  # read whole, through the buffer
 
 
 @pytest.mark.parametrize("forecast_id, message", [
